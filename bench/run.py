@@ -2,7 +2,7 @@
 
 Run from the root of a checkout:
 
-    python3 bench/run.py --workload enroll_paper --seed 1 --seconds 45 --trace 0
+    python3 bench/run.py --workload enroll_paper --seed 1 --seconds 40 --trace 0
 
 The set-up generates a seeded synthetic corpus. Each round then runs
 
@@ -12,9 +12,11 @@ The set-up generates a seeded synthetic corpus. Each round then runs
 ``identify`` calls ``identify(models, obs, 0.5)`` once per test utterance
 with the observations loaded beforehand, and ``sweep`` runs ``run_session``
 once per fusion weight in :data:`ALPHAS`. A workload chooses the corpus, the
-topology, the plan and the iteration cap. The set-up runs
-:data:`SETUP_REPEATS` times, each time followed by whole rounds for its share
-of ``--seconds``. README.md says why each workload exists and what each
+topology, the plan and the iteration cap. After an untimed warm-up the
+set-up runs :data:`SETUP_REPEATS` times, with whole rounds between the
+set-ups filling ``--seconds``. Every timed call is bracketed by runs of a
+fixed calibration kernel and reported at a fixed machine speed
+(``calibration.py``). README.md says why each workload exists and what each
 metric should move.
 
 With ``--trace 1`` one set-up and every other round run with spans recorded
@@ -44,10 +46,17 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
+# One BLAS thread: the run is one single-threaded caller, and on a machine of
+# two or so shared cores a second BLAS thread measures the scheduler. Set
+# before numpy loads OpenBLAS; run facts report the count it took.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
-import reference
-from tracing import Patches, Tracer
+import numpy as np  # noqa: E402
+
+import calibration  # noqa: E402
+import reference  # noqa: E402
+from tracing import Patches, Tracer  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 RESULTS_DIR = ROOT / ".bench_results"
@@ -55,8 +64,10 @@ WORK_DIR = ROOT / ".bench_work"
 
 ALPHAS = (0.0, 0.25, 0.5, 0.75, 1.0)
 IDENTIFY_ALPHA = 0.5
-TAIL_PERCENTILE = 90  # needs >= 100 identify samples for ten beyond it
-SETUP_REPEATS = 3
+TAIL_BEYOND = 10  # identify_tail_ms: the per-utterance time with this many above it
+SETUP_REPEATS = 10
+PHASE_KERNEL_REPS = 100  # calibration kernels before and after each set-up and phase call
+CALL_KERNEL_REPS = 1  # ... and around each identify call
 CHECK_UTTERANCES = 3
 LL_RTOL = 1e-9
 LFPC_ATOL_DB = 1e-8
@@ -251,9 +262,10 @@ def phase_extract(state: State, samples: dict, tracer) -> None:
         out = state.root / f"extract-{state.extracts}"
     else:
         out = state.source.root
-    t0 = time.perf_counter()
-    state.manifest = features.extract_corpus(state.source, out)
-    samples["extract"].append(time.perf_counter() - t0)
+    state.manifest, elapsed, kernel = calibration.timed(
+        lambda: features.extract_corpus(state.source, out), PHASE_KERNEL_REPS
+    )
+    samples["extract"].append((elapsed, kernel))
 
 
 def phase_enroll(state: State, samples: dict, tracer) -> None:
@@ -261,11 +273,13 @@ def phase_enroll(state: State, samples: dict, tracer) -> None:
     seen: list = []
     loader = loader_for(state.manifest, seen)
     topology = sphmm.Topology(**w.topology)
-    t0 = time.perf_counter()
-    state.models = protocol.train_population(
-        state.manifest, loader, w.plan, topology, seed=state.seed, max_iterations=w.max_iterations
+    state.models, elapsed, kernel = calibration.timed(
+        lambda: protocol.train_population(
+            state.manifest, loader, w.plan, topology, seed=state.seed, max_iterations=w.max_iterations
+        ),
+        PHASE_KERNEL_REPS,
     )
-    samples["enroll"].append(time.perf_counter() - t0)
+    samples["enroll"].append((elapsed, kernel))
     state.enrolled_records = seen
 
 
@@ -274,30 +288,28 @@ def phase_identify(state: State, samples: dict, tracer) -> None:
     with tracer.span("bench.preload") if tracer else nullcontext():
         records = protocol.session_test_records(state.manifest, state.workload.plan)
         observations = [loader(r) for r in records]
-    predictions = {}
+    predictions, times = {}, []
     for record, obs in zip(records, observations):
-        t0 = time.perf_counter()
-        speaker, _ = protocol.identify(state.models, obs, IDENTIFY_ALPHA)
-        samples["identify"].append(time.perf_counter() - t0)
+        (speaker, _), elapsed, kernel = calibration.timed(
+            lambda: protocol.identify(state.models, obs, IDENTIFY_ALPHA), CALL_KERNEL_REPS
+        )
+        times.append((elapsed, kernel))
         predictions[record.key] = speaker
+    samples["identify"].append(times)  # one pass: a sample per test utterance, in record order
     state.test_records = records
     state.predictions = predictions
 
 
 def phase_sweep(state: State, samples: dict, tracer) -> None:
     loader = loader_for(state.manifest)
-    sessions = {}
-    total = 0.0
+    sessions, times = {}, []
     for alpha in ALPHAS:
-        t0 = time.perf_counter()
-        sessions[alpha] = protocol.run_session(
-            state.models, state.manifest, loader, state.workload.plan, alpha
+        sessions[alpha], elapsed, kernel = calibration.timed(
+            lambda: protocol.run_session(state.models, state.manifest, loader, state.workload.plan, alpha),
+            PHASE_KERNEL_REPS,
         )
-        elapsed = time.perf_counter() - t0
-        total += elapsed
-        if alpha == IDENTIFY_ALPHA:
-            samples["session"].append(elapsed)
-    samples["sweep"].append(total)
+        times.append((elapsed, kernel))
+    samples["sweep"].append(times)  # one pass: a sample per alpha, in ALPHAS order
     state.sessions = sessions
 
 
@@ -310,16 +322,36 @@ def run_round(state: State, samples: dict, tracer=None) -> None:
             phase(state, samples, tracer)
 
 
+def user_cpu_s() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_utime
+
+
 def set_up(seed: int, workload: Workload, root: Path, samples: dict, tracer=None) -> State:
-    """Generate the workload's corpus in a fresh directory; that time is the set-up."""
+    """Generate the workload's corpus in a fresh directory; that is the set-up.
+
+    The set-up is timed in user-mode CPU time, not wall time: it creates a
+    file per feature stream or WAV (900 files on ``enroll_paper``), and on
+    the build machine the kernel's share of that, file-system inode
+    allocation, took from 0.02 s to 0.7 s for the same files, varying from
+    minute to minute with the file system's state rather than with the
+    program. The wall time is kept in the result file.
+    """
     if root.exists():
         shutil.rmtree(root)
     root.mkdir(parents=True)
     state = State(seed=seed, workload=workload, root=root)
+    user = []
+
+    def generate():
+        u0 = user_cpu_s()
+        source = corpus.generate_synthetic_corpus(seed=seed, out_dir=root / "corpus", **workload.corpus)
+        user.append(user_cpu_s() - u0)
+        return source
+
     with tracer.span("bench.setup") if tracer else nullcontext():
-        t0 = time.perf_counter()
-        state.source = corpus.generate_synthetic_corpus(seed=seed, out_dir=root / "corpus", **workload.corpus)
-        samples["setup"].append(time.perf_counter() - t0)
+        state.source, elapsed, kernel = calibration.timed(generate, PHASE_KERNEL_REPS)
+    samples["setup"].append((user[0], kernel))
+    samples["setup_wall"].append(elapsed)
     return state
 
 
@@ -465,31 +497,45 @@ def expected_calls(state: State) -> dict:
 
 # --- metrics -----------------------------------------------------------------------
 
-def percentile_nearest_rank(values: list[float], pct: float) -> float:
-    ordered = sorted(values)
-    return ordered[max(math.ceil(pct / 100.0 * len(ordered)) - 1, 0)]
-
-
 def end_to_end_metrics(rounds: dict, setups: dict) -> dict:
-    """Phase times averaged over every round; ``setup_s`` is the median set-up.
+    """Median phase times, each sample scaled to the nominal machine speed.
 
-    The machine's speed drifts by tens of percent within a run; the mean of
-    all samples follows that drift smoothly, where a median jumps between the
-    fast and slow samples.
+    Every sample is (wall time, calibration kernel time next to it), the
+    set-up's (user CPU time, kernel time); see ``calibration.py``. A phase
+    made of several calls (one per test utterance, one per alpha) takes each
+    call's median over the rounds, so the tail is over inputs, not over
+    moments of the host.
     """
-    t = rounds
-    mean = {name: statistics.fmean(values) for name, values in t.items()}
+    def median(samples):
+        return statistics.median(calibration.scaled(s) for s in samples)
+
+    identify = sorted(median(col) for col in zip(*rounds["identify"]))  # per test utterance
+    sessions = [median(col) for col in zip(*rounds["sweep"])]  # per alpha
+    enroll = median(rounds["enroll"])
     values = {
-        "setup_s": statistics.median(setups["setup"]),
-        "enroll_s": mean["enroll"],
-        "identify_ms": 1000.0 * mean["identify"],
-        "identify_tail_ms": 1000.0 * percentile_nearest_rank(t["identify"], TAIL_PERCENTILE),
-        "sweep_s": mean["sweep"],
-        "extract_s": mean["extract"],
-        "small_session_s": mean["enroll"] + mean["session"],
+        "setup_s": median(setups["setup"]),
+        "enroll_s": enroll,
+        "identify_ms": 1000.0 * statistics.median(identify),
+        "identify_tail_ms": 1000.0 * identify[-1 - TAIL_BEYOND],
+        "sweep_s": sum(sessions),
+        "extract_s": median(rounds["extract"]),
+        "small_session_s": enroll + sessions[ALPHAS.index(IDENTIFY_ALPHA)],
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
     return {name: {"value": values[name], "unit": unit} for name, unit in END_TO_END_UNITS.items()}
+
+
+def wall_medians(rounds: dict, setups: dict) -> dict:
+    """Unscaled median wall time of each timed call, the set-up's median user
+    CPU time, and the median kernel time."""
+    calls = {"extract": rounds["extract"], "enroll": rounds["enroll"],
+             "identify_call": [s for one_pass in rounds["identify"] for s in one_pass],
+             "session": [s for one_pass in rounds["sweep"] for s in one_pass]}
+    out = {name: statistics.median(e for e, _ in samples) for name, samples in calls.items()}
+    out["setup"] = statistics.median(setups["setup_wall"])
+    out["setup_user_cpu"] = statistics.median(u for u, _ in setups["setup"])
+    out["kernel"] = statistics.median(k for samples in (*calls.values(), setups["setup"]) for _, k in samples)
+    return out
 
 
 def per_layer_metrics(tracer: Tracer, setup_range, round_ranges, overhead_s: float) -> dict:
@@ -540,30 +586,36 @@ def record_em_histories(histories: list) -> Patches:
 
 
 def measure(args, workload: Workload, work: Path, extra: dict):
-    """Untraced run: SETUP_REPEATS set-ups, each followed by its share of the rounds.
+    """Untraced run: an untimed warm-up set-up, then SETUP_REPEATS timed set-ups
+    with the rounds between them.
 
     Set-up k is followed by whole rounds until the rounds have taken k + 1
-    shares of ``args.seconds`` (at least one round each), so set-up and round
-    samples are spread over the whole run rather than taken in one stretch.
+    shares of ``args.seconds`` (none if they already have, and at least one
+    after the last), so set-up and round samples are spread over the whole
+    run rather than taken in one stretch. The last set-up's state is checked.
     """
     setup_samples, round_samples = defaultdict(list), defaultdict(list)
+    set_up(args.seed, workload, work / "warm-up", defaultdict(list))
     rounds, round_time = 0, 0.0
     for i in range(SETUP_REPEATS):
         state = set_up(args.seed, workload, work / f"setup-{i}", setup_samples)
         target = args.seconds * (i + 1) / SETUP_REPEATS
-        first = True
-        while first or round_time < target:
+        must_run = i == SETUP_REPEATS - 1
+        while must_run or round_time < target:
             t0 = time.perf_counter()
             run_round(state, round_samples)
             round_time += time.perf_counter() - t0
             rounds += 1
-            first = False
-    extra.update(rounds=rounds, setup_samples=setup_samples, round_samples=round_samples)
+            must_run = False
+    extra.update(rounds=rounds, wall_medians_s=wall_medians(round_samples, setup_samples),
+                 setup_samples=setup_samples, round_samples=round_samples)
     return state, rounds, end_to_end_metrics(round_samples, setup_samples)
 
 
 def measure_traced(args, workload: Workload, work: Path, extra: dict):
-    """Traced run: one traced set-up, then untraced and traced rounds in turn."""
+    """Traced run: an untimed warm-up set-up and one traced set-up, then
+    untraced and traced rounds in turn."""
+    set_up(args.seed, workload, work / "warm-up", defaultdict(list))
     tracer = Tracer()
     tracer.install()
     mark = tracer.mark()
@@ -652,6 +704,8 @@ def main(argv=None) -> int:
         json.dump({"args": vars(args), "facts": facts, "result": result, "failures": failures, **extra},
                   fh, indent=1)
 
+    if "wall_medians_s" in extra:
+        print("unscaled median wall times (s): " + json.dumps(extra["wall_medians_s"]), file=sys.stderr)
     for note in extra.get("count_mismatches", []):
         print(f"call count: {note}", file=sys.stderr)
     for name in extra.get("absent", []):
