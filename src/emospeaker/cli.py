@@ -27,16 +27,9 @@ from .corpus import (
     bias_file_token,
     load_manifest,
     normalize_plan,
-    read_feature_file,
     validate_protocol_counts,
 )
-from .features import (
-    ACOUSTIC_SUFFIX,
-    extract_corpus,
-    load_observation,
-    make_loader,
-    prosodic_sibling,
-)
+from .features import extract_corpus, make_loader, read_observation
 from .hmm import ModelError, TrainingError
 from .protocol import (
     SessionResult,
@@ -45,7 +38,7 @@ from .protocol import (
     run_session,
     train_population,
 )
-from .sphmm import DualObservation, load_speaker_model, save_speaker_model
+from .sphmm import load_speaker_model, save_speaker_model
 from .stats import (
     StatsError,
     cohen_kappa,
@@ -213,28 +206,11 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_input_observation(config: RunConfig, path: Path) -> DualObservation:
-    if path.suffix == ".wav":
-        signal = corpus_mod.read_audio(path)
-        front_end = config.front_end()
-        samples = signal.as_float()
-        return DualObservation(
-            acoustic=front_end.acoustic(samples, signal.sample_rate),
-            prosodic=front_end.prosodic(samples, signal.sample_rate),
-        )
-    if path.name.endswith(ACOUSTIC_SUFFIX):
-        return DualObservation(
-            acoustic=read_feature_file(path),
-            prosodic=read_feature_file(prosodic_sibling(path)),
-        )
-    raise CorpusError(f"unsupported input type: {path} (want .wav or {ACOUSTIC_SUFFIX})")
-
-
 def cmd_identify(args) -> int:
     config = _config_from_args(args)
     _require(config, "out")
     models = load_population(_models_dir(config))
-    obs = _load_input_observation(config, Path(args.input))
+    obs = read_observation(Path(args.input), config.front_end(), config.sample_rate)
     predicted, scores = identify(models, obs, config.alpha)
     print(f"predicted {predicted}")
     order = np.argsort(scores)[::-1]

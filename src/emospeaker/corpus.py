@@ -145,12 +145,6 @@ class CorpusManifest:
         present = {r.emotion for r in self.records}
         return [e for e in EMOTIONS if e in present]
 
-    def gender_of(self, speaker_id: str) -> str:
-        for r in self.records:
-            if r.speaker_id == speaker_id:
-                return r.gender
-        raise CorpusError(f"speaker {speaker_id!r} not in manifest")
-
     def resolve(self, record: UtteranceRecord) -> Path:
         """Absolute path of a record's source, relative paths anchored at root."""
         p = Path(record.source)
@@ -319,18 +313,26 @@ def normalize_plan(plan: str) -> str:
     return normalize_bias_tag(plan)
 
 
+def plan_cells(manifest: CorpusManifest, plan: str) -> list[tuple[str, str]]:
+    """(emotion, bias_tag) cells a plan draws from on this manifest.
+
+    The plan covers every emotion with unbiased records in the manifest, plus
+    the target of a biased plan, which :func:`plan_combinations` always adds.
+    """
+    emotions = [e for e in EMOTIONS if any(r.emotion == e and r.bias_tag == UNBIASED
+                                           for r in manifest.records)]
+    return plan_combinations(plan, emotions)
+
+
 def validate_protocol_counts(manifest: CorpusManifest, plan: str) -> ProtocolReport:
     """Check the 9-train/6-test sentence grid for every speaker under a plan.
 
-    The emotion set is inferred from the manifest (unbiased records, plus the
-    plan's target emotion), so reduced synthetic corpora validate under the
-    same counting rule: 5 sentences x 9 or 6 repetitions per (emotion, bias)
-    combination.
+    The (emotion, bias) cells come from :func:`plan_cells`, so reduced
+    synthetic corpora validate under the same counting rule: 5 sentences x 9
+    or 6 repetitions per cell.
     """
     plan = normalize_plan(plan)
-    emotions = [e for e in EMOTIONS if any(r.emotion == e and r.bias_tag == UNBIASED
-                                           for r in manifest.records)]
-    combos = plan_combinations(plan, emotions)
+    combos = plan_cells(manifest, plan)
 
     by_cell: dict[tuple, set[int]] = {}
     for r in manifest.records:

@@ -76,29 +76,34 @@ def prosodic_sibling(acoustic_path: Path) -> Path:
     return acoustic_path.with_name(name[: -len(ACOUSTIC_SUFFIX)] + PROSODIC_SUFFIX)
 
 
-def load_observation(
-    manifest: CorpusManifest, record: UtteranceRecord, front_end: FrontEnd = FrontEnd()
-) -> DualObservation:
-    """Read or compute both feature streams for one record."""
-    path = manifest.resolve(record)
-    if record.source.endswith(".wav"):
+def read_observation(path: str | Path, front_end: FrontEnd, sample_rate: int) -> DualObservation:
+    """Both feature streams of one utterance file: a WAV at ``sample_rate``,
+    analyzed by ``front_end``, or a ``*.lfpc.feat`` file and its sibling."""
+    path = Path(path)
+    if path.name.endswith(".wav"):
         signal = read_audio(path)
-        if signal.sample_rate != manifest.sample_rate:
+        if signal.sample_rate != sample_rate:
             raise CorpusError(
-                f"{path}: sample rate {signal.sample_rate} != manifest rate"
-                f" {manifest.sample_rate}"
+                f"{path}: sample rate {signal.sample_rate} != expected rate {sample_rate}"
             )
         samples = signal.as_float()
         return DualObservation(
             acoustic=front_end.acoustic(samples, signal.sample_rate),
             prosodic=front_end.prosodic(samples, signal.sample_rate),
         )
-    if record.source.endswith(ACOUSTIC_SUFFIX):
+    if path.name.endswith(ACOUSTIC_SUFFIX):
         return DualObservation(
             acoustic=read_feature_file(path),
             prosodic=read_feature_file(prosodic_sibling(path)),
         )
-    raise CorpusError(f"unsupported source type: {record.source!r}")
+    raise CorpusError(f"unsupported source type: {path} (want .wav or {ACOUSTIC_SUFFIX})")
+
+
+def load_observation(
+    manifest: CorpusManifest, record: UtteranceRecord, front_end: FrontEnd = FrontEnd()
+) -> DualObservation:
+    """Read or compute both feature streams for one record."""
+    return read_observation(manifest.resolve(record), front_end, manifest.sample_rate)
 
 
 def make_loader(manifest: CorpusManifest, front_end: FrontEnd = FrontEnd()):

@@ -1,9 +1,12 @@
 """Ergodic hidden Markov models with diagonal-covariance Gaussian mixture states.
 
 All inference runs in the log domain (log-sum-exp), so likelihoods of long
-observation sequences never underflow. Training is multi-sequence
-expectation-maximization with parameter floors; initialization is a
-deterministic seeded k-means over pooled frames. Models serialize to a
+observation sequences never underflow. Scoring, Viterbi decoding and training
+share one emission computation (per-component log densities stacked into a
+(T, N, M) tensor), and scoring and training share one forward and one
+backward recursion. Training is multi-sequence expectation-maximization with
+parameter floors; initialization is a deterministic seeded k-means over
+pooled frames. Models serialize to a
 versioned text format whose floats round-trip exactly.
 """
 
@@ -80,10 +83,6 @@ class GaussianMixture:
             log_w = np.log(self.weights)
         return log_w[None, :] + log_norm[None, :] - 0.5 * quad
 
-    def log_pdf(self, obs: np.ndarray) -> np.ndarray:
-        """Mixture log density per frame: (T,)."""
-        return logsumexp(self.component_log_pdf(obs), axis=1)
-
 
 @dataclass
 class HmmModel:
@@ -129,7 +128,19 @@ class HmmModel:
 
     def log_emissions(self, obs: np.ndarray) -> np.ndarray:
         """State-conditional log densities: (T, N)."""
-        return np.stack([s.log_pdf(obs) for s in self.states], axis=1)
+        return _emissions(self, obs)[1]
+
+
+def _emissions(model: HmmModel, obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Component log densities (T, N, M) and their per-state mixtures (T, N)."""
+    comp_log = np.stack([s.component_log_pdf(obs) for s in model.states], axis=1)
+    return comp_log, logsumexp(comp_log, axis=2)
+
+
+def _log_params(model: HmmModel) -> tuple[np.ndarray, np.ndarray]:
+    """Log start and transition probabilities; zero probabilities map to -inf."""
+    with np.errstate(divide="ignore"):
+        return np.log(model.pi), np.log(model.transitions)
 
 
 def _check_obs(model: HmmModel, obs: np.ndarray) -> np.ndarray:
@@ -141,32 +152,34 @@ def _check_obs(model: HmmModel, obs: np.ndarray) -> np.ndarray:
     return obs
 
 
-def log_forward(model: HmmModel, obs: np.ndarray) -> tuple[float, np.ndarray]:
-    """Forward recursion. Returns (log P(obs | model), log alpha matrix (T, N))."""
-    obs = _check_obs(model, obs)
-    log_b = model.log_emissions(obs)
-    with np.errstate(divide="ignore"):
-        log_pi = np.log(model.pi)
-        log_a = np.log(model.transitions)
-
+def _forward(log_pi: np.ndarray, log_a: np.ndarray, log_b: np.ndarray) -> tuple[float, np.ndarray]:
+    """(log P(obs), log alpha (T, N)) from log parameters and log emissions."""
     log_alpha = np.empty_like(log_b)
     log_alpha[0] = log_pi + log_b[0]
-    for t in range(1, len(obs)):
+    for t in range(1, len(log_b)):
         log_alpha[t] = logsumexp(log_alpha[t - 1][:, None] + log_a, axis=0) + log_b[t]
     return float(logsumexp(log_alpha[-1])), log_alpha
 
 
-def log_backward(model: HmmModel, obs: np.ndarray, log_b: np.ndarray | None = None) -> np.ndarray:
-    """Backward recursion: log beta matrix (T, N)."""
-    obs = _check_obs(model, obs)
-    if log_b is None:
-        log_b = model.log_emissions(obs)
-    with np.errstate(divide="ignore"):
-        log_a = np.log(model.transitions)
+def _backward(log_a: np.ndarray, log_b: np.ndarray) -> np.ndarray:
+    """log beta (T, N) from log transitions and log emissions."""
     log_beta = np.zeros_like(log_b)
-    for t in range(len(obs) - 2, -1, -1):
+    for t in range(len(log_b) - 2, -1, -1):
         log_beta[t] = logsumexp(log_a + (log_b[t + 1] + log_beta[t + 1])[None, :], axis=1)
     return log_beta
+
+
+def log_forward(model: HmmModel, obs: np.ndarray) -> tuple[float, np.ndarray]:
+    """Forward recursion. Returns (log P(obs | model), log alpha matrix (T, N))."""
+    obs = _check_obs(model, obs)
+    log_pi, log_a = _log_params(model)
+    return _forward(log_pi, log_a, model.log_emissions(obs))
+
+
+def log_backward(model: HmmModel, obs: np.ndarray) -> np.ndarray:
+    """Backward recursion: log beta matrix (T, N)."""
+    obs = _check_obs(model, obs)
+    return _backward(_log_params(model)[1], model.log_emissions(obs))
 
 
 def log_likelihood(model: HmmModel, obs: np.ndarray) -> float:
@@ -177,9 +190,7 @@ def viterbi(model: HmmModel, obs: np.ndarray) -> tuple[np.ndarray, float]:
     """Most likely state path and its joint log probability."""
     obs = _check_obs(model, obs)
     log_b = model.log_emissions(obs)
-    with np.errstate(divide="ignore"):
-        log_pi = np.log(model.pi)
-        log_a = np.log(model.transitions)
+    log_pi, log_a = _log_params(model)
 
     delta = log_pi + log_b[0]
     back = np.zeros((len(obs), model.n_states), dtype=int)
@@ -357,8 +368,7 @@ def baum_welch_train(
     converged = False
 
     for iteration in range(max_iterations):
-        with np.errstate(divide="ignore"):
-            log_a = np.log(model.transitions)
+        log_pi, log_a = _log_params(model)
 
         pi_acc = np.zeros(n)
         xi_acc = np.zeros((n, n))
@@ -368,17 +378,14 @@ def baum_welch_train(
         total_ll = 0.0
 
         for seq_idx, obs in enumerate(obs_list):
-            comp_log = np.stack(
-                [s.component_log_pdf(obs) for s in model.states], axis=1
-            )                                        # (T, N, M)
-            log_b = logsumexp(comp_log, axis=2)      # (T, N)
-            ll, log_alpha = _forward_given(model, log_b)
+            comp_log, log_b = _emissions(model, obs)   # (T, N, M), (T, N)
+            ll, log_alpha = _forward(log_pi, log_a, log_b)
             if not np.isfinite(ll):
                 raise TrainingError(
                     f"sequence {seq_idx}: non-finite log-likelihood {ll} "
                     f"(length {len(obs)}) at iteration {iteration}"
                 )
-            log_beta = _backward_given(log_a, log_b)
+            log_beta = _backward(log_a, log_b)
             total_ll += ll
 
             log_gamma = log_alpha + log_beta - ll    # (T, N)
@@ -409,24 +416,6 @@ def baum_welch_train(
         )
 
     return TrainingResult(model=model, log_likelihoods=history, converged=converged)
-
-
-def _forward_given(model: HmmModel, log_b: np.ndarray) -> tuple[float, np.ndarray]:
-    with np.errstate(divide="ignore"):
-        log_pi = np.log(model.pi)
-        log_a = np.log(model.transitions)
-    log_alpha = np.empty_like(log_b)
-    log_alpha[0] = log_pi + log_b[0]
-    for t in range(1, len(log_b)):
-        log_alpha[t] = logsumexp(log_alpha[t - 1][:, None] + log_a, axis=0) + log_b[t]
-    return float(logsumexp(log_alpha[-1])), log_alpha
-
-
-def _backward_given(log_a: np.ndarray, log_b: np.ndarray) -> np.ndarray:
-    log_beta = np.zeros_like(log_b)
-    for t in range(len(log_b) - 2, -1, -1):
-        log_beta[t] = logsumexp(log_a + (log_b[t + 1] + log_beta[t + 1])[None, :], axis=1)
-    return log_beta
 
 
 def _reestimate(

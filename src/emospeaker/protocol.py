@@ -10,6 +10,7 @@ fused two-stream score over the enrolled population, ties resolved to the
 earliest enrolled speaker.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,13 +19,12 @@ from .corpus import (
     EMOTIONS,
     SENTENCE_IDS,
     TRAIN_REPS,
-    UNBIASED,
     CorpusError,
     CorpusManifest,
     UtteranceRecord,
     derive_seed,
     normalize_plan,
-    plan_combinations,
+    plan_cells,
 )
 from .sphmm import SpeakerModel, Topology, fused_log_score, train_speaker_model
 
@@ -33,19 +33,11 @@ class ProtocolError(CorpusError):
     """A manifest cannot support the requested session."""
 
 
-def _plan_emotions(manifest: CorpusManifest, plan: str) -> list[str]:
-    """Emotion set a plan runs over: emotions with unbiased material, plus the
-    plan's target when only biased material exists for it."""
-    plan = normalize_plan(plan)
-    present = [
-        e for e in EMOTIONS
-        if any(r.emotion == e and r.bias_tag == UNBIASED for r in manifest.records)
-    ]
-    if plan != UNBIASED:
-        target = plan.split(":", 1)[1]
-        if target not in present:
-            present = sorted(set(present) | {target}, key=EMOTIONS.index)
-    return present
+def _trial_order(record: UtteranceRecord) -> tuple:
+    """Sort key of a session's trials: (speaker, emotion, sentence, repetition)."""
+    return (
+        record.speaker_id, EMOTIONS.index(record.emotion), record.sentence_id, record.repetition
+    )
 
 
 def assemble_training_set(
@@ -61,7 +53,7 @@ def assemble_training_set(
     45 utterances per emotion; missing cells raise unless ``allow_partial``.
     """
     plan = normalize_plan(plan)
-    combos = plan_combinations(plan, _plan_emotions(manifest, plan))
+    combos = plan_cells(manifest, plan)
     by_cell: dict[tuple, list[UtteranceRecord]] = {}
     for r in manifest.records:
         if r.speaker_id == speaker_id and r.session == "train":
@@ -90,17 +82,12 @@ def session_test_records(manifest: CorpusManifest, plan: str) -> list[UtteranceR
     Ordered by (speaker, emotion, sentence, repetition); with the full corpus
     this enumerates speakers x emotions x 5 sentences x 6 repetitions trials.
     """
-    plan = normalize_plan(plan)
-    combos = plan_combinations(plan, _plan_emotions(manifest, plan))
-    wanted = set(combos)
+    wanted = set(plan_cells(manifest, plan))
     records = [
         r for r in manifest.records
         if r.session == "test" and (r.emotion, r.bias_tag) in wanted
     ]
-    records.sort(
-        key=lambda r: (r.speaker_id, EMOTIONS.index(r.emotion), r.sentence_id, r.repetition)
-    )
-    return records
+    return sorted(records, key=_trial_order)
 
 
 def identify(
@@ -258,6 +245,19 @@ def score_records(
     return trials
 
 
+def _score_session(
+    models: list[SpeakerModel], records: list[UtteranceRecord], loader, plan: str, alpha: float
+) -> SessionResult:
+    trials = score_records(models, records, loader, alpha)
+    return SessionResult(
+        plan=plan,
+        alpha=alpha,
+        speakers=[m.speaker_id for m in models],
+        trials=trials,
+        table=PerformanceTable.from_trials(trials),
+    )
+
+
 def run_session(
     models: list[SpeakerModel],
     manifest: CorpusManifest,
@@ -270,14 +270,7 @@ def run_session(
     records = session_test_records(manifest, plan)
     if not records:
         raise ProtocolError(f"no test-session records for plan {plan}")
-    trials = score_records(models, records, loader, alpha)
-    return SessionResult(
-        plan=plan,
-        alpha=alpha,
-        speakers=[m.speaker_id for m in models],
-        trials=trials,
-        table=PerformanceTable.from_trials(trials),
-    )
+    return _score_session(models, records, loader, plan, alpha)
 
 
 # --- cross-validation ---------------------------------------------------------------
@@ -323,8 +316,7 @@ def partition_folds(
     plan = normalize_plan(plan)
     if n_folds < 2:
         raise ProtocolError("need at least 2 folds")
-    combos = plan_combinations(plan, _plan_emotions(manifest, plan))
-    wanted = set(combos)
+    wanted = set(plan_cells(manifest, plan))
 
     assignments: list[dict[str, list[UtteranceRecord]]] = [
         {"test": [], "train": []} for _ in range(n_folds)
@@ -367,9 +359,11 @@ def cross_validate(
     """Retrain the whole population once per fold and score the held-out slice.
 
     Folds pool both session halves (all 15 repetitions per cell), so the
-    estimate is independent of the fixed 9/6 session split.
+    estimate is independent of the fixed 9/6 session split. Each record is
+    loaded once per call and its observation reused by every fold.
     """
     plan = normalize_plan(plan)
+    loader = functools.cache(loader)
     assignments = partition_folds(manifest, plan, n_folds, seed)
     speakers = manifest.speakers
     folds = []
@@ -390,23 +384,9 @@ def cross_validate(
             tolerance=tolerance,
             training_sets=training_sets,
         )
-        test_records = sorted(
-            assignment["test"],
-            key=lambda r: (r.speaker_id, EMOTIONS.index(r.emotion), r.sentence_id, r.repetition),
-        )
+        test_records = sorted(assignment["test"], key=_trial_order)
         if not test_records:
             raise ProtocolError(f"fold {fold_idx}: no test data")
-        trials = score_records(models, test_records, loader, alpha)
-        folds.append(
-            FoldResult(
-                fold=fold_idx,
-                result=SessionResult(
-                    plan=plan,
-                    alpha=alpha,
-                    speakers=[m.speaker_id for m in models],
-                    trials=trials,
-                    table=PerformanceTable.from_trials(trials),
-                ),
-            )
-        )
+        result = _score_session(models, test_records, loader, plan, alpha)
+        folds.append(FoldResult(fold=fold_idx, result=result))
     return CrossValidationResult(plan=plan, alpha=alpha, folds=folds)

@@ -82,27 +82,18 @@ class SpeakerModel:
             raise ModelError(f"log prior must be finite and <= 0, got {self.log_prior}")
 
 
-def log_posterior_acoustic(model: SpeakerModel, obs: DualObservation) -> float:
-    """log P(O_ac | speaker) + log P(speaker); evidence term dropped."""
-    return log_forward(model.acoustic, obs.acoustic)[0] + model.log_prior
-
-
-def log_posterior_suprasegmental(model: SpeakerModel, obs: DualObservation) -> float:
-    """log P(O_pr | speaker) + log P(speaker); evidence term dropped."""
-    return log_forward(model.prosodic, obs.prosodic)[0] + model.log_prior
-
-
 def fused_log_score(model: SpeakerModel, obs: DualObservation, alpha: float) -> float:
-    """Affine combination of the two stream posteriors with prosodic weight alpha."""
+    """Affine combination of the two stream posteriors with prosodic weight alpha.
+
+    A stream whose weight is 0 is not scored and contributes 0.0, so alpha 0
+    and 1 give exactly the single-stream posterior.
+    """
     if not 0.0 <= alpha <= 1.0:
         raise ModelError(f"alpha must lie in [0, 1], got {alpha}")
-    if alpha == 0.0:
-        return log_posterior_acoustic(model, obs)
-    if alpha == 1.0:
-        return log_posterior_suprasegmental(model, obs)
-    return (1.0 - alpha) * log_posterior_acoustic(model, obs) + alpha * log_posterior_suprasegmental(
-        model, obs
-    )
+    lp = model.log_prior
+    ac = log_forward(model.acoustic, obs.acoustic)[0] + lp if alpha < 1.0 else 0.0
+    pr = log_forward(model.prosodic, obs.prosodic)[0] + lp if alpha > 0.0 else 0.0
+    return (1.0 - alpha) * ac + alpha * pr
 
 
 @dataclass

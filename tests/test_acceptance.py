@@ -44,8 +44,6 @@ from emospeaker.sphmm import (
     SpeakerModel,
     Topology,
     fused_log_score,
-    log_posterior_acoustic,
-    log_posterior_suprasegmental,
     speaker_model_to_text,
 )
 from emospeaker.stats import (
@@ -268,8 +266,8 @@ def test_fusion_properties():
         for model in models:
             s0 = fused_log_score(model, obs, 0.0)
             s1 = fused_log_score(model, obs, 1.0)
-            assert s0 == log_posterior_acoustic(model, obs)  # exact
-            assert s1 == log_posterior_suprasegmental(model, obs)  # exact
+            assert s0 == log_forward(model.acoustic, obs.acoustic)[0] + model.log_prior  # exact
+            assert s1 == log_forward(model.prosodic, obs.prosodic)[0] + model.log_prior  # exact
             for alpha in alphas:
                 expected = (1.0 - alpha) * s0 + alpha * s1
                 got = fused_log_score(model, obs, alpha)

@@ -1,9 +1,11 @@
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from emospeaker.cli import main, read_performance_csv
+from emospeaker.corpus import AudioSignal, write_audio
 
 TINY_FLAGS = [
     "--n_speakers", "2",
@@ -398,6 +400,16 @@ class TestErrors:
         code = run(["synth", "--config", str(cfg), "--out", str(tmp_path / "c")])
         assert code == 1
         assert "alpha" in capsys.readouterr().err
+
+    def test_identify_wav_at_wrong_sample_rate(self, pipeline, tmp_path, capsys):
+        t = np.arange(4000) / 8000
+        samples = (0.3 * 32767 * np.sin(2 * np.pi * 150.0 * t)).astype(np.int16)
+        wav = tmp_path / "slow.wav"
+        write_audio(AudioSignal(samples=samples, sample_rate=8000), wav)
+        code = run(["identify", "--out", str(pipeline["out"]), "--input", str(wav), *TINY_FLAGS])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "sample rate 8000" in err and "16000" in err
 
     def test_unsupported_input_type(self, pipeline, tmp_path, capsys):
         bogus = tmp_path / "note.txt"

@@ -89,7 +89,7 @@ class TestEmissions:
         for _ in range(5):
             x = rng.standard_normal(3)
             expected = np.log(mixture_density(state, x))
-            assert state.log_pdf(x[None, :])[0] == pytest.approx(expected, rel=1e-12)
+            assert model.log_emissions(x[None, :])[0, 0] == pytest.approx(expected, rel=1e-12)
 
 
 class TestForward:

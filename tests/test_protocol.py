@@ -7,7 +7,11 @@ import pytest
 from emospeaker.corpus import (
     EMOTIONS,
     SENTENCE_IDS,
+    CorpusManifest,
     UtteranceRecord,
+    plan_cells,
+    session_for_repetition,
+    validate_protocol_counts,
 )
 from emospeaker.protocol import (
     PerformanceTable,
@@ -298,9 +302,15 @@ class TestFolds:
             partition_folds(tiny_corpus, "unbiased", 1, seed=0)
 
     def test_cross_validate_small(self, tiny_corpus, tiny_loader, small_topology):
+        loads: dict[str, int] = {}
+
+        def counting_loader(record):
+            loads[record.key] = loads.get(record.key, 0) + 1
+            return tiny_loader(record)
+
         result = cross_validate(
             tiny_corpus,
-            tiny_loader,
+            counting_loader,
             "unbiased",
             small_topology,
             alpha=0.5,
@@ -314,3 +324,55 @@ class TestFolds:
         assert result.mean_accuracy >= 0.9
         assert result.sd_accuracy >= 0.0
         assert result.mean_accuracy == pytest.approx(np.mean(result.accuracies))
+        # every record is loaded once and reused by all folds
+        assert loads == {r.key: 1 for r in tiny_corpus.records}
+        assert result.accuracies == [1.0, 1.0, 1.0]
+
+
+def manifest_with_cells(cells) -> CorpusManifest:
+    """Two speakers, 5 sentences x 15 repetitions per (emotion, bias) cell."""
+    records = [
+        UtteranceRecord(
+            speaker_id=speaker,
+            gender=gender,
+            emotion=emotion,
+            sentence_id=sentence,
+            bias_tag=bias,
+            session=session_for_repetition(rep),
+            repetition=rep,
+            source=f"{speaker}_{emotion}_{sentence}_{rep}_{bias}.lfpc.feat",
+        )
+        for speaker, gender in (("spk01", "male"), ("spk02", "female"))
+        for emotion, bias in cells
+        for sentence in SENTENCE_IDS
+        for rep in range(1, 16)
+    ]
+    return CorpusManifest(records=records)
+
+
+class TestPlanCells:
+    """Every consumer of a plan draws from the cells :func:`plan_cells` names."""
+
+    # angry exists only as biased material; sad only as material of another plan
+    CELLS = [("neutral", "unbiased"), ("angry", "biased:angry"), ("sad", "biased:sad")]
+
+    @pytest.mark.parametrize("plan, want", [
+        ("biased:angry", {("angry", "biased:angry"), ("neutral", "unbiased")}),
+        ("unbiased", {("neutral", "unbiased")}),
+    ])
+    def test_consumers_agree(self, plan, want):
+        manifest = manifest_with_cells(self.CELLS)
+        assert set(plan_cells(manifest, plan)) == want
+
+        report = validate_protocol_counts(manifest, plan)
+        assert report.ok
+        assert report.expected_train_per_speaker == 45 * len(want)
+        assert report.train_counts == {"spk01": 45 * len(want), "spk02": 45 * len(want)}
+
+        def cells_of(records):
+            return {(r.emotion, r.bias_tag) for r in records}
+
+        assert cells_of(assemble_training_set(manifest, "spk01", plan)) == want
+        assert cells_of(session_test_records(manifest, plan)) == want
+        folds = partition_folds(manifest, plan, 3, seed=0)
+        assert cells_of(r for fold in folds for r in fold["train"] + fold["test"]) == want

@@ -12,8 +12,6 @@ from emospeaker.sphmm import (
     Topology,
     fused_log_score,
     load_speaker_model,
-    log_posterior_acoustic,
-    log_posterior_suprasegmental,
     save_speaker_model,
     speaker_model_from_text,
     speaker_model_to_text,
@@ -62,12 +60,12 @@ class TestTopology:
 class TestFusion:
     def test_alpha_zero_is_exactly_acoustic(self, speaker_fixture):
         model, obs = speaker_fixture
-        expected = log_posterior_acoustic(model, obs)
+        expected = log_forward(model.acoustic, obs.acoustic)[0] + model.log_prior
         assert fused_log_score(model, obs, 0.0) == expected
 
     def test_alpha_one_is_exactly_prosodic(self, speaker_fixture):
         model, obs = speaker_fixture
-        expected = log_posterior_suprasegmental(model, obs)
+        expected = log_forward(model.prosodic, obs.prosodic)[0] + model.log_prior
         assert fused_log_score(model, obs, 1.0) == expected
 
     def test_affine_in_alpha(self, speaker_fixture):
