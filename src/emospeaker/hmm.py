@@ -1,13 +1,18 @@
 """Ergodic hidden Markov models with diagonal-covariance Gaussian mixture states.
 
-All inference runs in the log domain (log-sum-exp), so likelihoods of long
-observation sequences never underflow. Scoring, Viterbi decoding and training
-share one emission computation (per-component log densities stacked into a
-(T, N, M) tensor), and scoring and training share one forward and one
-backward recursion. Training is multi-sequence expectation-maximization with
-parameter floors; initialization is a deterministic seeded k-means over
-pooled frames. Models serialize to a
-versioned text format whose floats round-trip exactly.
+All inference runs in the log domain, so likelihoods of long observation
+sequences never underflow, and a state that a zero transition cuts off stays
+exactly -inf however far apart the emissions are. Log-sum-exp is a private
+plain-numpy max-shift (`_logsumexp`); the package needs numpy only.
+
+Scoring, Viterbi decoding and training share one emission computation: every
+state's mixture is stacked into one (N*M, D) mixture whose component densities
+are computed in a single call and reshaped to a (T, N, M) tensor. Scoring and
+training share one forward and one backward recursion, the only loops over
+frames besides Viterbi's. Training is multi-sequence expectation-maximization
+with parameter floors, its transition counts accumulated as one broadcast per
+sequence; initialization is a deterministic seeded k-means over pooled frames.
+Models serialize to a versioned text format whose floats round-trip exactly.
 """
 
 import math
@@ -15,7 +20,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.special import logsumexp
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -128,13 +132,38 @@ class HmmModel:
 
     def log_emissions(self, obs: np.ndarray) -> np.ndarray:
         """State-conditional log densities: (T, N)."""
-        return _emissions(self, obs)[1]
+        return _emissions(_stack(self), self.n_states, obs)[1]
 
 
-def _emissions(model: HmmModel, obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _stack(model: HmmModel) -> GaussianMixture:
+    """Every state's components as one (N*M, D) mixture, state-major.
+
+    Its weights sum to N, not 1, so it is a density table, never validated.
+    """
+    return GaussianMixture(
+        weights=np.concatenate([s.weights for s in model.states]),
+        means=np.concatenate([s.means for s in model.states]),
+        variances=np.concatenate([s.variances for s in model.states]),
+    )
+
+
+def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
+    """log(sum(exp(x))) along ``axis``, shifted by the maximum; -inf where all are -inf.
+
+    Callers silence the divide warning that log(0) gives for an all -inf slice.
+    """
+    peak = x.max(axis=axis, keepdims=True)
+    peak[~np.isfinite(peak)] = 0.0
+    return np.log(np.exp(x - peak).sum(axis=axis)) + peak.squeeze(axis)
+
+
+def _emissions(
+    stacked: GaussianMixture, n_states: int, obs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Component log densities (T, N, M) and their per-state mixtures (T, N)."""
-    comp_log = np.stack([s.component_log_pdf(obs) for s in model.states], axis=1)
-    return comp_log, logsumexp(comp_log, axis=2)
+    comp_log = stacked.component_log_pdf(obs).reshape(len(obs), n_states, -1)
+    with np.errstate(divide="ignore"):
+        return comp_log, _logsumexp(comp_log, axis=2)
 
 
 def _log_params(model: HmmModel) -> tuple[np.ndarray, np.ndarray]:
@@ -149,6 +178,8 @@ def _check_obs(model: HmmModel, obs: np.ndarray) -> np.ndarray:
         raise ModelError("empty observation sequence")
     if obs.shape[1] != model.dim:
         raise ModelError(f"observation dim {obs.shape[1]} != model dim {model.dim}")
+    if not np.all(np.isfinite(obs)):
+        raise ModelError("non-finite values in observation sequence")
     return obs
 
 
@@ -156,16 +187,18 @@ def _forward(log_pi: np.ndarray, log_a: np.ndarray, log_b: np.ndarray) -> tuple[
     """(log P(obs), log alpha (T, N)) from log parameters and log emissions."""
     log_alpha = np.empty_like(log_b)
     log_alpha[0] = log_pi + log_b[0]
-    for t in range(1, len(log_b)):
-        log_alpha[t] = logsumexp(log_alpha[t - 1][:, None] + log_a, axis=0) + log_b[t]
-    return float(logsumexp(log_alpha[-1])), log_alpha
+    with np.errstate(divide="ignore"):
+        for t in range(1, len(log_b)):
+            log_alpha[t] = _logsumexp(log_alpha[t - 1][:, None] + log_a, axis=0) + log_b[t]
+        return float(_logsumexp(log_alpha[-1], axis=0)), log_alpha
 
 
 def _backward(log_a: np.ndarray, log_b: np.ndarray) -> np.ndarray:
     """log beta (T, N) from log transitions and log emissions."""
     log_beta = np.zeros_like(log_b)
-    for t in range(len(log_b) - 2, -1, -1):
-        log_beta[t] = logsumexp(log_a + (log_b[t + 1] + log_beta[t + 1])[None, :], axis=1)
+    with np.errstate(divide="ignore"):
+        for t in range(len(log_b) - 2, -1, -1):
+            log_beta[t] = _logsumexp(log_a + (log_b[t + 1] + log_beta[t + 1])[None, :], axis=1)
     return log_beta
 
 
@@ -369,6 +402,7 @@ def baum_welch_train(
 
     for iteration in range(max_iterations):
         log_pi, log_a = _log_params(model)
+        stacked = _stack(model)
 
         pi_acc = np.zeros(n)
         xi_acc = np.zeros((n, n))
@@ -378,7 +412,7 @@ def baum_welch_train(
         total_ll = 0.0
 
         for seq_idx, obs in enumerate(obs_list):
-            comp_log, log_b = _emissions(model, obs)   # (T, N, M), (T, N)
+            comp_log, log_b = _emissions(stacked, n, obs)   # (T, N, M), (T, N)
             ll, log_alpha = _forward(log_pi, log_a, log_b)
             if not np.isfinite(ll):
                 raise TrainingError(
@@ -391,11 +425,9 @@ def baum_welch_train(
             log_gamma = log_alpha + log_beta - ll    # (T, N)
             gamma = np.exp(log_gamma)
             pi_acc += gamma[0]
-            for t in range(len(obs) - 1):
-                xi_acc += np.exp(
-                    log_alpha[t][:, None] + log_a
-                    + (log_b[t + 1] + log_beta[t + 1])[None, :] - ll
-                )
+            xi_acc += np.exp(
+                log_alpha[:-1, :, None] + log_a + (log_b + log_beta)[1:, None, :] - ll
+            ).sum(axis=0)
             resp = np.exp(log_gamma[:, :, None] + comp_log - log_b[:, :, None])
             comp_acc += resp.sum(axis=0)
             mean_acc += np.einsum("tnm,td->nmd", resp, obs)

@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+import emospeaker
 from emospeaker.hmm import (
     GaussianMixture,
     HmmModel,
@@ -20,8 +26,11 @@ from emospeaker.hmm import (
     viterbi,
 )
 from helpers import (
+    brute_force_em_step,
     brute_force_log_likelihood,
     brute_force_viterbi,
+    log_domain_backward,
+    log_domain_forward,
     mixture_density,
     random_model,
 )
@@ -80,6 +89,17 @@ class TestValidation:
         with pytest.raises(ModelError, match="empty"):
             log_forward(model, np.zeros((0, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_observations_rejected(self, bad):
+        model = random_model(np.random.default_rng(4), 2, 1, 3)
+        obs = np.random.default_rng(5).standard_normal((6, 3))
+        obs[3, 1] = bad
+        for score in (log_forward, log_backward, viterbi):
+            with pytest.raises(ModelError, match="non-finite"):
+                score(model, obs)
+        with pytest.raises(ModelError, match="non-finite"):
+            baum_welch_train(model, [obs[:3], obs], max_iterations=1)
+
 
 class TestEmissions:
     def test_mixture_log_pdf_matches_reference(self):
@@ -130,6 +150,53 @@ class TestForward:
         # P(O) recoverable at every time slice
         for t in (0, 13, 39):
             assert logsumexp(log_alpha[t] + log_beta[t]) == pytest.approx(ll, rel=1e-12)
+
+
+def assert_matches_log_domain_oracle(model, obs) -> float:
+    """log_forward and log_backward equal the per-frame oracle: the same
+    non-finite entries, every finite one within 1e-9 relative. Returns log P."""
+    ll, log_alpha = log_forward(model, obs)
+    exact_ll, exact_alpha = log_domain_forward(model, obs)
+    assert ll == pytest.approx(exact_ll, rel=1e-9)
+    pairs = ((log_alpha, exact_alpha), (log_backward(model, obs), log_domain_backward(model, obs)))
+    for fast, exact in pairs:
+        finite = np.isfinite(exact)
+        assert np.array_equal(np.isfinite(fast), finite)
+        assert np.array_equal(fast[~finite], exact[~finite])
+        assert fast[finite] == pytest.approx(exact[finite], rel=1e-9)
+    return ll
+
+
+class TestLogDomainOracle:
+    """The forward and backward recursions against the per-frame scipy oracle."""
+
+    @pytest.mark.parametrize("variance", [1.0, 1e-3, 1e-6])
+    def test_left_right_with_zero_transitions(self, variance):
+        # emissions at 1e-6 differ by ~2e6 nats, far past exp underflow, while
+        # the zero transitions leave some states unreachable (-inf)
+        states = [
+            GaussianMixture(weights=[1.0], means=[[mean]], variances=[[variance]])
+            for mean in (0.0, 1.0, 2.0)
+        ]
+        transitions = [[0.9, 0.1, 0.0], [0.0, 0.9, 0.1], [0.0, 0.0, 1.0]]
+        model = HmmModel(pi=[1.0, 0.0, 0.0], transitions=transitions, states=states)
+        obs = np.array([0, 0, 1, 1, 1, 2, 2, 0], dtype=float)[:, None]
+        ll = assert_matches_log_domain_oracle(model, obs)
+        if variance == 1e-3:
+            assert ll == pytest.approx(-1482.655, abs=1e-3)
+
+    def test_floor_variances_far_from_means(self):
+        rng = np.random.default_rng(25)
+        model = random_model(rng, 3, 2, 3)
+        for state in model.states:
+            state.variances = np.full_like(state.variances, 1e-6)
+        obs = rng.normal(0.0, 3.0, (30, 3))
+        assert assert_matches_log_domain_oracle(model, obs) < -1e6
+
+    def test_long_random_sequence(self):
+        rng = np.random.default_rng(26)
+        model = random_model(rng, 4, 3, 2)
+        assert_matches_log_domain_oracle(model, rng.normal(0.0, 2.5, (300, 2)))
 
 
 class TestViterbi:
@@ -235,6 +302,23 @@ class TestBaumWelch:
         for state in result.model.states:
             assert np.all(state.variances >= 1e-6)
 
+    def test_one_iteration_matches_brute_force(self):
+        rng = np.random.default_rng(27)
+        floors = dict(variance_floor=1e-6, transition_floor=1e-8, weight_floor=1e-8)
+        for _ in range(10):
+            n, m, d = int(rng.integers(1, 4)), int(rng.integers(1, 3)), int(rng.integers(1, 3))
+            model = random_model(rng, n, m, d)
+            seqs = [rng.normal(0.0, 2.0, (int(rng.integers(1, 6)), d))
+                    for _ in range(int(rng.integers(2, 4)))]
+            got = baum_welch_train(model, seqs, max_iterations=1, **floors).model
+            want = brute_force_em_step(model, seqs, **floors)
+            assert got.pi == pytest.approx(want.pi, rel=1e-9)
+            assert got.transitions == pytest.approx(want.transitions, rel=1e-9)
+            for a, b in zip(got.states, want.states):
+                assert a.weights == pytest.approx(b.weights, rel=1e-9)
+                assert a.means == pytest.approx(b.means, rel=1e-9)
+                assert a.variances == pytest.approx(b.variances, rel=1e-9)
+
     def test_no_sequences_rejected(self):
         model = random_model(np.random.default_rng(18), 2, 1, 2)
         with pytest.raises(TrainingError):
@@ -249,6 +333,22 @@ class TestBaumWelch:
         before = sum(log_likelihood(init, s) for s in test)
         after = sum(log_likelihood(trained, s) for s in test)
         assert after > before
+
+
+class TestDependencies:
+    def test_package_import_loads_no_scipy(self):
+        code = (
+            "import importlib, pkgutil, sys, emospeaker\n"
+            "for info in pkgutil.iter_modules(emospeaker.__path__):\n"
+            "    importlib.import_module('emospeaker.' + info.name)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        src = str(Path(emospeaker.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestSerialization:

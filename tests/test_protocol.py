@@ -13,6 +13,7 @@ from emospeaker.corpus import (
     session_for_repetition,
     validate_protocol_counts,
 )
+from emospeaker.hmm import ModelError
 from emospeaker.protocol import (
     PerformanceTable,
     ProtocolError,
@@ -161,6 +162,15 @@ class TestIdentify:
         winner, scores = identify([models[0], clone], obs, 0.5)
         assert scores[0] == scores[1]
         assert winner == "spk01"
+
+    def test_non_finite_observation_rejected(self):
+        # a NaN score would pass through argmax and name the first enrolled speaker
+        models = self.make_population(54)
+        rng = np.random.default_rng(55)
+        acoustic, prosodic = rng.standard_normal((6, 3)), rng.standard_normal((3, 2))
+        acoustic[2, 0] = np.nan
+        with pytest.raises(ModelError, match="non-finite"):
+            identify(models, DualObservation(acoustic, prosodic), 0.5)
 
     def test_empty_population(self):
         obs = DualObservation(np.zeros((4, 3)), np.zeros((2, 2)))
