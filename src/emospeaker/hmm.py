@@ -9,7 +9,11 @@ Scoring, Viterbi decoding and training share one emission computation: every
 state's mixture is stacked into one (N*M, D) mixture whose component densities
 are computed in a single call and reshaped to a (T, N, M) tensor. Scoring and
 training share one forward and one backward recursion, the only loops over
-frames besides Viterbi's. Training is multi-sequence expectation-maximization
+frames besides Viterbi's. A population is scored in one batched pass
+(`log_forward_table`): its V models stack into one (V*N*M, D) mixture, and the
+same forward recursion, given batch axes, runs a group of utterances against
+every model at once, each pair with the arithmetic of `log_forward`.
+Training is multi-sequence expectation-maximization
 with parameter floors, its transition counts accumulated as one broadcast per
 sequence; initialization is a deterministic seeded k-means over pooled frames.
 Models serialize to a versioned text format whose floats round-trip exactly.
@@ -26,6 +30,11 @@ _LOG_2PI = math.log(2.0 * math.pi)
 VARIANCE_FLOOR = 1e-6
 TRANSITION_FLOOR = 1e-8
 WEIGHT_FLOOR = 1e-8
+
+# Elements of the (frames, components, D) temporary one density call of
+# log_forward_table may make: cache-sized slices were fastest, and larger ones
+# raise peak memory without gain.
+_SLICE_ELEMENTS = 1 << 15
 
 
 class ModelError(ValueError):
@@ -132,18 +141,21 @@ class HmmModel:
 
     def log_emissions(self, obs: np.ndarray) -> np.ndarray:
         """State-conditional log densities: (T, N)."""
-        return _emissions(_stack(self), self.n_states, obs)[1]
+        return _emissions(_stack([self]), (self.n_states,), obs)[1]
 
 
-def _stack(model: HmmModel) -> GaussianMixture:
-    """Every state's components as one (N*M, D) mixture, state-major.
+def _stack(models: list[HmmModel]) -> GaussianMixture:
+    """Every state's components of every model as one (V*N*M, D) mixture.
 
-    Its weights sum to N, not 1, so it is a density table, never validated.
+    Model-major, then state-major. Its weights sum to V*N, not 1, so it is a
+    density table, never validated. The models must share (states, mixtures,
+    dim).
     """
+    states = [s for model in models for s in model.states]
     return GaussianMixture(
-        weights=np.concatenate([s.weights for s in model.states]),
-        means=np.concatenate([s.means for s in model.states]),
-        variances=np.concatenate([s.variances for s in model.states]),
+        weights=np.concatenate([s.weights for s in states]),
+        means=np.concatenate([s.means for s in states]),
+        variances=np.concatenate([s.variances for s in states]),
     )
 
 
@@ -158,12 +170,15 @@ def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _emissions(
-    stacked: GaussianMixture, n_states: int, obs: np.ndarray
+    stacked: GaussianMixture, states: tuple[int, ...], obs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Component log densities (T, N, M) and their per-state mixtures (T, N)."""
-    comp_log = stacked.component_log_pdf(obs).reshape(len(obs), n_states, -1)
+    """Component log densities (T, *states, M) and their per-state mixtures (T, *states).
+
+    ``states`` is (N,) for one model's stack and (V, N) for a population's.
+    """
+    comp_log = stacked.component_log_pdf(obs).reshape(len(obs), *states, -1)
     with np.errstate(divide="ignore"):
-        return comp_log, _logsumexp(comp_log, axis=2)
+        return comp_log, _logsumexp(comp_log, axis=-1)
 
 
 def _log_params(model: HmmModel) -> tuple[np.ndarray, np.ndarray]:
@@ -183,14 +198,25 @@ def _check_obs(model: HmmModel, obs: np.ndarray) -> np.ndarray:
     return obs
 
 
-def _forward(log_pi: np.ndarray, log_a: np.ndarray, log_b: np.ndarray) -> tuple[float, np.ndarray]:
-    """(log P(obs), log alpha (T, N)) from log parameters and log emissions."""
+def _forward(log_pi: np.ndarray, log_a: np.ndarray, log_b: np.ndarray) -> np.ndarray:
+    """log alpha (T, ..., N) from log parameters and log emissions (T, ..., N).
+
+    Batch axes between the frame and state axes run many (sequence, model)
+    pairs in one step per frame; log_pi (..., N) and log_a (..., N, N)
+    broadcast against them. Each pair's arithmetic is the same as unbatched.
+    """
     log_alpha = np.empty_like(log_b)
     log_alpha[0] = log_pi + log_b[0]
     with np.errstate(divide="ignore"):
         for t in range(1, len(log_b)):
-            log_alpha[t] = _logsumexp(log_alpha[t - 1][:, None] + log_a, axis=0) + log_b[t]
-        return float(_logsumexp(log_alpha[-1], axis=0)), log_alpha
+            log_alpha[t] = _logsumexp(log_alpha[t - 1][..., :, None] + log_a, axis=-2) + log_b[t]
+    return log_alpha
+
+
+def _termination(log_alpha_last: np.ndarray) -> np.ndarray:
+    """log P(obs) from the log alpha (..., N) of each sequence's last frame."""
+    with np.errstate(divide="ignore"):
+        return _logsumexp(log_alpha_last, axis=-1)
 
 
 def _backward(log_a: np.ndarray, log_b: np.ndarray) -> np.ndarray:
@@ -205,8 +231,36 @@ def _backward(log_a: np.ndarray, log_b: np.ndarray) -> np.ndarray:
 def log_forward(model: HmmModel, obs: np.ndarray) -> tuple[float, np.ndarray]:
     """Forward recursion. Returns (log P(obs | model), log alpha matrix (T, N))."""
     obs = _check_obs(model, obs)
-    log_pi, log_a = _log_params(model)
-    return _forward(log_pi, log_a, model.log_emissions(obs))
+    log_alpha = _forward(*_log_params(model), model.log_emissions(obs))
+    return float(_termination(log_alpha[-1])), log_alpha
+
+
+def log_forward_table(models: list[HmmModel], sequences: list[np.ndarray]) -> np.ndarray:
+    """log P(sequence u | model v) for every pair: a (U, V) table.
+
+    One pass for the lot. The models, which must share (states, mixtures,
+    dim), are stacked into one mixture whose component densities are taken
+    over the concatenated frames in cache-sized slices. The sequences, padded
+    to the longest, then run through the forward recursion together, and each
+    is read at its own last frame. Every entry equals
+    ``log_forward(models[v], sequences[u])[0]`` bit for bit. Memory grows with
+    U * max length * V * N; callers bound it by grouping the sequences.
+    """
+    seqs = [_check_obs(models[0], s) for s in sequences]
+    lengths = np.array([len(s) for s in seqs])
+    states = (len(models), models[0].n_states)
+    stacked = _stack(models)
+    frames = np.concatenate(seqs)
+    owner = np.repeat(np.arange(len(seqs)), lengths)
+    position = np.arange(len(frames)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    log_b = np.zeros((lengths.max(), len(seqs), *states))  # no sequence reads past its end
+    step = max(1, _SLICE_ELEMENTS // (stacked.n_components * stacked.dim))
+    for lo in range(0, len(frames), step):
+        part = slice(lo, lo + step)
+        log_b[position[part], owner[part]] = _emissions(stacked, states, frames[part])[1]
+    log_pi, log_a = (np.stack(p) for p in zip(*map(_log_params, models)))
+    log_alpha = _forward(log_pi, log_a, log_b)
+    return _termination(log_alpha[lengths - 1, np.arange(len(seqs))])
 
 
 def log_backward(model: HmmModel, obs: np.ndarray) -> np.ndarray:
@@ -389,7 +443,11 @@ def baum_welch_train(
     that iteration, so the recorded sequence is non-decreasing (up to floor
     adjustments). Components or states that receive no responsibility keep
     their previous parameters. Stops early once the relative improvement
-    drops below ``tolerance``.
+    drops below ``tolerance``; the model returned then is the one whose
+    likelihood was recorded last. A run stopped by ``max_iterations`` instead
+    returns ``converged=False`` and a model re-estimated once more after the
+    last recorded log-likelihood, so that model's own likelihood was never
+    computed.
     """
     model.validate()
     obs_list = [_check_obs(model, s) for s in sequences]
@@ -402,7 +460,7 @@ def baum_welch_train(
 
     for iteration in range(max_iterations):
         log_pi, log_a = _log_params(model)
-        stacked = _stack(model)
+        stacked = _stack([model])
 
         pi_acc = np.zeros(n)
         xi_acc = np.zeros((n, n))
@@ -412,8 +470,9 @@ def baum_welch_train(
         total_ll = 0.0
 
         for seq_idx, obs in enumerate(obs_list):
-            comp_log, log_b = _emissions(stacked, n, obs)   # (T, N, M), (T, N)
-            ll, log_alpha = _forward(log_pi, log_a, log_b)
+            comp_log, log_b = _emissions(stacked, (n,), obs)   # (T, N, M), (T, N)
+            log_alpha = _forward(log_pi, log_a, log_b)
+            ll = float(_termination(log_alpha[-1]))
             if not np.isfinite(ll):
                 raise TrainingError(
                     f"sequence {seq_idx}: non-finite log-likelihood {ll} "

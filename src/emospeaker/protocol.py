@@ -8,6 +8,11 @@ material for recordings whose content correlates with the speaker
 (``biased:<e>`` rows in the manifest). Identification is the argmax of the
 fused two-stream score over the enrolled population, ties resolved to the
 earliest enrolled speaker.
+
+A session is scored in one batched pass per group of utterances: test
+utterances are loaded in order, in groups of whole utterances that fit a fixed
+memory budget, and each group is scored against every speaker at once
+(``sphmm.fused_log_scores``). ``identify`` is the one-utterance case.
 """
 
 import functools
@@ -26,7 +31,13 @@ from .corpus import (
     normalize_plan,
     plan_cells,
 )
-from .sphmm import SpeakerModel, Topology, fused_log_score, train_speaker_model
+from .sphmm import SpeakerModel, Topology, fused_log_scores, train_speaker_model
+
+
+# float64 cells one stream of a scoring group may fill (2 MB; see
+# _scoring_groups), so a session's peak memory stays flat however many
+# trials it has.
+_GROUP_CELLS = 1 << 18
 
 
 class ProtocolError(CorpusError):
@@ -100,7 +111,7 @@ def identify(
     """
     if not models:
         raise ProtocolError("empty enrolled population")
-    scores = np.array([fused_log_score(m, obs, alpha) for m in models])
+    scores = fused_log_scores(models, [obs], alpha)[0]
     return models[int(np.argmax(scores))].speaker_id, scores
 
 
@@ -237,12 +248,48 @@ class SessionResult:
 def score_records(
     models: list[SpeakerModel], records: list[UtteranceRecord], loader, alpha: float
 ) -> list[Trial]:
+    """Identify every record, in order, scoring whole groups of utterances at once.
+
+    Records are loaded in order and scored a group at a time, so neither the
+    session's observations nor its score tables are ever held whole.
+    """
+    if not models:
+        raise ProtocolError("empty enrolled population")
     trials = []
+    for group, observations in _scoring_groups(models, records, loader):
+        scores = fused_log_scores(models, observations, alpha)
+        for record, row in zip(group, scores):
+            trials.append(Trial(record=record, predicted=models[int(np.argmax(row))].speaker_id))
+    return trials
+
+
+def _scoring_groups(models: list[SpeakerModel], records: list[UtteranceRecord], loader):
+    """Consecutive (records, observations) groups that fit the scoring budget.
+
+    In each stream a group of U utterances, the longest T frames, costs
+    U * max(T, N) * (V * N + D) cells for V speakers of N states and
+    D-dimensional frames: the padded emission and forward tables, the frames
+    themselves and the recursion's per-frame step. An utterance that alone
+    exceeds the budget is a group of its own.
+    """
+    streams = [(s, getattr(models[0], s)) for s in ("acoustic", "prosodic")]
+    group, observations, longest = [], [], {}
     for record in records:
         obs = loader(record)
-        predicted, _ = identify(models, obs, alpha)
-        trials.append(Trial(record=record, predicted=predicted))
-    return trials
+        grown = {s: max(longest.get(s, 0), len(getattr(obs, s))) for s, _ in streams}
+        cells = max(
+            (len(group) + 1) * max(grown[s], h.n_states) * (len(models) * h.n_states + h.dim)
+            for s, h in streams
+        )
+        if group and cells > _GROUP_CELLS:
+            yield group, observations
+            group, observations = [], []
+            grown = {s: len(getattr(obs, s)) for s, _ in streams}
+        group.append(record)
+        observations.append(obs)
+        longest = grown
+    if group:
+        yield group, observations
 
 
 def _score_session(

@@ -11,7 +11,9 @@ The evidence term log P(O) is identical for every speaker and is omitted; the
 remaining expression is the posterior log-probability up to that shared
 constant, and the decision is its argmax over speakers. ``alpha`` in [0, 1]
 sets the prosodic weight: 0 reduces exactly to the spectral-only classifier,
-1 to the prosodic-only one.
+1 to the prosodic-only one. ``fused_log_scores`` computes it for a group of
+utterances against the whole population in one batched pass per stream;
+``fused_log_score`` is its one-pair case.
 """
 
 import math
@@ -28,7 +30,7 @@ from .hmm import (
     TrainingResult,
     baum_welch_train,
     init_model,
-    log_forward,
+    log_forward_table,
     model_from_text,
     model_to_text,
 )
@@ -82,18 +84,44 @@ class SpeakerModel:
             raise ModelError(f"log prior must be finite and <= 0, got {self.log_prior}")
 
 
-def fused_log_score(model: SpeakerModel, obs: DualObservation, alpha: float) -> float:
-    """Affine combination of the two stream posteriors with prosodic weight alpha.
+def fused_log_scores(
+    models: list[SpeakerModel], observations: list[DualObservation], alpha: float
+) -> np.ndarray:
+    """Fused scores of every utterance against every speaker: a (U, V) table.
 
-    A stream whose weight is 0 is not scored and contributes 0.0, so alpha 0
-    and 1 give exactly the single-stream posterior.
+    Each stream with a nonzero weight is scored in one batched pass
+    (``log_forward_table``); a stream whose weight is 0 is not scored and
+    contributes 0.0, so alpha 0 and 1 give exactly the single-stream
+    posterior. Every speaker must share each stream's (states, mixtures, dim).
     """
     if not 0.0 <= alpha <= 1.0:
         raise ModelError(f"alpha must lie in [0, 1], got {alpha}")
-    lp = model.log_prior
-    ac = log_forward(model.acoustic, obs.acoustic)[0] + lp if alpha < 1.0 else 0.0
-    pr = log_forward(model.prosodic, obs.prosodic)[0] + lp if alpha > 0.0 else 0.0
-    return (1.0 - alpha) * ac + alpha * pr
+    lp = np.array([m.log_prior for m in models])
+    fused = []
+    for stream, weight in (("acoustic", 1.0 - alpha), ("prosodic", alpha)):
+        if weight == 0.0:
+            fused.append(0.0)
+            continue
+        hmms = [getattr(m, stream) for m in models]
+        for model, hmm in zip(models, hmms):
+            if _shape(hmm) != _shape(hmms[0]):
+                raise ModelError(
+                    f"speaker {model.speaker_id!r}: {stream} model is {_shape(hmm)} (states,"
+                    f" mixtures, dim) where speaker {models[0].speaker_id!r} has {_shape(hmms[0])};"
+                    " an enrolled population shares one topology"
+                )
+        fused.append(log_forward_table(hmms, [getattr(o, stream) for o in observations]) + lp)
+    return (1.0 - alpha) * fused[0] + alpha * fused[1]
+
+
+def _shape(model: HmmModel) -> tuple[int, int, int]:
+    return model.n_states, model.n_mixtures, model.dim
+
+
+def fused_log_score(model: SpeakerModel, obs: DualObservation, alpha: float) -> float:
+    """Affine combination of the two stream posteriors with prosodic weight alpha:
+    the one-speaker, one-utterance case of :func:`fused_log_scores`."""
+    return float(fused_log_scores([model], [obs], alpha)[0, 0])
 
 
 @dataclass

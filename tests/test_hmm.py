@@ -19,6 +19,7 @@ from emospeaker.hmm import (
     load_model,
     log_backward,
     log_forward,
+    log_forward_table,
     log_likelihood,
     model_from_text,
     model_to_text,
@@ -132,6 +133,22 @@ class TestForward:
         x = rng.standard_normal((1, 2))
         expected = logsumexp(np.log(model.pi) + model.log_emissions(x)[0])
         assert log_likelihood(model, x) == pytest.approx(float(expected), rel=1e-12)
+
+    def test_table_equals_per_pair_forward(self):
+        # one batched pass over ragged sequences, 1-frame ones included, and
+        # models with zero transitions: every entry is log_forward's, bit for bit
+        rng = np.random.default_rng(27)
+        for trial in range(20):
+            n, m, d = (int(k) for k in rng.integers(1, 5, size=3))
+            models = [random_model(rng, n, m, d) for _ in range(int(rng.integers(1, 5)))]
+            if trial % 2:
+                for model in models:
+                    upper = np.triu(model.transitions)
+                    model.transitions = upper / upper.sum(axis=1, keepdims=True)
+            sequences = [rng.normal(0.0, 3.0, (int(t), d)) for t in rng.choice([1, 2, 9, 40], 5)]
+            table = log_forward_table(models, sequences)
+            per_pair = [[log_forward(model, seq)[0] for model in models] for seq in sequences]
+            assert np.array_equal(table, per_pair)
 
     def test_long_sequence_stays_finite(self):
         rng = np.random.default_rng(7)
@@ -269,6 +286,18 @@ class TestBaumWelch:
         result = baum_welch_train(model, seqs, max_iterations=40, tolerance=1e-3)
         assert result.converged
         assert result.n_iterations < 40
+
+    def test_iteration_cap_returns_unscored_model(self):
+        # stopped by max_iterations, the run re-estimates once more after its
+        # last recorded log-likelihood, so the returned model was never scored
+        rng = np.random.default_rng(16)
+        seqs = two_state_sequences(rng)
+        model = init_model(seqs, 2, 2, seed=3)
+        result = baum_welch_train(model, seqs, max_iterations=3, tolerance=0.0)
+        assert result.converged is False
+        assert len(result.log_likelihoods) == 3
+        returned = sum(log_likelihood(result.model, s) for s in seqs)
+        assert returned > result.log_likelihoods[-1]
 
     def test_model_stays_valid_each_iteration(self):
         rng = np.random.default_rng(15)

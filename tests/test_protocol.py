@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +14,8 @@ from emospeaker.corpus import (
     session_for_repetition,
     validate_protocol_counts,
 )
-from emospeaker.hmm import ModelError
+from emospeaker import protocol, sphmm
+from emospeaker.hmm import GaussianMixture, HmmModel, ModelError, log_forward
 from emospeaker.protocol import (
     PerformanceTable,
     ProtocolError,
@@ -176,6 +178,242 @@ class TestIdentify:
         obs = DualObservation(np.zeros((4, 3)), np.zeros((2, 2)))
         with pytest.raises(ProtocolError, match="empty"):
             identify([], obs, 0.5)
+
+    @pytest.mark.parametrize("stream", ["acoustic", "prosodic"])
+    def test_mixed_shape_population_rejected(self, stream):
+        # a population is scored as one stacked mixture, so it shares one topology
+        models = self.make_population(56)
+        rng = np.random.default_rng(57)
+        dim = getattr(models[0], stream).dim
+        models[1] = replace(models[1], **{stream: random_model(rng, 3, 1, dim)})
+        obs = DualObservation(rng.standard_normal((6, 3)), rng.standard_normal((3, 2)))
+        with pytest.raises(ModelError, match=f"speaker 'spk02': {stream} model is"):
+            identify(models, obs, 0.5)
+
+
+def per_pair_fused(model: SpeakerModel, obs: DualObservation, alpha: float) -> float:
+    """(1-alpha)*(log_forward(ac)+lp) + alpha*(log_forward(pr)+lp), one pair at a
+    time; a stream of weight 0 is skipped, as 0 * -inf is undefined."""
+    lp = model.log_prior
+    ac = log_forward(model.acoustic, obs.acoustic)[0] + lp if alpha < 1.0 else 0.0
+    pr = log_forward(model.prosodic, obs.prosodic)[0] + lp if alpha > 0.0 else 0.0
+    return (1.0 - alpha) * ac + alpha * pr
+
+
+def per_pair_table(models, observations, alpha) -> np.ndarray:
+    return np.array([[per_pair_fused(m, o, alpha) for m in models] for o in observations])
+
+
+def session_setup(make_obs):
+    """A one-emotion manifest (60 test utterances) and a loader of make_obs(rng) per record."""
+    manifest = manifest_with_cells([("neutral", "unbiased")])
+    rng = np.random.default_rng(60)
+    observations = {r.key: make_obs(rng) for r in manifest.records if r.session == "test"}
+    return manifest, lambda record: observations[record.key]
+
+
+def ragged_observation(rng) -> DualObservation:
+    """3-D acoustic and 2-D prosodic frames of ragged lengths, often 1 frame long."""
+    frames = int(rng.choice([1, 1, 2, 5, 13, 30]))
+    blocks = int(rng.choice([1, 1, 2, 4]))
+    return DualObservation(rng.normal(0.0, 2.0, (frames, 3)), rng.normal(0.0, 2.0, (blocks, 2)))
+
+
+def left_right_population() -> list[SpeakerModel]:
+    """Three speakers whose acoustic model is the left-right zero-transition probe
+    at variance 1e-6, means shifted per speaker, and a 1-D prosodic model."""
+    models = []
+    for i in range(3):
+        states = [
+            GaussianMixture(weights=[1.0], means=[[mean + i]], variances=[[1e-6]])
+            for mean in (0.0, 1.0, 2.0)
+        ]
+        acoustic = HmmModel(
+            pi=[1.0, 0.0, 0.0],
+            transitions=[[0.9, 0.1, 0.0], [0.0, 0.9, 0.1], [0.0, 0.0, 1.0]],
+            states=states,
+        )
+        prosodic = HmmModel(
+            pi=[1.0],
+            transitions=[[1.0]],
+            states=[GaussianMixture(weights=[1.0], means=[[float(i)]], variances=[[1.0]])],
+        )
+        models.append(SpeakerModel(f"spk{i + 1:02d}", acoustic, prosodic, math.log(1 / 3)))
+    return models
+
+
+class TestBatchedScoring:
+    """identify, score_records and run_session score a whole group of utterances
+    against the whole population at once; every fused score must equal the
+    per-pair expression exactly."""
+
+    ALPHAS = (0.0, 0.25, 0.5, 1.0)
+
+    def population(self):
+        rng = np.random.default_rng(58)
+        models = [
+            SpeakerModel(
+                speaker_id=f"spk{i:02d}",
+                acoustic=random_model(rng, 3, 2, 3),
+                prosodic=random_model(rng, 2, 1, 2),
+                log_prior=math.log(1 / 4),
+            )
+            for i in (1, 2, 3)
+        ]
+        # a clone enrolled last ties with spk01 everywhere; the first enrolled wins
+        return models + [replace(models[0], speaker_id="zz_clone")]
+
+    @staticmethod
+    def record_tables(monkeypatch) -> list:
+        """(observations, fused table) of every batched scoring call protocol makes."""
+        calls = []
+
+        def spy(models, observations, alpha):
+            table = sphmm.fused_log_scores(models, observations, alpha)
+            calls.append((observations, table))
+            return table
+
+        monkeypatch.setattr(protocol, "fused_log_scores", spy)
+        return calls
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_identify_equals_per_pair(self, alpha):
+        models = self.population()
+        rng = np.random.default_rng(59)
+        for _ in range(12):
+            obs = ragged_observation(rng)
+            winner, scores = identify(models, obs, alpha)
+            want = per_pair_table(models, [obs], alpha)[0]
+            assert np.array_equal(scores, want)
+            assert scores[3] == scores[0]
+            assert winner == models[int(np.argmax(want))].speaker_id != "zz_clone"
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_sessions_equal_per_pair(self, alpha, monkeypatch):
+        models = self.population()
+        manifest, loader = session_setup(ragged_observation)
+        records = session_test_records(manifest, "unbiased")
+        calls = self.record_tables(monkeypatch)
+        session = run_session(models, manifest, loader, "unbiased", alpha)
+        trials = score_records(models, records, loader, alpha)
+        assert [t.record for t in session.trials] == records
+        assert [t.predicted for t in session.trials] == [t.predicted for t in trials]
+        assert len(calls) == 2  # 60 short utterances are one group per session
+        for observations, table in calls:
+            want = per_pair_table(models, observations, alpha)
+            assert np.array_equal(table, want)
+            assert np.array_equal(table[:, 3], table[:, 0])
+        want = per_pair_table(models, [loader(r) for r in records], alpha)
+        assert [t.predicted for t in trials] == [models[i].speaker_id for i in np.argmax(want, 1)]
+        assert "zz_clone" not in {t.predicted for t in trials}
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_left_right_probe_far_from_means(self, alpha, monkeypatch):
+        # 1e-6 variances scored far from their means; frames at 1e200 overflow
+        # every density to -inf, which must come out -inf in the same places
+        models = left_right_population()
+        path = np.array([0, 0, 1, 1, 1, 2, 2, 0], dtype=float)[:, None]
+        observations = [
+            DualObservation(path + 40.0, [[0.5]]),
+            DualObservation(path[:1] - 25.0, [[1.5], [2.5]]),
+            DualObservation(np.full((3, 1), 1e200), [[0.0]]),
+            DualObservation(path, [[1e200]]),
+        ]
+        manifest, loader = session_setup(lambda rng: observations[int(rng.integers(4))])
+        calls = self.record_tables(monkeypatch)
+        with np.errstate(over="ignore"):
+            want = per_pair_table(models, observations, alpha)
+            got = np.array([identify(models, obs, alpha)[1] for obs in observations])
+            run_session(models, manifest, loader, "unbiased", alpha)
+            for observations_seen, table in calls:
+                assert np.array_equal(table, per_pair_table(models, observations_seen, alpha))
+        assert np.array_equal(got, want)
+        dead = np.zeros_like(want, dtype=bool)
+        dead[2], dead[3] = alpha < 1.0, alpha > 0.0  # rows whose scored stream sits at 1e200
+        assert np.array_equal(np.isneginf(want), dead)
+        if alpha < 1.0:
+            assert np.all(want[:2] < -1e6)
+
+    @pytest.mark.parametrize("alpha, scored", [(0.0, "acoustic"), (1.0, "prosodic")])
+    def test_zero_weight_stream_never_scored(self, alpha, scored, monkeypatch):
+        models = self.population()
+        manifest, loader = session_setup(ragged_observation)
+        records = session_test_records(manifest, "unbiased")
+        streams = []
+
+        def spy(hmms, sequences):
+            streams.append([s for s in ("acoustic", "prosodic")
+                            if all(h is getattr(m, s) for h, m in zip(hmms, models))])
+            return real(hmms, sequences)
+
+        real = sphmm.log_forward_table
+        monkeypatch.setattr(sphmm, "log_forward_table", spy)
+        identify(models, loader(records[0]), alpha)
+        score_records(models, records, loader, alpha)
+        run_session(models, manifest, loader, "unbiased", alpha)
+        assert streams == [[scored]] * 3
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that numpy and Python allocate while fn runs, above what was live before."""
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+
+
+class TestScoringWorkingSet:
+    """Sessions are loaded and scored in groups of whole utterances that fit a
+    fixed budget, so memory does not grow with the number of trials."""
+
+    def test_peak_does_not_grow_with_utterances(self):
+        rng = np.random.default_rng(61)
+        speakers, states, dim = 50, 8, 4
+        models = [
+            SpeakerModel(f"spk{i:02d}", random_model(rng, states, 1, dim),
+                         random_model(rng, 1, 1, 2), math.log(1 / speakers))
+            for i in range(speakers)
+        ]
+        # long enough that two utterances overflow one scoring group
+        frames = protocol._GROUP_CELLS // (2 * (speakers * states + dim)) + 1
+        records = session_test_records(manifest_with_cells([("neutral", "unbiased")]), "unbiased")
+        index = {r.key: i for i, r in enumerate(records)}
+
+        def loader(record):
+            generator = np.random.default_rng(index[record.key])
+            return DualObservation(generator.normal(0.0, 2.0, (frames, dim)), [[0.0, 1.0]])
+
+        few = traced_peak(lambda: score_records(models, records[:5], loader, 0.5))
+        many = traced_peak(lambda: score_records(models, records[:50], loader, 0.5))
+        assert many <= 1.1 * few
+
+    def test_paper_topology_peak_within_per_pair_peak(self):
+        # 50 speakers at 9x10 acoustic / 3x2 prosodic, 400-frame utterances: the
+        # batched pass must need no more memory than one per-pair forward pass
+        # (about 4 MB against 14 MB)
+        rng = np.random.default_rng(62)
+        models = [
+            SpeakerModel(f"spk{i:02d}", random_model(rng, 9, 10, 16),
+                         random_model(rng, 3, 2, 4), math.log(1 / 50))
+            for i in range(50)
+        ]
+        observations = [
+            DualObservation(rng.normal(0.0, 2.0, (400, 16)), rng.normal(0.0, 2.0, (45, 4)))
+            for _ in range(2)
+        ]
+        records = session_test_records(manifest_with_cells([("neutral", "unbiased")]), "unbiased")[:2]
+
+        def per_pair():
+            log_forward(models[0].acoustic, observations[0].acoustic)
+            log_forward(models[0].prosodic, observations[0].prosodic)
+
+        batched = traced_peak(
+            lambda: score_records(models, records, lambda r: observations[records.index(r)], 0.5)
+        )
+        assert batched <= traced_peak(per_pair)
 
 
 class TestPerformanceTable:
