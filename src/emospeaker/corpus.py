@@ -448,9 +448,10 @@ def write_feature_file(array: np.ndarray, path: str | Path) -> None:
 
 def read_feature_file(path: str | Path) -> np.ndarray:
     path = Path(path)
-    if not path.exists():
-        raise FeatureFileError(f"feature file not found: {path}")
-    blob = path.read_bytes()
+    try:
+        blob = path.read_bytes()
+    except FileNotFoundError:
+        raise FeatureFileError(f"feature file not found: {path}") from None
     if len(blob) < _FEATURE_HEADER.size:
         raise FeatureFileError(f"{path}: truncated header")
     magic, version, n_frames, n_coeffs = _FEATURE_HEADER.unpack_from(blob)

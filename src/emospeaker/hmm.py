@@ -9,14 +9,17 @@ Scoring, Viterbi decoding and training share one emission computation: every
 state's mixture is stacked into one (N*M, D) mixture whose component densities
 are computed in a single call and reshaped to a (T, N, M) tensor. Scoring and
 training share one forward and one backward recursion, the only loops over
-frames besides Viterbi's. A population is scored in one batched pass
-(`log_forward_table`): its V models stack into one (V*N*M, D) mixture, and the
-same forward recursion, given batch axes, runs a group of utterances against
-every model at once, each pair with the arithmetic of `log_forward`.
-Training is multi-sequence expectation-maximization
-with parameter floors, its transition counts accumulated as one broadcast per
-sequence; initialization is a deterministic seeded k-means over pooled frames.
-Models serialize to a versioned text format whose floats round-trip exactly.
+frames besides Viterbi's; both take batch axes, and `_padded_emissions` lays
+ragged sequences out for them, padded to the longest. A population is scored in
+one batched pass (`log_forward_table`): its V models stack into one
+(V*N*M, D) mixture, and a group of utterances runs against every model at once,
+each pair with the arithmetic of `log_forward`. Training is multi-sequence
+expectation-maximization with parameter floors; each iteration runs every
+sequence through the recursions in one batched pass per group of whole
+sequences (`_em_groups`), and accumulates its statistics over the real frames
+with one broadcast for the transitions and one matmul per moment.
+Initialization is a deterministic seeded k-means over pooled frames. Models
+serialize to a versioned text format whose floats round-trip exactly.
 """
 
 import math
@@ -32,9 +35,13 @@ TRANSITION_FLOOR = 1e-8
 WEIGHT_FLOOR = 1e-8
 
 # Elements of the (frames, components, D) temporary one density call of
-# log_forward_table may make: cache-sized slices were fastest, and larger ones
+# _padded_emissions may make: cache-sized slices were fastest, and larger ones
 # raise peak memory without gain.
 _SLICE_ELEMENTS = 1 << 15
+
+# Cells of the tables one EM group of sequences may fill (_em_groups), so that
+# training's peak memory does not grow with the number of sequences.
+_EM_GROUP_CELLS = 1 << 18
 
 
 class ModelError(ValueError):
@@ -181,6 +188,43 @@ def _emissions(
         return comp_log, _logsumexp(comp_log, axis=-1)
 
 
+def _layout(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each frame's (sequence, position in it) once sequences of these lengths are concatenated."""
+    ends = np.cumsum(lengths)
+    owner = np.repeat(np.arange(len(lengths)), lengths)
+    position = np.arange(ends[-1]) - np.repeat(ends - lengths, lengths)
+    return owner, position
+
+
+def _padded_emissions(
+    stacked: GaussianMixture,
+    states: tuple[int, ...],
+    frames: np.ndarray,
+    lengths: np.ndarray,
+    components: bool = False,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Emissions of S concatenated sequences: log b padded to (T, S, *states).
+
+    T is the longest length; padded frames hold 0 and no recursion reads them
+    as data. Densities are taken over the concatenated frames in slices of at
+    most ``_SLICE_ELEMENTS`` elements of the (frames, components, D)
+    temporary. With ``components``, the component log densities of the real
+    frames, (F, *states, M) in concatenation order, come back too.
+    """
+    owner, position = _layout(lengths)
+    log_b = np.zeros((lengths.max(), len(lengths), *states))
+    comp_log = None
+    if components:
+        comp_log = np.empty((len(frames), *states, stacked.n_components // math.prod(states)))
+    step = max(1, _SLICE_ELEMENTS // (stacked.n_components * stacked.dim))
+    for lo in range(0, len(frames), step):
+        part = slice(lo, lo + step)
+        comp_part, log_b[position[part], owner[part]] = _emissions(stacked, states, frames[part])
+        if comp_log is not None:
+            comp_log[part] = comp_part
+    return log_b, comp_log
+
+
 def _log_params(model: HmmModel) -> tuple[np.ndarray, np.ndarray]:
     """Log start and transition probabilities; zero probabilities map to -inf."""
     with np.errstate(divide="ignore"):
@@ -219,12 +263,19 @@ def _termination(log_alpha_last: np.ndarray) -> np.ndarray:
         return _logsumexp(log_alpha_last, axis=-1)
 
 
-def _backward(log_a: np.ndarray, log_b: np.ndarray) -> np.ndarray:
-    """log beta (T, N) from log transitions and log emissions."""
+def _backward(log_a: np.ndarray, log_b: np.ndarray, lengths) -> np.ndarray:
+    """log beta (T, ..., N) from log transitions and log emissions (T, ..., N).
+
+    The batch axes are those of ``_forward``. ``lengths`` (...) gives each
+    batch entry's sequence length: its beta is held at exactly 0 from its
+    last frame onward, so the padding after it never enters.
+    """
     log_beta = np.zeros_like(log_b)
+    last = np.asarray(lengths)[..., None] - 1
     with np.errstate(divide="ignore"):
         for t in range(len(log_b) - 2, -1, -1):
-            log_beta[t] = _logsumexp(log_a + (log_b[t + 1] + log_beta[t + 1])[None, :], axis=1)
+            step = _logsumexp(log_a + (log_b[t + 1] + log_beta[t + 1])[..., None, :], axis=-1)
+            log_beta[t] = np.where(t < last, step, 0.0)
     return log_beta
 
 
@@ -239,25 +290,16 @@ def log_forward_table(models: list[HmmModel], sequences: list[np.ndarray]) -> np
     """log P(sequence u | model v) for every pair: a (U, V) table.
 
     One pass for the lot. The models, which must share (states, mixtures,
-    dim), are stacked into one mixture whose component densities are taken
-    over the concatenated frames in cache-sized slices. The sequences, padded
-    to the longest, then run through the forward recursion together, and each
-    is read at its own last frame. Every entry equals
-    ``log_forward(models[v], sequences[u])[0]`` bit for bit. Memory grows with
-    U * max length * V * N; callers bound it by grouping the sequences.
+    dim), are stacked into one mixture; the sequences, padded to the longest,
+    run through the forward recursion together, and each is read at its own
+    last frame. Every entry equals ``log_forward(models[v], sequences[u])[0]``
+    bit for bit. Memory grows with U * max length * V * N; callers bound it by
+    grouping the sequences.
     """
     seqs = [_check_obs(models[0], s) for s in sequences]
     lengths = np.array([len(s) for s in seqs])
     states = (len(models), models[0].n_states)
-    stacked = _stack(models)
-    frames = np.concatenate(seqs)
-    owner = np.repeat(np.arange(len(seqs)), lengths)
-    position = np.arange(len(frames)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    log_b = np.zeros((lengths.max(), len(seqs), *states))  # no sequence reads past its end
-    step = max(1, _SLICE_ELEMENTS // (stacked.n_components * stacked.dim))
-    for lo in range(0, len(frames), step):
-        part = slice(lo, lo + step)
-        log_b[position[part], owner[part]] = _emissions(stacked, states, frames[part])[1]
+    log_b, _ = _padded_emissions(_stack(models), states, np.concatenate(seqs), lengths)
     log_pi, log_a = (np.stack(p) for p in zip(*map(_log_params, models)))
     log_alpha = _forward(log_pi, log_a, log_b)
     return _termination(log_alpha[lengths - 1, np.arange(len(seqs))])
@@ -266,7 +308,7 @@ def log_forward_table(models: list[HmmModel], sequences: list[np.ndarray]) -> np
 def log_backward(model: HmmModel, obs: np.ndarray) -> np.ndarray:
     """Backward recursion: log beta matrix (T, N)."""
     obs = _check_obs(model, obs)
-    return _backward(_log_params(model)[1], model.log_emissions(obs))
+    return _backward(_log_params(model)[1], model.log_emissions(obs), len(obs))
 
 
 def log_likelihood(model: HmmModel, obs: np.ndarray) -> float:
@@ -333,13 +375,13 @@ def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator, n_iter: int = 
     for _ in range(n_iter):
         d2 = _pairwise_sq_dist(points, centroids)
         assign = np.argmin(d2, axis=1)
-        new_centroids = centroids.copy()
-        for j in range(k):
-            mask = assign == j
-            if mask.any():
-                new_centroids[j] = points[mask].mean(axis=0)
-            else:
-                new_centroids[j] = points[np.argmax(d2[np.arange(n), assign])]
+        counts = np.bincount(assign, minlength=k)
+        sums = np.zeros_like(centroids)
+        np.add.at(sums, assign, points)   # each cluster's points summed in order, as .mean does
+        filled = counts > 0
+        new_centroids = np.empty_like(centroids)
+        new_centroids[filled] = sums[filled] / counts[filled, None]
+        new_centroids[~filled] = points[np.argmax(d2[np.arange(n), assign])]
         if np.array_equal(new_centroids, centroids):
             break
         centroids = new_centroids
@@ -439,6 +481,13 @@ def baum_welch_train(
 ) -> TrainingResult:
     """Multi-sequence EM re-estimation of every parameter group.
 
+    The E-step takes the sequences in consecutive groups that fit a fixed
+    memory budget, each group in one batched pass: emissions of its
+    concatenated frames, then the forward and backward recursions over the
+    padded group, then posteriors on the real frames only. Each sequence's
+    log-likelihood is the one ``log_forward`` gives, bit for bit, and they
+    are summed in sequence order.
+
     Each iteration records the total log-likelihood of the model *entering*
     that iteration, so the recorded sequence is non-decreasing (up to floor
     adjustments). Components or states that receive no responsibility keep
@@ -455,6 +504,7 @@ def baum_welch_train(
         raise TrainingError("no training sequences")
 
     n, m, d = model.n_states, model.n_mixtures, model.dim
+    groups = _em_groups([len(obs) for obs in obs_list], n * (m + n) + d)
     history: list[float] = []
     converged = False
 
@@ -469,28 +519,41 @@ def baum_welch_train(
         sq_acc = np.zeros((n, m, d))
         total_ll = 0.0
 
-        for seq_idx, obs in enumerate(obs_list):
-            comp_log, log_b = _emissions(stacked, (n,), obs)   # (T, N, M), (T, N)
+        for lo, hi in groups:
+            lengths = np.array([len(obs) for obs in obs_list[lo:hi]])
+            frames = np.concatenate(obs_list[lo:hi])
+            log_b, comp_log = _padded_emissions(stacked, (n,), frames, lengths, components=True)
             log_alpha = _forward(log_pi, log_a, log_b)
-            ll = float(_termination(log_alpha[-1]))
-            if not np.isfinite(ll):
+            lls = _termination(log_alpha[lengths - 1, np.arange(len(lengths))])
+            bad = np.flatnonzero(~np.isfinite(lls))
+            if len(bad):
+                k = bad[0]
                 raise TrainingError(
-                    f"sequence {seq_idx}: non-finite log-likelihood {ll} "
-                    f"(length {len(obs)}) at iteration {iteration}"
+                    f"sequence {lo + k}: non-finite log-likelihood {float(lls[k])} "
+                    f"(length {lengths[k]}) at iteration {iteration}"
                 )
-            log_beta = _backward(log_a, log_b)
-            total_ll += ll
+            # the same left-to-right sum as adding one sequence at a time
+            total_ll = float(np.add.accumulate(np.concatenate(([total_ll], lls)))[-1])
+            log_beta = _backward(log_a, log_b, lengths)
 
-            log_gamma = log_alpha + log_beta - ll    # (T, N)
-            gamma = np.exp(log_gamma)
-            pi_acc += gamma[0]
-            xi_acc += np.exp(
-                log_alpha[:-1, :, None] + log_a + (log_b + log_beta)[1:, None, :] - ll
-            ).sum(axis=0)
-            resp = np.exp(log_gamma[:, :, None] + comp_log - log_b[:, :, None])
+            # from here on only real frames, in concatenation order
+            owner, position = _layout(lengths)
+            log_alpha, log_beta, log_b = (x[position, owner] for x in (log_alpha, log_beta, log_b))
+            frame_ll = lls[owner, None]
+            log_gamma = log_alpha + log_beta - frame_ll               # (F, N)
+            pi_acc += np.exp(log_gamma[position == 0]).sum(axis=0)
+            src = np.flatnonzero(position[1:])     # frames whose successor is in their sequence
+            xi = log_alpha[src, :, None] + log_a
+            xi += (log_b + log_beta)[src + 1, None, :]
+            xi -= frame_ll[src, :, None]
+            xi_acc += np.exp(xi, out=xi).sum(axis=0)
+            comp_log += log_gamma[:, :, None]                       # responsibilities, in place
+            comp_log -= log_b[:, :, None]
+            resp = np.exp(comp_log, out=comp_log)                   # (F, N, M)
             comp_acc += resp.sum(axis=0)
-            mean_acc += np.einsum("tnm,td->nmd", resp, obs)
-            sq_acc += np.einsum("tnm,td->nmd", resp, obs * obs)
+            resp = resp.reshape(len(frames), n * m)
+            mean_acc += (resp.T @ frames).reshape(n, m, d)
+            sq_acc += (resp.T @ (frames * frames)).reshape(n, m, d)
 
         history.append(total_ll)
         if on_iteration is not None:
@@ -507,6 +570,25 @@ def baum_welch_train(
         )
 
     return TrainingResult(model=model, log_likelihoods=history, converged=converged)
+
+
+def _em_groups(lengths: list[int], frame_cells: int) -> list[tuple[int, int]]:
+    """Consecutive [lo, hi) runs of whole sequences that fit ``_EM_GROUP_CELLS``.
+
+    A group of S sequences, the longest T frames, costs S * T * frame_cells,
+    where frame_cells = N * (M + N) + D counts a frame's component
+    responsibilities and transition posteriors, which outweigh its emission,
+    forward and backward cells, and the frame itself. A sequence that alone
+    exceeds the budget is a group of its own.
+    """
+    groups, lo, longest = [], 0, 0
+    for hi, length in enumerate(lengths):
+        longest = max(longest, length)
+        if hi > lo and (hi - lo + 1) * longest * frame_cells > _EM_GROUP_CELLS:
+            groups.append((lo, hi))
+            lo, longest = hi, length
+    groups.append((lo, len(lengths)))
+    return groups
 
 
 def _reestimate(

@@ -2,16 +2,18 @@
 
 Everything here trades speed for obviousness: explicit loops, probability
 domain where it cannot underflow, scipy's log-sum-exp where it can, no shared
-code with the package internals.
+code with the package internals. The one-sequence-at-a-time EM oracle builds
+on the package's public, unbatched recursions, which the other oracles check.
 """
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 from scipy.special import logsumexp
 
-from emospeaker.hmm import GaussianMixture, HmmModel
+from emospeaker.hmm import GaussianMixture, HmmModel, log_backward, log_forward
 
 
 def component_densities(state: GaussianMixture, x) -> list[float]:
@@ -177,6 +179,124 @@ def brute_force_em_step(
                     variances[k] = np.maximum(spread, variance_floor)
         states.append(GaussianMixture(weights=weights, means=means, variances=variances))
     return HmmModel(pi=pi, transitions=transitions, states=states)
+
+
+def per_sequence_baum_welch(
+    model: HmmModel, sequences, max_iterations, tolerance, variance_floor, transition_floor,
+    weight_floor,
+):
+    """Multi-sequence EM that visits one sequence at a time: (model, history).
+
+    Each sequence's posteriors come from the unbatched ``log_forward`` and
+    ``log_backward``; its accumulators are added in sequence order, and the
+    stopping rule and re-estimation are those of ``baum_welch_train``.
+    """
+    n, m, d = model.n_states, model.n_mixtures, model.dim
+    history = []
+    for _ in range(max_iterations):
+        with np.errstate(divide="ignore"):
+            log_a = np.log(model.transitions)
+        pi_acc, xi_acc = np.zeros(n), np.zeros((n, n))
+        occ, first, second = np.zeros((n, m)), np.zeros((n, m, d)), np.zeros((n, m, d))
+        total = 0.0
+        for obs in sequences:
+            comp_log = np.stack([s.component_log_pdf(obs) for s in model.states], axis=1)
+            log_b = model.log_emissions(obs)
+            ll, log_alpha = log_forward(model, obs)
+            log_beta = log_backward(model, obs)
+            total += ll
+            log_gamma = log_alpha + log_beta - ll
+            pi_acc += np.exp(log_gamma[0])
+            for t in range(len(obs) - 1):
+                xi_acc += np.exp(
+                    log_alpha[t][:, None] + log_a + (log_b[t + 1] + log_beta[t + 1])[None, :] - ll
+                )
+            for t, x in enumerate(obs):
+                resp = np.exp(log_gamma[t][:, None] + comp_log[t] - log_b[t][:, None])
+                occ += resp
+                first += resp[:, :, None] * x
+                second += resp[:, :, None] * (x * x)
+        history.append(total)
+        if len(history) >= 2 and total - history[-2] < tolerance * max(1.0, abs(history[-2])):
+            break
+
+        pi = _floored(pi_acc / len(sequences), transition_floor)
+        transitions = model.transitions.copy()
+        for i in range(n):
+            if xi_acc[i].sum() > 0:
+                transitions[i] = _floored(xi_acc[i] / xi_acc[i].sum(), transition_floor)
+        states = []
+        for j, old in enumerate(model.states):
+            weights, means, variances = old.weights.copy(), old.means.copy(), old.variances.copy()
+            if occ[j].sum() > 0:
+                weights = _floored(occ[j] / occ[j].sum(), weight_floor)
+                for k in range(m):
+                    if occ[j, k] > 0:
+                        means[k] = first[j, k] / occ[j, k]
+                        variances[k] = np.maximum(
+                            second[j, k] / occ[j, k] - means[k] * means[k], variance_floor
+                        )
+            states.append(GaussianMixture(weights=weights, means=means, variances=variances))
+        model = HmmModel(pi=pi, transitions=transitions, states=states)
+    return model, history
+
+
+def _sq_dist(points, centroids):
+    d2 = (
+        np.sum(points * points, axis=1)[:, None]
+        - 2.0 * points @ centroids.T
+        + np.sum(centroids * centroids, axis=1)[None, :]
+    )
+    return np.maximum(d2, 0.0)
+
+
+def looped_kmeans(points, k, rng, n_iter=10):
+    """Seeded k-means whose Lloyd update loops over clusters: (centroids, assignments).
+
+    The seeding and distances repeat ``hmm._kmeans`` draw for draw. A cluster
+    moves to the mean of its points; an empty one to the point that fits its
+    own cluster worst.
+    """
+    n = len(points)
+    if n >= k:
+        centroids = np.empty((k, points.shape[1]))
+        centroids[0] = points[rng.integers(n)]
+        min_d2 = _sq_dist(points, centroids[:1])[:, 0]
+        for j in range(1, k):
+            total = min_d2.sum()
+            idx = int(rng.integers(n)) if total <= 0.0 else int(rng.choice(n, p=min_d2 / total))
+            centroids[j] = points[idx]
+            min_d2 = np.minimum(min_d2, _sq_dist(points, centroids[j : j + 1])[:, 0])
+    else:
+        spread = points.std(axis=0) + 1e-6
+        centroids = points[np.arange(k) % n] + 1e-3 * spread * rng.standard_normal(
+            (k, points.shape[1])
+        )
+    for _ in range(n_iter):
+        d2 = _sq_dist(points, centroids)
+        assign = np.argmin(d2, axis=1)
+        new_centroids = centroids.copy()
+        for j in range(k):
+            mask = assign == j
+            if mask.any():
+                new_centroids[j] = points[mask].mean(axis=0)
+            else:
+                new_centroids[j] = points[np.argmax(d2[np.arange(n), assign])]
+        if np.array_equal(new_centroids, centroids):
+            break
+        centroids = new_centroids
+    return centroids, np.argmin(_sq_dist(points, centroids), axis=1)
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that numpy and Python allocate while fn runs, above what was live before."""
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
 
 
 def random_model(rng: np.random.Generator, n_states: int, n_mixtures: int, dim: int) -> HmmModel:

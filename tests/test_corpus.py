@@ -372,6 +372,30 @@ class TestFeatureFiles:
         with pytest.raises(FeatureFileError):
             write_feature_file(np.zeros(5), tmp_path / "x.feat")
 
+    def test_error_messages_exact(self, tmp_path):
+        # every rejection names the file and the fault, word for word
+        path = tmp_path / "x.feat"
+        write_feature_file(np.zeros((2, 3)), path)
+        good = path.read_bytes()
+        bad_value = np.zeros((2, 3))
+        bad_value[1, 2] = np.inf
+        write_feature_file(bad_value, tmp_path / "inf.feat")
+        cases = {
+            "feature file not found: {}": (tmp_path / "ghost.feat", None),
+            "{}: truncated header": (path, good[:19]),
+            "{}: bad magic b'NOPEFEAT'": (path, b"NOPE" + good[4:]),
+            "{}: unsupported version 9": (path, good[:8] + struct.pack("<I", 9) + good[12:]),
+            "{}: size 60 != expected 68": (path, good[:-8]),
+            "{}: non-finite values": (tmp_path / "inf.feat", None),
+        }
+        for message, (target, blob) in cases.items():
+            if blob is not None:
+                target.write_bytes(blob)
+            with pytest.raises(FeatureFileError) as info:
+                read_feature_file(target)
+            assert str(info.value) == message.format(target)
+            assert info.value.__cause__ is None
+
 
 class TestSeedDerivation:
     def test_frozen_values(self):

@@ -8,12 +8,14 @@ import pytest
 from scipy.special import logsumexp
 
 import emospeaker
+from emospeaker import hmm
 from emospeaker.hmm import (
     GaussianMixture,
     HmmModel,
     ModelError,
     ModelFormatError,
     TrainingError,
+    _kmeans,
     baum_welch_train,
     init_model,
     load_model,
@@ -32,9 +34,20 @@ from helpers import (
     brute_force_viterbi,
     log_domain_backward,
     log_domain_forward,
+    looped_kmeans,
     mixture_density,
+    per_sequence_baum_welch,
     random_model,
+    traced_peak,
 )
+
+
+def parameter_vectors(model: HmmModel) -> list[np.ndarray]:
+    """Start and transition probabilities, then each state's weights, means and variances."""
+    vectors = [model.pi, model.transitions]
+    for state in model.states:
+        vectors += [state.weights, state.means, state.variances]
+    return vectors
 
 
 def two_state_sequences(rng, n_sequences=10, length=30, gap=6.0):
@@ -150,6 +163,28 @@ class TestForward:
             per_pair = [[log_forward(model, seq)[0] for model in models] for seq in sequences]
             assert np.array_equal(table, per_pair)
 
+    def test_batched_backward_equals_per_sequence(self):
+        # ragged sequences padded to the longest: each one's beta is
+        # log_backward's bit for bit and exactly 0 from its last frame on. The
+        # transition rows sum to 1 + 4e-9, so padding read as data would show.
+        rng = np.random.default_rng(32)
+        for trial in range(10):
+            n, m, d = (int(k) for k in rng.integers(1, 5, size=3))
+            model = random_model(rng, n, m, d)
+            if trial % 2:
+                upper = np.triu(model.transitions)
+                model.transitions = upper / upper.sum(axis=1, keepdims=True)
+            model.transitions *= 1.0 + 4e-9
+            seqs = [rng.normal(0.0, 3.0, (int(t), d)) for t in rng.choice([1, 2, 9, 30], 6)]
+            lengths = np.array([len(s) for s in seqs])
+            log_b, _ = hmm._padded_emissions(
+                hmm._stack([model]), (n,), np.concatenate(seqs), lengths
+            )
+            log_beta = hmm._backward(hmm._log_params(model)[1], log_b, lengths)
+            for k, seq in enumerate(seqs):
+                assert np.array_equal(log_beta[: len(seq), k], log_backward(model, seq))
+                assert np.all(log_beta[len(seq) - 1 :, k] == 0.0)
+
     def test_long_sequence_stays_finite(self):
         rng = np.random.default_rng(7)
         model = random_model(rng, 3, 2, 4)
@@ -260,6 +295,25 @@ class TestInit:
         model = init_model(seqs, 3, 2, seed=1)  # 6 clusters, 2 points
         model.validate()
 
+    def test_kmeans_update_matches_cluster_loop(self):
+        # the bincount/add.at Lloyd update gives the per-cluster loop's centroids
+        # and assignments bit for bit, with constant columns, duplicate points,
+        # empty clusters and fewer points than clusters. (Frames of one
+        # dimension are left out: numpy sums a 1-D mean pairwise, not in order.)
+        rng = np.random.default_rng(28)
+        for trial in range(25):
+            k = int(rng.integers(1, 60))
+            n = int(rng.integers(1, k + 1)) if trial % 6 == 0 else int(rng.integers(1, 400))
+            points = rng.normal(0.0, 3.0, (n, int(rng.integers(2, 20)))) * rng.uniform(0.1, 100.0)
+            if trial % 4 == 0:
+                points[:, 0] = 2.0
+            if trial % 5 == 0:
+                points = np.round(points)
+            centroids, assign = _kmeans(points, k, np.random.default_rng(trial))
+            want_centroids, want_assign = looped_kmeans(points, k, np.random.default_rng(trial))
+            assert np.array_equal(centroids, want_centroids)
+            assert np.array_equal(assign, want_assign)
+
     def test_errors(self):
         with pytest.raises(TrainingError):
             init_model([], 2, 1)
@@ -348,6 +402,44 @@ class TestBaumWelch:
                 assert a.means == pytest.approx(b.means, rel=1e-9)
                 assert a.variances == pytest.approx(b.variances, rel=1e-9)
 
+    @pytest.mark.parametrize("group_cells", [None, 64])
+    def test_batched_e_step_matches_per_sequence_loop(self, group_cells, monkeypatch):
+        # ragged sequences of 1-30 frames, half the models with zero transitions,
+        # in one EM group or (64 cells) mostly one sequence per group
+        if group_cells is not None:
+            monkeypatch.setattr(hmm, "_EM_GROUP_CELLS", group_cells)
+        rng = np.random.default_rng(29)
+        floors = dict(variance_floor=1e-6, transition_floor=1e-8, weight_floor=1e-8)
+        cases = []
+        for trial in range(12):
+            n, m, d = (int(k) for k in rng.integers(1, 5, size=3))
+            model = random_model(rng, n, m, d)
+            if trial % 2:
+                upper = np.triu(model.transitions)
+                model.transitions = upper / upper.sum(axis=1, keepdims=True)
+            lengths = rng.integers(1, 31, size=int(rng.integers(1, 25)))
+            cases.append((model, [rng.normal(0.0, 2.0, (int(t), d)) for t in lengths]))
+        seqs = two_state_sequences(rng, n_sequences=6, length=20)
+        cases.append((init_model(seqs, 2, 2, seed=4), seqs))
+        for model, seqs in cases:
+            got = baum_welch_train(model, seqs, max_iterations=3, tolerance=0.0, **floors)
+            want, history = per_sequence_baum_welch(model, seqs, 3, 0.0, **floors)
+            assert got.log_likelihoods[0] == history[0]
+            assert got.log_likelihoods == pytest.approx(history, rel=1e-12, abs=0)
+            for a, b in zip(parameter_vectors(got.model), parameter_vectors(want)):
+                assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+    def test_non_finite_sequence_named(self):
+        # a frame at 1e200 has zero density under every state: the error names
+        # that sequence's index and length and the iteration
+        rng = np.random.default_rng(30)
+        model = random_model(rng, 2, 2, 3)
+        seqs = [rng.standard_normal((5, 3)), rng.standard_normal((7, 3)), rng.standard_normal((4, 3))]
+        seqs[1][3, 0] = 1e200
+        message = r"^sequence 1: non-finite log-likelihood -inf \(length 7\) at iteration 0$"
+        with np.errstate(over="ignore"), pytest.raises(TrainingError, match=message):
+            baum_welch_train(model, seqs, max_iterations=2)
+
     def test_no_sequences_rejected(self):
         model = random_model(np.random.default_rng(18), 2, 1, 2)
         with pytest.raises(TrainingError):
@@ -362,6 +454,22 @@ class TestBaumWelch:
         before = sum(log_likelihood(init, s) for s in test)
         after = sum(log_likelihood(trained, s) for s in test)
         assert after > before
+
+
+class TestEmWorkingSet:
+    """EM runs over groups of whole sequences that fit a fixed budget, so its
+    memory does not grow with the number of training sequences."""
+
+    def test_peak_does_not_grow_with_sequences(self):
+        rng = np.random.default_rng(31)
+        n, m, d = 16, 16, 16
+        model = random_model(rng, n, m, d)
+        # long enough that two sequences overflow one EM group
+        length = hmm._EM_GROUP_CELLS // (2 * (n * (m + n) + d)) + 1
+        seqs = [rng.normal(0.0, 2.0, (length, d)) for _ in range(30)]
+        few = traced_peak(lambda: baum_welch_train(model, seqs[:3], max_iterations=1))
+        many = traced_peak(lambda: baum_welch_train(model, seqs, max_iterations=1))
+        assert many <= 1.1 * few
 
 
 class TestDependencies:

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -30,7 +29,7 @@ from emospeaker.protocol import (
     train_population,
 )
 from emospeaker.sphmm import DualObservation, SpeakerModel
-from helpers import random_model
+from helpers import random_model, traced_peak
 
 
 def make_trial(speaker, gender, emotion, predicted, sentence=1, rep=10):
@@ -352,17 +351,6 @@ class TestBatchedScoring:
         score_records(models, records, loader, alpha)
         run_session(models, manifest, loader, "unbiased", alpha)
         assert streams == [[scored]] * 3
-
-
-def traced_peak(fn) -> int:
-    """Peak bytes that numpy and Python allocate while fn runs, above what was live before."""
-    tracemalloc.start()
-    try:
-        live = tracemalloc.get_traced_memory()[0]
-        fn()
-        return tracemalloc.get_traced_memory()[1] - live
-    finally:
-        tracemalloc.stop()
 
 
 class TestScoringWorkingSet:
