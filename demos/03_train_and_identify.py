@@ -16,7 +16,9 @@ from emospeaker.features import make_loader
 from emospeaker.protocol import identify, run_session, session_test_records, train_population
 from emospeaker.sphmm import Topology
 
-workdir = Path(tempfile.mkdtemp(prefix="emospeaker_demo_"))
+# removed by cleanup() at the end, or when the interpreter exits on an error
+scratch = tempfile.TemporaryDirectory(prefix="emospeaker_demo_")
+workdir = Path(scratch.name)
 
 manifest = generate_synthetic_corpus(
     seed=42,
@@ -69,3 +71,5 @@ print(f"\ngrand average: {result.table.grand_average():.2f}%")
 confusion = result.confusion()
 print("\nconfusion (rows true, cols predicted):")
 print(confusion)
+
+scratch.cleanup()

@@ -19,13 +19,15 @@ from emospeaker.features import make_loader
 from emospeaker.protocol import run_session, train_population
 from emospeaker.sphmm import Topology
 
+# removed by cleanup() at the end, or when the interpreter exits on an error
+scratch = tempfile.TemporaryDirectory(prefix="emospeaker_fusion_")
 manifest = generate_synthetic_corpus(
     seed=77,
     n_speakers=5,
     emotions=("neutral", "angry"),
     separation=0.55,         # deliberately hard: speakers overlap
     noise_scale=3.0,
-    out_dir=tempfile.mkdtemp(prefix="emospeaker_fusion_"),
+    out_dir=scratch.name,
     frames_range=(18, 26),
 )
 
@@ -51,3 +53,5 @@ print(f"\nbest mix in this sweep: alpha = {best} ({sweep[best]:.2f}%),")
 print(f"acoustic alone gives {sweep[0.0]:.2f}% and prosody alone {sweep[1.0]:.2f}%.")
 print("alpha is a config key (alpha = ...), so the same trained models can")
 print("be scored under any mix without retraining.")
+
+scratch.cleanup()

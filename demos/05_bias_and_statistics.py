@@ -29,12 +29,14 @@ from emospeaker.stats import (
     relative_improvement,
 )
 
+# removed by cleanup() at the end, or when the interpreter exits on an error
+scratch = tempfile.TemporaryDirectory(prefix="emospeaker_bias_")
 manifest = generate_synthetic_corpus(
     seed=5,
     n_speakers=4,
     emotions=("neutral", "angry", "sad"),
     separation=0.8,
-    out_dir=tempfile.mkdtemp(prefix="emospeaker_bias_"),
+    out_dir=scratch.name,
     frames_range=(16, 22),
     bias_emotions=("angry",),
     bias_boost=2.5,
@@ -86,3 +88,5 @@ print(f"annotation: {note if note else '(none; value is outside the contested ba
 
 chance = cohen_kappa(np.full((4, 4), 25.0))
 print(f"kappa of a uniformly random confusion: {chance:.4f}")
+
+scratch.cleanup()

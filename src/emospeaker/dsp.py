@@ -26,7 +26,7 @@ class DspError(ValueError):
 def frame_signal(samples: np.ndarray, frame_length: int, hop: int) -> np.ndarray:
     """Slice a 1-D signal into overlapping frames, dropping any tail remainder.
 
-    Returns an array of shape (n_frames, frame_length) where
+    Returns a new C-contiguous array of shape (n_frames, frame_length) where
     n_frames = floor((len(samples) - frame_length) / hop) + 1.
     """
     samples = np.asarray(samples, dtype=np.float64)
@@ -38,9 +38,8 @@ def frame_signal(samples: np.ndarray, frame_length: int, hop: int) -> np.ndarray
         raise DspError(
             f"signal of {samples.size} samples shorter than one frame ({frame_length})"
         )
-    n_frames = (samples.size - frame_length) // hop + 1
-    offsets = np.arange(n_frames)[:, None] * hop + np.arange(frame_length)[None, :]
-    return samples[offsets]
+    windows = np.lib.stride_tricks.sliding_window_view(samples, frame_length)
+    return windows[::hop].copy()
 
 
 def hamming_window(length: int) -> np.ndarray:

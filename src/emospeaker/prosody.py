@@ -1,13 +1,20 @@
 """Pitch and energy contour features aggregated over multi-frame blocks.
 
 A small observation stream summarizes prosody: per frame, fundamental
-frequency (normalized-autocorrelation peak picking inside a plausible pitch
-range) and log energy; frames are then grouped into fixed-size blocks and each
-block yields a 4-dimensional vector
+frequency and log energy; frames are then grouped into fixed-size blocks and
+each block yields a 4-dimensional vector
 
     [mean voiced f0, f0 range, mean log energy, voiced fraction]
 
 suitable for a coarser HMM than the spectral stream.
+
+Pitch is picked from the normalized autocorrelation inside a plausible pitch
+range, the autocorrelation method of Rabiner & Schafer, *Digital Processing
+of Speech Signals* (1978), ch. 4. The autocorrelation of every lag comes from
+one power spectrum per frame (the Wiener-Khinchin relation), as in Boersma,
+"Accurate short-term analysis of the fundamental frequency and the
+harmonics-to-noise ratio of a sampled sound", IFA Proc. 17 (1993); a
+waveform's frames go through the FFT a fixed-size slice at a time.
 """
 
 from dataclasses import dataclass
@@ -17,6 +24,11 @@ import numpy as np
 from .dsp import DspError, frame_signal
 
 ENERGY_FLOOR = 1e-10
+
+# Frames per FFT slice of the pitch tracker: bounds the (frames, n_fft)
+# spectrum and correlation temporaries, so the working set does not grow
+# with the length of the utterance.
+_SLICE_FRAMES = 256
 
 
 @dataclass(frozen=True)
@@ -37,41 +49,76 @@ class PitchTrackerConfig:
         return lag_min, lag_max
 
 
+def _autocorrelation_scores(frames: np.ndarray, lags: np.ndarray) -> np.ndarray:
+    """Normalized autocorrelation (frames, lags) of mean-removed frames.
+
+    r(k) = sum_t x_t x_{t+k} for every lag at once from the power spectrum
+    (Wiener-Khinchin): irfft(|rfft(x, n_fft)|^2) with n_fft >= n + the
+    largest lag, so that no lag wraps around. Each r(k) is divided by
+    sqrt(e_head(k) * e_tail(k)), the energies of the two overlapping
+    segments, which keeps the score in [-1, 1]; lags where either segment is
+    silent score 0.
+    """
+    frames = frames - frames.mean(axis=1, keepdims=True)
+    n = frames.shape[1]
+    n_fft = 1 << int(n + lags[-1] - 1).bit_length()
+    spectrum = np.fft.rfft(frames, n=n_fft, axis=1)
+    power = spectrum.real * spectrum.real + spectrum.imag * spectrum.imag
+    corr = np.fft.irfft(power, n=n_fft, axis=1)[:, lags]
+    csum = np.zeros((len(frames), n + 1))
+    np.cumsum(frames * frames, axis=1, out=csum[:, 1:])
+    head = csum[:, n - lags]
+    tail = csum[:, n : n + 1] - csum[:, lags]
+    denom = np.sqrt(head * tail)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(denom > 0.0, corr / denom, 0.0)
+
+
+def _pitch_decisions(
+    score: np.ndarray, lags: np.ndarray, sample_rate: int, voicing_threshold: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(f0, voiced) per row of a (frames, lags) score table.
+
+    A row is voiced when its best score reaches the threshold. Its f0 comes
+    from the shortest lag that is a local peak (at least both neighbours,
+    with -inf beyond the ends) and scores at least 0.9 times the best.
+    """
+    best = score.max(axis=1, keepdims=True)
+    voiced = best[:, 0] >= voicing_threshold
+    padded = np.full((score.shape[0], score.shape[1] + 2), -np.inf)
+    padded[:, 1:-1] = score
+    is_peak = (score >= padded[:, :-2]) & (score >= padded[:, 2:])
+    first = np.argmax(is_peak & (score >= 0.9 * best), axis=1)
+    f0 = np.where(voiced, sample_rate / lags[first].astype(np.float64), 0.0)
+    return f0, voiced
+
+
+def _f0_rows(
+    frames: np.ndarray, sample_rate: int, config: PitchTrackerConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """(f0, voiced) for every row of a (frames, n) array."""
+    lag_min, lag_max = config.lag_bounds(sample_rate, frames.shape[1])
+    lags = np.arange(lag_min, lag_max + 1)
+    score = _autocorrelation_scores(frames, lags)
+    return _pitch_decisions(score, lags, sample_rate, config.voicing_threshold)
+
+
 def estimate_f0(
     frame: np.ndarray, sample_rate: int, config: PitchTrackerConfig = PitchTrackerConfig()
 ) -> tuple[float, bool]:
-    """Estimate (f0_hz, voiced) for one frame.
+    """Estimate (f0_hz, voiced) for one frame: the one-row case of the track.
 
     The normalized autocorrelation r(k) / sqrt(e0 * e_k) is evaluated for lags
     inside the configured pitch range (e_k is the energy of the lag-k-shifted
-    segment, so the score stays in [-1, 1]); the frame is voiced when the best
-    peak reaches the voicing threshold. Among lags scoring within 90% of the
-    best peak the shortest wins, which suppresses period-doubling errors at
-    multiples of the true lag. Unvoiced frames report f0 = 0.
+    segment, so the score stays in [-1, 1]), all lags at once from the
+    frame's power spectrum; the frame is voiced when the best peak reaches
+    the voicing threshold. Among lags scoring within 90% of the best peak the
+    shortest wins, which suppresses period-doubling errors at multiples of
+    the true lag. Unvoiced frames report f0 = 0.
     """
     frame = np.asarray(frame, dtype=np.float64)
-    frame = frame - frame.mean()
-    n = frame.size
-    lag_min, lag_max = config.lag_bounds(sample_rate, n)
-
-    energy = frame * frame
-    csum = np.concatenate([[0.0], np.cumsum(energy)])
-    lags = np.arange(lag_min, lag_max + 1)
-    # r(k) = sum_{t} x_t x_{t+k}; head/tail energies normalize each overlap
-    corr = np.array([np.dot(frame[: n - k], frame[k:]) for k in lags])
-    head = csum[n - lags] - csum[0]
-    tail = csum[n] - csum[lags]
-    denom = np.sqrt(head * tail)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        score = np.where(denom > 0.0, corr / denom, 0.0)
-
-    best = int(np.argmax(score))
-    if score[best] < config.voicing_threshold:
-        return 0.0, False
-    padded = np.concatenate([[-np.inf], score, [-np.inf]])
-    is_peak = (score >= padded[:-2]) & (score >= padded[2:])
-    candidates = np.flatnonzero(is_peak & (score >= 0.9 * score[best]))
-    return sample_rate / float(lags[candidates[0]]), True
+    f0, voiced = _f0_rows(frame[None, :], sample_rate, config)
+    return float(f0[0]), bool(voiced[0])
 
 
 def frame_log_energy(frames: np.ndarray) -> np.ndarray:
@@ -89,15 +136,22 @@ def pitch_energy_track(
     hop_ms: float = 5.0,
     config: PitchTrackerConfig = PitchTrackerConfig(),
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-frame (f0, voiced, log_energy) arrays for a waveform."""
+    """Per-frame (f0, voiced, log_energy) arrays for a waveform.
+
+    Frames are analyzed ``_SLICE_FRAMES`` at a time, so the FFT temporaries
+    stay the same size however long the waveform is.
+    """
     frame_length = int(round(sample_rate * window_ms / 1000.0))
     hop = int(round(sample_rate * hop_ms / 1000.0))
     frames = frame_signal(samples, frame_length, hop)
     f0 = np.empty(len(frames))
     voiced = np.empty(len(frames), dtype=bool)
-    for i, frame in enumerate(frames):
-        f0[i], voiced[i] = estimate_f0(frame, sample_rate, config)
-    return f0, voiced, frame_log_energy(frames)
+    log_energy = np.empty(len(frames))
+    for lo in range(0, len(frames), _SLICE_FRAMES):
+        part = slice(lo, lo + _SLICE_FRAMES)
+        f0[part], voiced[part] = _f0_rows(frames[part], sample_rate, config)
+        log_energy[part] = frame_log_energy(frames[part])
+    return f0, voiced, log_energy
 
 
 def aggregate_blocks(

@@ -241,9 +241,6 @@ class SessionResult:
             matrix[index[trial.record.speaker_id], index[trial.predicted]] += 1
         return matrix
 
-    def emotion_averages(self) -> dict[str, float]:
-        return {e: self.table.emotion_average(e) for e in self.table.emotions}
-
 
 def score_records(
     models: list[SpeakerModel], records: list[UtteranceRecord], loader, alpha: float

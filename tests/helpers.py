@@ -335,3 +335,45 @@ def direct_band_power(power_row, lo: int, hi: int) -> float:
     for b in range(lo, hi + 1):
         total += float(power_row[b])
     return total
+
+
+def looped_scores(frame, sample_rate: int, config):
+    """Normalized autocorrelation per lag, one np.dot per lag: (lags, scores, denominators).
+
+    r(k) = sum_t x_t x_{t+k} over the mean-removed frame, divided by the
+    square root of the energies of its two overlapping segments; 0 where
+    either is silent.
+    """
+    frame = np.asarray(frame, dtype=np.float64)
+    frame = frame - frame.mean()
+    n = frame.size
+    lag_min, lag_max = config.lag_bounds(sample_rate, n)
+
+    energy = frame * frame
+    csum = np.concatenate([[0.0], np.cumsum(energy)])
+    lags = np.arange(lag_min, lag_max + 1)
+    corr = np.array([np.dot(frame[: n - k], frame[k:]) for k in lags])
+    head = csum[n - lags] - csum[0]
+    tail = csum[n] - csum[lags]
+    denom = np.sqrt(head * tail)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        score = np.where(denom > 0.0, corr / denom, 0.0)
+    return lags, score, denom
+
+
+def looped_decision(lags, score, sample_rate: int, voicing_threshold: float):
+    """(f0, voiced) from one frame's scores: the best peak and the shortest near it."""
+    best = int(np.argmax(score))
+    if score[best] < voicing_threshold:
+        return 0.0, False
+    padded = np.concatenate([[-np.inf], score, [-np.inf]])
+    is_peak = (score >= padded[:-2]) & (score >= padded[2:])
+    candidates = np.flatnonzero(is_peak & (score >= 0.9 * score[best]))
+    return sample_rate / float(lags[candidates[0]]), True
+
+
+def looped_f0(frame, sample_rate: int, config):
+    """(f0, voiced) for one frame by the per-lag loop."""
+    lags, score, _ = looped_scores(frame, sample_rate, config)
+    return looped_decision(lags, score, sample_rate, config.voicing_threshold)
+

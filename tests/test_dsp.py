@@ -13,7 +13,7 @@ from emospeaker.dsp import (
     lfpc_sequence,
     power_spectrum,
 )
-from helpers import direct_band_power, naive_frame_slices
+from helpers import direct_band_power, naive_frame_slices, traced_peak
 
 
 class TestFraming:
@@ -44,7 +44,21 @@ class TestFraming:
         assert frames.shape == (expected, frame_length)
         naive = naive_frame_slices(signal, frame_length, hop)
         assert len(naive) == expected
-        assert np.array_equal(frames[-1], naive[-1])
+        assert np.array_equal(frames, np.stack(naive))
+        assert frames.flags.c_contiguous and frames.flags.writeable
+
+    def test_frames_are_a_copy(self):
+        signal = np.arange(10.0)
+        frame_signal(signal, frame_length=4, hop=3)[0, 0] = -1.0
+        assert signal[0] == 0.0
+
+    def test_working_set_is_the_frames(self):
+        # no (n_frames, frame_length) index array beside the frames: 60 s at
+        # 16 kHz gives 43.9 MiB of frames, and int64 offsets as many again
+        signal = np.random.default_rng(4).standard_normal(60 * 16000)
+        frames_bytes = ((signal.size - 480) // 80 + 1) * 480 * 8
+        peak = traced_peak(lambda: frame_signal(signal, 480, 80))
+        assert peak <= 1.1 * frames_bytes
 
     def test_rejects_bad_args(self):
         with pytest.raises(DspError):

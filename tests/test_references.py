@@ -1,7 +1,8 @@
 """The demos and the benchmark only name package attributes that exist.
 
-Neither ``demos/`` nor ``bench/`` runs in this suite, so a renamed or deleted
-public name would break them silently. The scripts are parsed, not run: every
+``bench/`` does not run in this suite, so a renamed or deleted public name
+would break it silently (``demos/`` runs in test_demos.py). Here the scripts
+of both are parsed, not run: every
 name imported from ``emospeaker``, every ``<emospeaker module>.<name>`` read,
 and every ``("emospeaker.<module>", "<attribute path>")`` string pair (the
 benchmark's tracing targets) must resolve.
