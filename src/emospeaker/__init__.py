@@ -18,7 +18,7 @@ from .corpus import (
     write_manifest,
 )
 from .features import FrontEnd, extract_corpus, load_observation, make_loader
-from .hmm import GaussianMixture, HmmModel, baum_welch_train, init_model, log_forward, viterbi
+from .hmm import GaussianMixture, HmmModel, baum_welch_train, init_model, log_forward
 from .protocol import (
     PerformanceTable,
     SessionResult,
@@ -62,6 +62,5 @@ __all__ = [
     "train_population",
     "train_speaker_model",
     "validate_protocol_counts",
-    "viterbi",
     "write_manifest",
 ]

@@ -528,8 +528,16 @@ def generate_synthetic_corpus(
     ``{key}.lfpc.feat`` plus prosodic ``{key}.pros.feat``); with ``audio=True``
     WAV files of summed harmonics plus noise are written instead.
 
-    Deterministic: every random draw is keyed by the seed and the utterance
-    identity, so identical arguments yield byte-identical output files.
+    Deterministic: every random stream is keyed by the seed and what it
+    describes, so identical arguments yield byte-identical output files.
+    ``base`` and each speaker's signatures (features) or voice (audio) are
+    drawn once. Each (speaker, cell), a cell being an (emotion, bias tag)
+    pair, draws its constants once: in feature mode the emotion offset, the
+    speaker x emotion interaction, 3 state offsets and the prosodic emotion
+    offset, which fix the cell's acoustic and prosodic means; in audio mode
+    the emotion factor, which with the speaker's voice fixes the harmonics.
+    Each utterance then draws only from its own ``(seed, "utt", key)``
+    stream.
     """
     if n_speakers < 2:
         raise CorpusError("need at least 2 speakers")
@@ -545,8 +553,7 @@ def generate_synthetic_corpus(
             bias_tags.append((e, tag))
 
     out_dir = Path(out_dir)
-    data_dir = out_dir / ("audio" if audio else "features")
-    data_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / ("audio" if audio else "features")).mkdir(parents=True, exist_ok=True)
 
     base = _derived_rng(seed, "base").normal(30.0, 5.0, n_coefficients)
     speakers = [f"spk{i + 1:02d}" for i in range(n_speakers)]
@@ -554,13 +561,28 @@ def generate_synthetic_corpus(
     records = []
     for si, speaker in enumerate(speakers):
         gender = GENDERS[si % 2]
-        signature = separation * _derived_rng(seed, "spk", speaker).standard_normal(n_coefficients)
-        pros_signature = separation * _derived_rng(seed, "spk", speaker, "pros").standard_normal(4)
+        if audio:
+            spk_rng = _derived_rng(seed, "spk", speaker, "audio")
+            voice = (spk_rng.normal(0.0, 4.0), spk_rng.normal(0.0, 0.2))
+        else:
+            signature = separation * _derived_rng(seed, "spk", speaker).standard_normal(n_coefficients)
+            pros_signature = separation * _derived_rng(seed, "spk", speaker, "pros").standard_normal(4)
         for emotion in emotions:
             cells = [(emotion, UNBIASED)]
             cells.extend((e, tag) for e, tag in bias_tags if e == emotion)
             for cell_emotion, bias_tag in cells:
                 boost = bias_boost if bias_tag != UNBIASED else 1.0
+                if audio:
+                    write = _audio_cell_writer(
+                        seed, out_dir, voice, cell_emotion, separation * boost,
+                        frames_range, sample_rate, window_length, hop,
+                    )
+                else:
+                    write = _feature_cell_writer(
+                        seed, out_dir, speaker, cell_emotion,
+                        base, signature * boost, pros_signature * boost,
+                        n_coefficients, frames_range, block_size, noise_scale,
+                    )
                 for sentence in SENTENCE_IDS:
                     for rep in TRAIN_REPS + TEST_REPS:
                         record = UtteranceRecord(
@@ -573,22 +595,7 @@ def generate_synthetic_corpus(
                             repetition=rep,
                             source="",
                         )
-                        key = record.key
-                        if audio:
-                            rel = f"audio/{key}.wav"
-                            _write_synthetic_audio(
-                                seed, out_dir / rel, speaker, cell_emotion, key,
-                                separation * boost, frames_range, sample_rate,
-                                window_length, hop,
-                            )
-                        else:
-                            rel = f"features/{key}.lfpc.feat"
-                            _write_synthetic_features(
-                                seed, data_dir, key, speaker, cell_emotion,
-                                base, signature * boost, pros_signature * boost,
-                                n_coefficients, frames_range, block_size, noise_scale,
-                            )
-                        records.append(replace(record, source=rel))
+                        records.append(replace(record, source=write(record.key)))
 
     records.sort(key=lambda r: (r.speaker_id, r.bias_tag, EMOTIONS.index(r.emotion),
                                 r.sentence_id, r.repetition))
@@ -611,9 +618,14 @@ def generate_synthetic_corpus(
     return manifest
 
 
-def _write_synthetic_features(seed, data_dir, key, speaker, emotion, base, signature,
-                              pros_signature, n_coefficients, frames_range, block_size,
-                              noise_scale):
+def _feature_cell_writer(seed, out_dir, speaker, emotion, base, signature, pros_signature,
+                         n_coefficients, frames_range, block_size, noise_scale):
+    """Writer of one (speaker, cell)'s feature files: ``write(key)`` -> source path.
+
+    The cell's constants are drawn here, once; ``write`` draws only from the
+    utterance's own stream: frame count, source chain, acoustic noise, then
+    prosodic noise.
+    """
     emotion_offset = _derived_rng(seed, "emo", emotion).normal(0.0, 3.0, n_coefficients)
     interaction = 0.5 * np.linalg.norm(signature) * _derived_rng(
         seed, "inter", speaker, emotion
@@ -623,49 +635,68 @@ def _write_synthetic_features(seed, data_dir, key, speaker, emotion, base, signa
         _derived_rng(seed, "emo", emotion, "state", k).normal(0.0, 2.0, n_coefficients)
         for k in range(n_states)
     ])
-
-    rng = _derived_rng(seed, "utt", key)
-    n_frames = int(rng.integers(frames_range[0], frames_range[1] + 1))
-    # sticky source chain so frames are serially correlated like real speech
-    path = np.empty(n_frames, dtype=int)
-    path[0] = rng.integers(n_states)
-    for t in range(1, n_frames):
-        path[t] = path[t - 1] if rng.random() < 0.7 else rng.integers(n_states)
     mean = base + signature + emotion_offset + interaction
-    acoustic = mean + state_offsets[path] + noise_scale * rng.standard_normal(
-        (n_frames, n_coefficients)
-    )
-    write_feature_file(acoustic, data_dir / f"{key}.lfpc.feat")
-
     pros_emotion = _derived_rng(seed, "emo", emotion, "pros").standard_normal(4)
-    n_blocks = -(-n_frames // block_size)
-    blocks = (
+    pros_mean = (
         _PROSODIC_BASE
         + pros_signature * _PROSODIC_SPEAKER_SCALE
         + pros_emotion * _PROSODIC_EMOTION_SCALE
-        + _PROSODIC_NOISE_SCALE * rng.standard_normal((n_blocks, 4))
     )
-    write_feature_file(_clip_prosodic(blocks), data_dir / f"{key}.pros.feat")
+
+    def write(key):
+        rng = _derived_rng(seed, "utt", key)
+        n_frames = int(rng.integers(frames_range[0], frames_range[1] + 1))
+        # sticky source chain so frames are serially correlated like real speech
+        path = np.empty(n_frames, dtype=int)
+        path[0] = rng.integers(n_states)
+        for t in range(1, n_frames):
+            path[t] = path[t - 1] if rng.random() < 0.7 else rng.integers(n_states)
+        acoustic = mean + state_offsets[path] + noise_scale * rng.standard_normal(
+            (n_frames, n_coefficients)
+        )
+        rel = f"features/{key}.lfpc.feat"
+        write_feature_file(acoustic, out_dir / rel)
+
+        n_blocks = -(-n_frames // block_size)
+        blocks = pros_mean + _PROSODIC_NOISE_SCALE * rng.standard_normal((n_blocks, 4))
+        write_feature_file(_clip_prosodic(blocks), out_dir / f"features/{key}.pros.feat")
+        return rel
+
+    return write
 
 
-def _write_synthetic_audio(seed, path, speaker, emotion, key, separation, frames_range,
-                           sample_rate, window_length, hop):
-    spk_rng = _derived_rng(seed, "spk", speaker, "audio")
-    f0 = float(np.clip(130.0 + separation * spk_rng.normal(0.0, 4.0), 80.0, 320.0))
-    decay = 1.5 + abs(spk_rng.normal(0.0, 0.2)) * (1.0 + separation)
+def _audio_cell_writer(seed, out_dir, voice, emotion, separation, frames_range, sample_rate,
+                       window_length, hop):
+    """Writer of one (speaker, cell)'s WAV files: ``write(key)`` -> source path.
+
+    ``voice`` is the speaker's two draws for f0 and harmonic decay; with the
+    emotion factor they fix the cell's harmonics here, once. ``write`` draws
+    only from the utterance's own stream: frame count, one phase per
+    harmonic, then noise.
+    """
+    f0 = float(np.clip(130.0 + separation * voice[0], 80.0, 320.0))
+    decay = 1.5 + abs(voice[1]) * (1.0 + separation)
     emotion_factor = 1.0 + 0.04 * _derived_rng(seed, "emo", emotion, "audio").standard_normal()
-
-    rng = _derived_rng(seed, "utt", key)
-    n_frames = int(rng.integers(frames_range[0], frames_range[1] + 1))
-    n_samples = window_length + (n_frames - 1) * hop
-    t = np.arange(n_samples) / sample_rate
-    wave_sum = np.zeros(n_samples)
+    harmonics = []  # (amplitude, angular frequency) below Nyquist
     for h in range(1, 9):
         freq = h * f0 * emotion_factor
         if freq >= sample_rate / 2:
             break
-        wave_sum += np.exp(-h / decay) * np.sin(2 * np.pi * freq * t + rng.uniform(0, 2 * np.pi))
-    wave_sum += 0.01 * rng.standard_normal(n_samples)
-    wave_sum *= 0.3 / max(np.max(np.abs(wave_sum)), 1e-9)
-    samples = np.round(wave_sum * 32767.0).astype(np.int16)
-    write_audio(AudioSignal(samples=samples, sample_rate=sample_rate), path)
+        harmonics.append((np.exp(-h / decay), 2 * np.pi * freq))
+
+    def write(key):
+        rng = _derived_rng(seed, "utt", key)
+        n_frames = int(rng.integers(frames_range[0], frames_range[1] + 1))
+        n_samples = window_length + (n_frames - 1) * hop
+        t = np.arange(n_samples) / sample_rate
+        wave_sum = np.zeros(n_samples)
+        for amplitude, omega in harmonics:
+            wave_sum += amplitude * np.sin(omega * t + rng.uniform(0, 2 * np.pi))
+        wave_sum += 0.01 * rng.standard_normal(n_samples)
+        wave_sum *= 0.3 / max(np.max(np.abs(wave_sum)), 1e-9)
+        samples = np.round(wave_sum * 32767.0).astype(np.int16)
+        rel = f"audio/{key}.wav"
+        write_audio(AudioSignal(samples=samples, sample_rate=sample_rate), out_dir / rel)
+        return rel
+
+    return write

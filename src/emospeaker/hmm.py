@@ -5,21 +5,20 @@ sequences never underflow, and a state that a zero transition cuts off stays
 exactly -inf however far apart the emissions are. Log-sum-exp is a private
 plain-numpy max-shift (`_logsumexp`); the package needs numpy only.
 
-Scoring, Viterbi decoding and training share one emission computation: every
-state's mixture is stacked into one (N*M, D) mixture whose component densities
-are computed in a single call and reshaped to a (T, N, M) tensor. Scoring and
-training share one forward and one backward recursion, the only loops over
-frames besides Viterbi's; both take batch axes, and `_padded_emissions` lays
-ragged sequences out for them, padded to the longest. A population is scored in
-one batched pass (`log_forward_table`): its V models stack into one
-(V*N*M, D) mixture, and a group of utterances runs against every model at once,
-each pair with the arithmetic of `log_forward`. Training is multi-sequence
-expectation-maximization with parameter floors; each iteration runs every
-sequence through the recursions in one batched pass per group of whole
-sequences (`_em_groups`), and accumulates its statistics over the real frames
-with one broadcast for the transitions and one matmul per moment.
-Initialization is a deterministic seeded k-means over pooled frames. Models
-serialize to a versioned text format whose floats round-trip exactly.
+Scoring and training share one emission computation: every state's mixture
+is stacked into one (N*M, D) mixture whose component densities are computed in
+a single call and reshaped to a (T, N, M) tensor. They also share one forward
+and one backward recursion, the only loops over frames; both take batch axes,
+and `_padded_emissions` lays ragged sequences out for them, padded to the
+longest. A population is scored in one batched pass (`log_forward_table`): its
+V models stack into one (V*N*M, D) mixture, and a group of utterances runs
+against every model at once, each pair with the arithmetic of `log_forward`.
+Training is multi-sequence expectation-maximization with parameter floors;
+each iteration runs every sequence through the recursions in one batched pass
+per group of whole sequences (`_em_groups`), and accumulates its statistics
+over the real frames with one broadcast for the transitions and one matmul per
+moment. Initialization is a deterministic seeded k-means over pooled frames.
+Models serialize to a versioned text format whose floats round-trip exactly.
 """
 
 import math
@@ -313,26 +312,6 @@ def log_backward(model: HmmModel, obs: np.ndarray) -> np.ndarray:
 
 def log_likelihood(model: HmmModel, obs: np.ndarray) -> float:
     return log_forward(model, obs)[0]
-
-
-def viterbi(model: HmmModel, obs: np.ndarray) -> tuple[np.ndarray, float]:
-    """Most likely state path and its joint log probability."""
-    obs = _check_obs(model, obs)
-    log_b = model.log_emissions(obs)
-    log_pi, log_a = _log_params(model)
-
-    delta = log_pi + log_b[0]
-    back = np.zeros((len(obs), model.n_states), dtype=int)
-    for t in range(1, len(obs)):
-        scores = delta[:, None] + log_a
-        back[t] = np.argmax(scores, axis=0)
-        delta = scores[back[t], np.arange(model.n_states)] + log_b[t]
-
-    path = np.empty(len(obs), dtype=int)
-    path[-1] = int(np.argmax(delta))
-    for t in range(len(obs) - 2, -1, -1):
-        path[t] = back[t + 1][path[t + 1]]
-    return path, float(np.max(delta))
 
 
 # --- initialization ---------------------------------------------------------------

@@ -57,9 +57,13 @@ def _autocorrelation_scores(frames: np.ndarray, lags: np.ndarray) -> np.ndarray:
     largest lag, so that no lag wraps around. Each r(k) is divided by
     sqrt(e_head(k) * e_tail(k)), the energies of the two overlapping
     segments, which keeps the score in [-1, 1]; lags where either segment is
-    silent score 0.
+    silent score 0. A frame whose samples are all equal is set to exact
+    zeros, so it scores 0 even where its computed mean is inexact and
+    subtracting it would leave a tiny constant that correlates at every lag.
     """
+    flat = frames.max(axis=1) == frames.min(axis=1)
     frames = frames - frames.mean(axis=1, keepdims=True)
+    frames[flat] = 0.0
     n = frames.shape[1]
     n_fft = 1 << int(n + lags[-1] - 1).bit_length()
     spectrum = np.fft.rfft(frames, n=n_fft, axis=1)

@@ -48,21 +48,6 @@ def brute_force_log_likelihood(model: HmmModel, obs) -> float:
     return math.log(total)
 
 
-def brute_force_viterbi(model: HmmModel, obs):
-    """Best path by exhaustive enumeration: (path tuple, log joint prob)."""
-    obs = np.atleast_2d(obs)
-    best_path, best_log = None, -math.inf
-    for path in itertools.product(range(model.n_states), repeat=len(obs)):
-        p = model.pi[path[0]]
-        for t in range(1, len(obs)):
-            p *= model.transitions[path[t - 1], path[t]]
-        for t, j in enumerate(path):
-            p *= mixture_density(model.states[j], obs[t])
-        if p > 0 and math.log(p) > best_log:
-            best_path, best_log = path, math.log(p)
-    return best_path, best_log
-
-
 def log_mixture_density(state: GaussianMixture, x) -> float:
     """Log of :func:`mixture_density`, summed per component in the log domain."""
     components = []
@@ -342,10 +327,13 @@ def looped_scores(frame, sample_rate: int, config):
 
     r(k) = sum_t x_t x_{t+k} over the mean-removed frame, divided by the
     square root of the energies of its two overlapping segments; 0 where
-    either is silent.
+    either is silent. A frame of equal samples is mean-removed to zeros.
     """
     frame = np.asarray(frame, dtype=np.float64)
-    frame = frame - frame.mean()
+    if np.all(frame == frame[0]):
+        frame = np.zeros_like(frame)
+    else:
+        frame = frame - frame.mean()
     n = frame.size
     lag_min, lag_max = config.lag_bounds(sample_rate, n)
 

@@ -1,9 +1,12 @@
+import hashlib
 import struct
 import wave
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from emospeaker import corpus
 from emospeaker.corpus import (
     EMOTIONS,
     AudioFormatError,
@@ -504,3 +507,69 @@ class TestSyntheticCorpus:
 
     def test_emotions_in_report_order(self):
         assert EMOTIONS == ("neutral", "angry", "sad", "happy", "disgust", "fear")
+
+
+def tree_digest(root) -> str:
+    """sha256 over (relative path, length, bytes) of every file under root, by path."""
+    h = hashlib.sha256()
+    for path in sorted(p for p in Path(root).rglob("*") if p.is_file()):
+        blob = path.read_bytes()
+        h.update(path.relative_to(root).as_posix().encode() + b"\0")
+        h.update(len(blob).to_bytes(8, "little") + blob)
+    return h.hexdigest()
+
+
+GOLDEN_CORPORA = {
+    "biased": dict(
+        seed=21, n_speakers=2, emotions=("neutral", "angry", "sad"), separation=1.5,
+        frames_range=(8, 12), bias_emotions=("angry", "neutral"), bias_boost=3.0,
+    ),
+    "degenerate": dict(
+        seed=22, n_speakers=2, emotions=EMOTIONS, separation=0.0,
+        n_coefficients=8, frames_range=(1, 3), block_size=2,
+    ),
+    "audio": dict(
+        seed=23, n_speakers=2, emotions=("neutral", "sad"), separation=1.0,
+        frames_range=(4, 8), bias_emotions=("sad",), bias_boost=2.5, audio=True,
+    ),
+}
+
+
+class TestSyntheticDraws:
+    # Digests of every file (manifest.csv included) of three corpora, taken
+    # from the generator that built every per-(speaker, emotion) constant
+    # for each utterance. Any change in what is drawn, from which stream or
+    # in which order, changes them.
+    GOLDEN = {
+        "biased": "aa7a8c050caa1edfac8732595cd9b36cea7a439991b6ecbed9c4e3ad8bcba0f5",
+        "degenerate": "284a375f83e74e28623a502c47e315290d6e5bd6dc84fe070859ec9ddb0335e6",
+        "audio": "5d56a99d35fe7e7caf00ed55c6cab643e63848c7688d5c69c459d8c03d08946a",
+    }
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CORPORA))
+    def test_golden_digest(self, tmp_path, name):
+        generate_synthetic_corpus(out_dir=tmp_path, **GOLDEN_CORPORA[name])
+        assert tree_digest(tmp_path) == self.GOLDEN[name]
+
+    @pytest.mark.parametrize("audio", [False, True])
+    def test_one_stream_per_utterance(self, tmp_path, monkeypatch, audio):
+        # Feature cells draw an emotion offset, an interaction, 3 state
+        # offsets and a prosodic emotion offset; audio cells draw the emotion
+        # factor. Speakers draw their signatures (features) or voice (audio).
+        calls = []
+        derived_rng = corpus._derived_rng
+
+        def counted(seed, *parts):
+            calls.append(parts)
+            return derived_rng(seed, *parts)
+
+        monkeypatch.setattr(corpus, "_derived_rng", counted)
+        manifest = generate_synthetic_corpus(
+            seed=24, n_speakers=2, emotions=("neutral", "angry"), separation=1.0,
+            out_dir=tmp_path, frames_range=(1, 2), bias_emotions=("angry",), audio=audio,
+        )
+        n_cells = 2 * (2 + 1)  # speakers x (emotions + biased sets)
+        per_cell, per_speaker = (1, 1) if audio else (6, 2)
+        assert len(manifest.records) == n_cells * 5 * 15
+        assert sum(parts[0] == "utt" for parts in calls) == len(manifest.records)
+        assert len(calls) == len(manifest.records) + per_cell * n_cells + per_speaker * 2 + 1

@@ -26,12 +26,10 @@ from emospeaker.hmm import (
     model_from_text,
     model_to_text,
     save_model,
-    viterbi,
 )
 from helpers import (
     brute_force_em_step,
     brute_force_log_likelihood,
-    brute_force_viterbi,
     log_domain_backward,
     log_domain_forward,
     looped_kmeans,
@@ -108,7 +106,7 @@ class TestValidation:
         model = random_model(np.random.default_rng(4), 2, 1, 3)
         obs = np.random.default_rng(5).standard_normal((6, 3))
         obs[3, 1] = bad
-        for score in (log_forward, log_backward, viterbi):
+        for score in (log_forward, log_backward):
             with pytest.raises(ModelError, match="non-finite"):
                 score(model, obs)
         with pytest.raises(ModelError, match="non-finite"):
@@ -249,28 +247,6 @@ class TestLogDomainOracle:
         rng = np.random.default_rng(26)
         model = random_model(rng, 4, 3, 2)
         assert_matches_log_domain_oracle(model, rng.normal(0.0, 2.5, (300, 2)))
-
-
-class TestViterbi:
-    def test_matches_brute_force(self):
-        rng = np.random.default_rng(9)
-        for _ in range(20):
-            n = int(rng.integers(1, 4))
-            model = random_model(rng, n, int(rng.integers(1, 3)), 2)
-            obs = rng.standard_normal((int(rng.integers(1, 6)), 2))
-            path, score = viterbi(model, obs)
-            expected_path, expected_score = brute_force_viterbi(model, obs)
-            assert score == pytest.approx(expected_score, rel=1e-10)
-            assert tuple(path) == expected_path
-
-    def test_best_path_never_beats_total(self):
-        rng = np.random.default_rng(10)
-        for _ in range(10):
-            model = random_model(rng, 3, 2, 2)
-            obs = rng.standard_normal((12, 2))
-            _, path_score = viterbi(model, obs)
-            total, _ = log_forward(model, obs)
-            assert path_score <= total + 1e-12
 
 
 class TestInit:

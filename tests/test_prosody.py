@@ -254,17 +254,19 @@ class TestBatchedTrackerMatchesLoop:
         assert not np.any(scores)
         assert estimate_f0(frame, SR) == looped_f0(frame, SR, CONFIG) == (0.0, False)
 
-    def test_constant_frame_with_inexact_mean_reads_a_flat_peak(self):
-        # 0.1 * 480 is not exact in floating point, so removing the mean
-        # leaves a constant of about 1e-17 whose scores are all 1: a flat
-        # peak over the whole lag range. The loop's arithmetic ties it
-        # exactly and picks lag_min (400 Hz); the FFT's rounding may break
-        # the tie at another lag of the plateau. Both call the frame voiced.
-        frame = np.full(FRAME, 0.1)
-        assert looped_f0(frame, SR, CONFIG) == (SR / LAG_MIN, True)
-        f0, voiced = estimate_f0(frame, SR)
-        assert voiced
-        assert SR / LAG_MAX <= f0 <= SR / LAG_MIN
+    @pytest.mark.parametrize("level", [0.1, -0.7, 1.1, 7.77, 1e-3, 3e-5])
+    def test_inexact_constant_frames_are_unvoiced(self, level):
+        # level * 480 is not exact in floating point, so subtracting the
+        # computed mean leaves a tiny constant whose normalized scores would
+        # all be 1: a flat peak read as voiced. Equal samples are zeroed.
+        frame = np.full(FRAME, level)
+        assert np.any(frame - frame.mean())
+        scores = prosody._autocorrelation_scores(frame[None, :], LAGS)
+        assert not np.any(scores)
+        assert estimate_f0(frame, SR) == (0.0, False)
+        assert looped_f0(frame, SR, CONFIG) == (0.0, False)
+        f0, voiced, _ = pitch_energy_track(np.full(2000, level), SR)
+        assert not voiced.any() and not f0.any()
 
     @pytest.mark.parametrize("phase", [0.0, 0.7, 2.0])
     @pytest.mark.parametrize("amplitude", [1.0, 16000.0])
