@@ -28,7 +28,14 @@ from .protocol import (
     run_session,
     train_population,
 )
-from .sphmm import DualObservation, SpeakerModel, Topology, fused_log_score, train_speaker_model
+from .sphmm import (
+    DualObservation,
+    Population,
+    SpeakerModel,
+    Topology,
+    fused_log_score,
+    train_speaker_model,
+)
 
 __version__ = "0.1.0"
 
@@ -42,6 +49,7 @@ __all__ = [
     "HmmModel",
     "ManifestError",
     "PerformanceTable",
+    "Population",
     "SessionResult",
     "SpeakerModel",
     "Topology",

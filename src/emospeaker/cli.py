@@ -38,7 +38,7 @@ from .protocol import (
     run_session,
     train_population,
 )
-from .sphmm import load_speaker_model, save_speaker_model
+from .sphmm import Population, load_speaker_model, save_speaker_model
 from .stats import (
     StatsError,
     cohen_kappa,
@@ -125,7 +125,7 @@ def save_population(models, directory: Path) -> None:
     (directory / "population.txt").write_text(order + "\n", encoding="utf-8")
 
 
-def load_population(directory: Path):
+def load_population(directory: Path) -> Population:
     index = directory / "population.txt"
     if not index.exists():
         raise ModelError(f"no trained population at {directory} (missing population.txt)")
@@ -138,7 +138,7 @@ def load_population(directory: Path):
                 f" {model.speaker_id!r}"
             )
         models.append(model)
-    return models
+    return Population(models)
 
 
 # --- commands ---------------------------------------------------------------------

@@ -147,10 +147,9 @@ class CorpusManifest:
 
     def resolve(self, record: UtteranceRecord) -> Path:
         """Absolute path of a record's source, relative paths anchored at root."""
-        p = Path(record.source)
-        if p.is_absolute() or self.root is None:
-            return p
-        return self.root / p
+        if self.root is None:
+            return Path(record.source)
+        return self.root / record.source  # an absolute source replaces root
 
     def select(self, **criteria) -> list[UtteranceRecord]:
         """Records matching every given field value (e.g. session='test')."""
@@ -398,7 +397,8 @@ class AudioSignal:
 
 def read_audio(path: str | Path) -> AudioSignal:
     """Decode a mono 16-bit PCM WAV file exactly."""
-    path = Path(path)
+    if not isinstance(path, Path):
+        path = Path(path)
     if not path.exists():
         raise AudioFormatError(f"audio file not found: {path}")
     try:
@@ -443,11 +443,13 @@ def write_feature_file(array: np.ndarray, path: str | Path) -> None:
     if array.ndim != 2:
         raise FeatureFileError("feature array must be 2-D (frames x coefficients)")
     header = _FEATURE_HEADER.pack(FEATURE_MAGIC, FEATURE_VERSION, array.shape[0], array.shape[1])
-    Path(path).write_bytes(header + array.tobytes())
+    with open(path, "wb") as fh:
+        fh.write(header + array.tobytes())
 
 
 def read_feature_file(path: str | Path) -> np.ndarray:
-    path = Path(path)
+    if not isinstance(path, Path):
+        path = Path(path)
     try:
         blob = path.read_bytes()
     except FileNotFoundError:

@@ -79,7 +79,8 @@ def prosodic_sibling(acoustic_path: Path) -> Path:
 def read_observation(path: str | Path, front_end: FrontEnd, sample_rate: int) -> DualObservation:
     """Both feature streams of one utterance file: a WAV at ``sample_rate``,
     analyzed by ``front_end``, or a ``*.lfpc.feat`` file and its sibling."""
-    path = Path(path)
+    if not isinstance(path, Path):
+        path = Path(path)
     if path.name.endswith(".wav"):
         signal = read_audio(path)
         if signal.sample_rate != sample_rate:

@@ -5,14 +5,33 @@ sequences never underflow, and a state that a zero transition cuts off stays
 exactly -inf however far apart the emissions are. Log-sum-exp is a private
 plain-numpy max-shift (`_logsumexp`); the package needs numpy only.
 
-Scoring and training share one emission computation: every state's mixture
-is stacked into one (N*M, D) mixture whose component densities are computed in
-a single call and reshaped to a (T, N, M) tensor. They also share one forward
-and one backward recursion, the only loops over frames; both take batch axes,
-and `_padded_emissions` lays ragged sequences out for them, padded to the
-longest. A population is scored in one batched pass (`log_forward_table`): its
-V models stack into one (V*N*M, D) mixture, and a group of utterances runs
-against every model at once, each pair with the arithmetic of `log_forward`.
+Scoring and training share one emission kernel (`_StateTerms`). Each state s
+is shifted by c_s, the precision-weighted mean of its component means (per
+dimension, sum_m mu_m / var_m over sum_m 1 / var_m), and the quadratic form
+of each diagonal component is expanded around that shift:
+
+    log w + log N(x; mu, var) = k - sum_d (x - c_s)^2 / (2 var)
+                                  + sum_d (x - c_s) (mu - c_s) / var,
+
+with k = log w - (D log 2pi + sum_d [log var + (mu - c_s)^2 / var]) / 2
+precomputed once per stack of states, along with c_s, -1/(2 var) and
+(mu - c_s)/var. A slice of frames then costs one centring, (frames, states,
+D), and two `einsum` contractions to (frames, states, M); `einsum` keeps each
+row's arithmetic independent of how many frames or states share the call, so a
+state scores bit for bit the same alone as in a population's stack. The
+rounding error of the expansion is about
+eps * sum_d ((x - c_s)^2 + (mu - c_s)^2) / var: centring keeps it small where
+the variances are tiny against the means, as on prosodic features at the variance floor, and the precision
+weights, which minimize sum_m (mu_m - c_s)^2 / var_m, keep a component pinned
+at the floor (a clipped or constant feature) from paying for its state's broad
+components far away. Two components at the floor far apart in one state would
+still cost about eps * (distance / 2)^2 / var each. Scoring and training also
+share one forward and one backward recursion, the only loops over frames; both
+take batch axes, and `_padded_emissions` lays ragged sequences out for them,
+padded to the longest. A population is scored in one batched pass
+(`log_forward_table`) against an `HmmStack`, which holds its V models' kernel
+terms and log parameters, built once: a group of utterances runs against every
+model at once, each pair with the arithmetic of `log_forward`.
 Training is multi-sequence expectation-maximization with parameter floors;
 each iteration runs every sequence through the recursions in one batched pass
 per group of whole sequences (`_em_groups`), and accumulates its statistics
@@ -22,6 +41,7 @@ Models serialize to a versioned text format whose floats round-trip exactly.
 """
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -33,7 +53,7 @@ VARIANCE_FLOOR = 1e-6
 TRANSITION_FLOOR = 1e-8
 WEIGHT_FLOOR = 1e-8
 
-# Elements of the (frames, components, D) temporary one density call of
+# Elements of the (frames, states, max(D, M)) temporaries one kernel call of
 # _padded_emissions may make: cache-sized slices were fastest, and larger ones
 # raise peak memory without gain.
 _SLICE_ELEMENTS = 1 << 15
@@ -93,14 +113,69 @@ class GaussianMixture:
             raise ModelError("non-finite mixture parameters")
 
     def component_log_pdf(self, obs: np.ndarray) -> np.ndarray:
-        """log(w_m * N(x_t; mu_m, var_m)) for every frame/component: (T, M)."""
+        """log(w_m * N(x_t; mu_m, var_m)) for every frame/component: (T, M).
+
+        The one-state case of the emission kernel (``_StateTerms``).
+        """
         obs = np.atleast_2d(np.asarray(obs, dtype=np.float64))
-        diff = obs[:, None, :] - self.means[None, :, :]
-        quad = np.sum(diff * diff / self.variances[None, :, :], axis=2)
-        log_norm = -0.5 * (self.dim * _LOG_2PI + np.sum(np.log(self.variances), axis=1))
+        return _StateTerms.of([self]).component_log_pdf(obs)[:, 0]
+
+
+@dataclass(frozen=True)
+class _StateTerms:
+    """The emission kernel's precomputed terms for a stack of S mixture states.
+
+    Every state has M components of dimension D. ``shift`` is c_s, the mean
+    of state s's component means weighted by their precisions 1/var, per
+    dimension; the component log density of a frame x is
+    ``constant + sum_d precision * (x - c_s)**2 + sum_d linear * (x - c_s)``
+    (see the module docstring).
+    """
+
+    shift: np.ndarray      # (S, D): c_s
+    precision: np.ndarray  # (S, M, D): -1 / (2 var)
+    linear: np.ndarray     # (S, M, D): (mu - c_s) / var
+    constant: np.ndarray   # (S, M): log w + log_norm - sum_d (mu - c_s)^2 / (2 var)
+
+    @classmethod
+    def of(cls, states: list[GaussianMixture]) -> "_StateTerms":
+        """Terms of these states, in order; they must share (mixtures, dim)."""
+        means = np.stack([s.means for s in states])
+        variances = np.stack([s.variances for s in states])
         with np.errstate(divide="ignore"):
-            log_w = np.log(self.weights)
-        return log_w[None, :] + log_norm[None, :] - 0.5 * quad
+            log_w = np.log(np.stack([s.weights for s in states]))
+        log_norm = -0.5 * (means.shape[2] * _LOG_2PI + np.sum(np.log(variances), axis=2))
+        inverse = np.divide(1.0, variances, out=variances)
+        shift = np.sum(means * inverse, axis=1) / np.sum(inverse, axis=1)
+        offset = np.subtract(means, shift[:, None, :], out=means)
+        linear = offset * inverse
+        quad = np.multiply(offset, linear, out=offset)
+        return cls(
+            shift=shift,
+            precision=np.multiply(inverse, -0.5, out=inverse),
+            linear=linear,
+            constant=log_w + log_norm - 0.5 * np.sum(quad, axis=2),
+        )
+
+    @property
+    def n_states(self) -> int:
+        return self.constant.shape[0]
+
+    @property
+    def n_mixtures(self) -> int:
+        return self.constant.shape[1]
+
+    @property
+    def dim(self) -> int:
+        return self.shift.shape[1]
+
+    def component_log_pdf(self, obs: np.ndarray) -> np.ndarray:
+        """Component log densities of (T, D) frames under every state: (T, S, M)."""
+        centred = obs[:, None, :] - self.shift
+        out = np.einsum("tsd,smd->tsm", centred * centred, self.precision)
+        out += np.einsum("tsd,smd->tsm", centred, self.linear)
+        out += self.constant
+        return out
 
 
 @dataclass
@@ -150,19 +225,34 @@ class HmmModel:
         return _emissions(_stack([self]), (self.n_states,), obs)[1]
 
 
-def _stack(models: list[HmmModel]) -> GaussianMixture:
-    """Every state's components of every model as one (V*N*M, D) mixture.
+def _stack(models: list[HmmModel]) -> _StateTerms:
+    """Kernel terms of every state of every model, model-major then state-major.
 
-    Model-major, then state-major. Its weights sum to V*N, not 1, so it is a
-    density table, never validated. The models must share (states, mixtures,
-    dim).
+    The models must share (states, mixtures, dim).
     """
-    states = [s for model in models for s in model.states]
-    return GaussianMixture(
-        weights=np.concatenate([s.weights for s in states]),
-        means=np.concatenate([s.means for s in states]),
-        variances=np.concatenate([s.variances for s in states]),
-    )
+    return _StateTerms.of([s for model in models for s in model.states])
+
+
+class HmmStack(Sequence):
+    """V models that share (states, mixtures, dim), stacked once for scoring.
+
+    A sequence of the models in their given order, which also holds their
+    kernel terms as one stack of V*N states and their log start and
+    transition probabilities as (V, N) and (V, N, N) arrays. The models must
+    not change after the stack is built.
+    """
+
+    def __init__(self, models: list[HmmModel]):
+        self._models = tuple(models)
+        self.states = (len(self._models), self._models[0].n_states)
+        self.emissions = _stack(self._models)
+        self.log_pi, self.log_a = (np.stack(p) for p in zip(*map(_log_params, self._models)))
+
+    def __getitem__(self, index):
+        return self._models[index]
+
+    def __len__(self) -> int:
+        return len(self._models)
 
 
 def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
@@ -176,13 +266,13 @@ def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _emissions(
-    stacked: GaussianMixture, states: tuple[int, ...], obs: np.ndarray
+    terms: _StateTerms, states: tuple[int, ...], obs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Component log densities (T, *states, M) and their per-state mixtures (T, *states).
 
     ``states`` is (N,) for one model's stack and (V, N) for a population's.
     """
-    comp_log = stacked.component_log_pdf(obs).reshape(len(obs), *states, -1)
+    comp_log = terms.component_log_pdf(obs).reshape(len(obs), *states, terms.n_mixtures)
     with np.errstate(divide="ignore"):
         return comp_log, _logsumexp(comp_log, axis=-1)
 
@@ -196,7 +286,7 @@ def _layout(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _padded_emissions(
-    stacked: GaussianMixture,
+    terms: _StateTerms,
     states: tuple[int, ...],
     frames: np.ndarray,
     lengths: np.ndarray,
@@ -206,19 +296,20 @@ def _padded_emissions(
 
     T is the longest length; padded frames hold 0 and no recursion reads them
     as data. Densities are taken over the concatenated frames in slices of at
-    most ``_SLICE_ELEMENTS`` elements of the (frames, components, D)
-    temporary. With ``components``, the component log densities of the real
-    frames, (F, *states, M) in concatenation order, come back too.
+    most ``_SLICE_ELEMENTS`` elements of each (frames, states, D) and
+    (frames, states, M) temporary. With ``components``, the component log
+    densities of the real frames, (F, *states, M) in concatenation order, come
+    back too.
     """
     owner, position = _layout(lengths)
     log_b = np.zeros((lengths.max(), len(lengths), *states))
     comp_log = None
     if components:
-        comp_log = np.empty((len(frames), *states, stacked.n_components // math.prod(states)))
-    step = max(1, _SLICE_ELEMENTS // (stacked.n_components * stacked.dim))
+        comp_log = np.empty((len(frames), *states, terms.n_mixtures))
+    step = max(1, _SLICE_ELEMENTS // (terms.n_states * max(terms.dim, terms.n_mixtures)))
     for lo in range(0, len(frames), step):
         part = slice(lo, lo + step)
-        comp_part, log_b[position[part], owner[part]] = _emissions(stacked, states, frames[part])
+        comp_part, log_b[position[part], owner[part]] = _emissions(terms, states, frames[part])
         if comp_log is not None:
             comp_log[part] = comp_part
     return log_b, comp_log
@@ -241,14 +332,18 @@ def _check_obs(model: HmmModel, obs: np.ndarray) -> np.ndarray:
     return obs
 
 
-def _forward(log_pi: np.ndarray, log_a: np.ndarray, log_b: np.ndarray) -> np.ndarray:
+def _forward(
+    log_pi: np.ndarray, log_a: np.ndarray, log_b: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """log alpha (T, ..., N) from log parameters and log emissions (T, ..., N).
 
     Batch axes between the frame and state axes run many (sequence, model)
     pairs in one step per frame; log_pi (..., N) and log_a (..., N, N)
     broadcast against them. Each pair's arithmetic is the same as unbatched.
+    ``out`` may be ``log_b`` itself, whose frame t is read before frame t of
+    alpha is written, for a caller that needs no emissions afterwards.
     """
-    log_alpha = np.empty_like(log_b)
+    log_alpha = np.empty_like(log_b) if out is None else out
     log_alpha[0] = log_pi + log_b[0]
     with np.errstate(divide="ignore"):
         for t in range(1, len(log_b)):
@@ -285,22 +380,24 @@ def log_forward(model: HmmModel, obs: np.ndarray) -> tuple[float, np.ndarray]:
     return float(_termination(log_alpha[-1])), log_alpha
 
 
-def log_forward_table(models: list[HmmModel], sequences: list[np.ndarray]) -> np.ndarray:
+def log_forward_table(
+    models: HmmStack | list[HmmModel], sequences: list[np.ndarray]
+) -> np.ndarray:
     """log P(sequence u | model v) for every pair: a (U, V) table.
 
-    One pass for the lot. The models, which must share (states, mixtures,
-    dim), are stacked into one mixture; the sequences, padded to the longest,
-    run through the forward recursion together, and each is read at its own
-    last frame. Every entry equals ``log_forward(models[v], sequences[u])[0]``
-    bit for bit. Memory grows with U * max length * V * N; callers bound it by
-    grouping the sequences.
+    One pass for the lot against the stacked models; a plain list of models,
+    which must share (states, mixtures, dim), is stacked on entry. The
+    sequences, padded to the longest, run through the forward recursion
+    together, and each is read at its own last frame. Every entry equals
+    ``log_forward(models[v], sequences[u])[0]`` bit for bit. Memory grows
+    with U * max length * V * N, one table that holds the emissions and then
+    alpha; callers bound it by grouping the sequences.
     """
-    seqs = [_check_obs(models[0], s) for s in sequences]
+    stack = models if isinstance(models, HmmStack) else HmmStack(models)
+    seqs = [_check_obs(stack[0], s) for s in sequences]
     lengths = np.array([len(s) for s in seqs])
-    states = (len(models), models[0].n_states)
-    log_b, _ = _padded_emissions(_stack(models), states, np.concatenate(seqs), lengths)
-    log_pi, log_a = (np.stack(p) for p in zip(*map(_log_params, models)))
-    log_alpha = _forward(log_pi, log_a, log_b)
+    log_b, _ = _padded_emissions(stack.emissions, stack.states, np.concatenate(seqs), lengths)
+    log_alpha = _forward(stack.log_pi, stack.log_a, log_b, out=log_b)
     return _termination(log_alpha[lengths - 1, np.arange(len(seqs))])
 
 
@@ -489,7 +586,7 @@ def baum_welch_train(
 
     for iteration in range(max_iterations):
         log_pi, log_a = _log_params(model)
-        stacked = _stack([model])
+        terms = _stack([model])
 
         pi_acc = np.zeros(n)
         xi_acc = np.zeros((n, n))
@@ -501,7 +598,7 @@ def baum_welch_train(
         for lo, hi in groups:
             lengths = np.array([len(obs) for obs in obs_list[lo:hi]])
             frames = np.concatenate(obs_list[lo:hi])
-            log_b, comp_log = _padded_emissions(stacked, (n,), frames, lengths, components=True)
+            log_b, comp_log = _padded_emissions(terms, (n,), frames, lengths, components=True)
             log_alpha = _forward(log_pi, log_a, log_b)
             lls = _termination(log_alpha[lengths - 1, np.arange(len(lengths))])
             bad = np.flatnonzero(~np.isfinite(lls))

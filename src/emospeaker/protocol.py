@@ -9,10 +9,14 @@ material for recordings whose content correlates with the speaker
 fused two-stream score over the enrolled population, ties resolved to the
 earliest enrolled speaker.
 
-A session is scored in one batched pass per group of utterances: test
-utterances are loaded in order, in groups of whole utterances that fit a fixed
-memory budget, and each group is scored against every speaker at once
-(``sphmm.fused_log_scores``). ``identify`` is the one-utterance case.
+An enrolled population is a ``sphmm.Population``, which stacks each stream's
+models once: ``train_population`` returns one, cross-validation builds one per
+fold, and ``identify``, ``score_records`` and ``run_session`` take one (a plain
+list of speaker models is built into one on entry). A session is scored in one
+batched pass per group of utterances: test utterances are loaded in order, in
+groups of whole utterances that fit a fixed memory budget, and each group is
+scored against every speaker at once (``sphmm.fused_log_scores``).
+``identify`` is the one-utterance case.
 """
 
 import functools
@@ -31,7 +35,14 @@ from .corpus import (
     normalize_plan,
     plan_cells,
 )
-from .sphmm import SpeakerModel, Topology, fused_log_scores, train_speaker_model
+from .sphmm import (
+    Population,
+    SpeakerModel,
+    Topology,
+    as_population,
+    fused_log_scores,
+    train_speaker_model,
+)
 
 
 # float64 cells one stream of a scoring group may fill (2 MB; see
@@ -101,18 +112,24 @@ def session_test_records(manifest: CorpusManifest, plan: str) -> list[UtteranceR
     return sorted(records, key=_trial_order)
 
 
+def _enrolled(models: Population | list[SpeakerModel]) -> Population:
+    """The population to score against; a list of speaker models is stacked here."""
+    if not models:
+        raise ProtocolError("empty enrolled population")
+    return as_population(models)
+
+
 def identify(
-    models: list[SpeakerModel], obs, alpha: float
+    models: Population | list[SpeakerModel], obs, alpha: float
 ) -> tuple[str, np.ndarray]:
     """Argmax of the fused score over the enrolled population.
 
     Returns (speaker_id, score vector in enrollment order). On an exact score
     tie the earliest enrolled speaker wins (np.argmax picks the first maximum).
     """
-    if not models:
-        raise ProtocolError("empty enrolled population")
-    scores = fused_log_scores(models, [obs], alpha)[0]
-    return models[int(np.argmax(scores))].speaker_id, scores
+    population = _enrolled(models)
+    scores = fused_log_scores(population, [obs], alpha)[0]
+    return population[int(np.argmax(scores))].speaker_id, scores
 
 
 def train_population(
@@ -126,7 +143,7 @@ def train_population(
     tolerance: float = 1e-4,
     allow_partial: bool = False,
     training_sets: dict[str, list[UtteranceRecord]] | None = None,
-) -> list[SpeakerModel]:
+) -> Population:
     """Enroll every speaker of the manifest under one plan.
 
     Speakers are enrolled in sorted id order and share a uniform prior 1/V.
@@ -156,7 +173,7 @@ def train_population(
             tolerance=tolerance,
         )
         models.append(result.model)
-    return models
+    return Population(models)
 
 
 @dataclass
@@ -243,24 +260,24 @@ class SessionResult:
 
 
 def score_records(
-    models: list[SpeakerModel], records: list[UtteranceRecord], loader, alpha: float
+    models: Population | list[SpeakerModel], records: list[UtteranceRecord], loader, alpha: float
 ) -> list[Trial]:
     """Identify every record, in order, scoring whole groups of utterances at once.
 
     Records are loaded in order and scored a group at a time, so neither the
     session's observations nor its score tables are ever held whole.
     """
-    if not models:
-        raise ProtocolError("empty enrolled population")
+    population = _enrolled(models)
     trials = []
-    for group, observations in _scoring_groups(models, records, loader):
-        scores = fused_log_scores(models, observations, alpha)
+    for group, observations in _scoring_groups(population, records, loader):
+        scores = fused_log_scores(population, observations, alpha)
         for record, row in zip(group, scores):
-            trials.append(Trial(record=record, predicted=models[int(np.argmax(row))].speaker_id))
+            predicted = population[int(np.argmax(row))].speaker_id
+            trials.append(Trial(record=record, predicted=predicted))
     return trials
 
 
-def _scoring_groups(models: list[SpeakerModel], records: list[UtteranceRecord], loader):
+def _scoring_groups(models: Population, records: list[UtteranceRecord], loader):
     """Consecutive (records, observations) groups that fit the scoring budget.
 
     In each stream a group of U utterances, the longest T frames, costs
@@ -290,7 +307,8 @@ def _scoring_groups(models: list[SpeakerModel], records: list[UtteranceRecord], 
 
 
 def _score_session(
-    models: list[SpeakerModel], records: list[UtteranceRecord], loader, plan: str, alpha: float
+    models: Population | list[SpeakerModel], records: list[UtteranceRecord], loader, plan: str,
+    alpha: float,
 ) -> SessionResult:
     trials = score_records(models, records, loader, alpha)
     return SessionResult(
@@ -303,7 +321,7 @@ def _score_session(
 
 
 def run_session(
-    models: list[SpeakerModel],
+    models: Population | list[SpeakerModel],
     manifest: CorpusManifest,
     loader,
     plan: str,
@@ -404,7 +422,8 @@ def cross_validate(
 
     Folds pool both session halves (all 15 repetitions per cell), so the
     estimate is independent of the fixed 9/6 session split. Each record is
-    loaded once per call and its observation reused by every fold.
+    loaded once per call and its observation reused by every fold; each fold's
+    population is stacked once and scores the whole held-out slice.
     """
     plan = normalize_plan(plan)
     loader = functools.cache(loader)

@@ -14,9 +14,16 @@ sets the prosodic weight: 0 reduces exactly to the spectral-only classifier,
 1 to the prosodic-only one. ``fused_log_scores`` computes it for a group of
 utterances against the whole population in one batched pass per stream;
 ``fused_log_score`` is its one-pair case.
+
+An enrolled population is a :class:`Population`: its speakers' models in
+enrollment order, with each stream's models stacked for scoring
+(``hmm.HmmStack``) when the population is built, not on every scoring call.
+Building it rejects an empty population and speakers that disagree on a
+stream's (states, mixtures, dim).
 """
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,6 +32,7 @@ import numpy as np
 from .corpus import derive_seed
 from .hmm import (
     HmmModel,
+    HmmStack,
     ModelError,
     ModelFormatError,
     TrainingResult,
@@ -84,33 +92,69 @@ class SpeakerModel:
             raise ModelError(f"log prior must be finite and <= 0, got {self.log_prior}")
 
 
+class Population(Sequence):
+    """The enrolled speakers' models, in enrollment order, stacked once for scoring.
+
+    A sequence of :class:`SpeakerModel`. ``acoustic`` and ``prosodic`` are
+    each stream's models as one ``HmmStack``, and ``log_priors`` holds the
+    speakers' log priors. Every speaker must share each stream's (states,
+    mixtures, dim), and the models must not change after the population is
+    built.
+    """
+
+    def __init__(self, models: list[SpeakerModel]):
+        self._models = tuple(models)
+        if not self._models:
+            raise ModelError("empty enrolled population")
+        first = self._models[0]
+        for stream in ("acoustic", "prosodic"):
+            want = _shape(getattr(first, stream))
+            for model in self._models:
+                got = _shape(getattr(model, stream))
+                if got != want:
+                    raise ModelError(
+                        f"speaker {model.speaker_id!r}: {stream} model is {got} (states,"
+                        f" mixtures, dim) where speaker {first.speaker_id!r} has {want};"
+                        " an enrolled population shares one topology"
+                    )
+        self.acoustic = HmmStack([m.acoustic for m in self._models])
+        self.prosodic = HmmStack([m.prosodic for m in self._models])
+        self.log_priors = np.array([m.log_prior for m in self._models])
+
+    def __getitem__(self, index):
+        return self._models[index]
+
+    def __len__(self) -> int:
+        return len(self._models)
+
+
+def as_population(models: Population | list[SpeakerModel]) -> Population:
+    """``models`` itself if it is a Population, else a Population built from it."""
+    return models if isinstance(models, Population) else Population(models)
+
+
 def fused_log_scores(
-    models: list[SpeakerModel], observations: list[DualObservation], alpha: float
+    models: Population | list[SpeakerModel], observations: list[DualObservation], alpha: float
 ) -> np.ndarray:
     """Fused scores of every utterance against every speaker: a (U, V) table.
 
     Each stream with a nonzero weight is scored in one batched pass
-    (``log_forward_table``); a stream whose weight is 0 is not scored and
-    contributes 0.0, so alpha 0 and 1 give exactly the single-stream
-    posterior. Every speaker must share each stream's (states, mixtures, dim).
+    (``log_forward_table``) against the population's stack of that stream; a
+    stream whose weight is 0 is not scored and contributes 0.0, so alpha 0
+    and 1 give exactly the single-stream posterior. A plain list of speaker
+    models is built into a :class:`Population` on entry.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ModelError(f"alpha must lie in [0, 1], got {alpha}")
-    lp = np.array([m.log_prior for m in models])
+    population = as_population(models)
     fused = []
     for stream, weight in (("acoustic", 1.0 - alpha), ("prosodic", alpha)):
         if weight == 0.0:
             fused.append(0.0)
             continue
-        hmms = [getattr(m, stream) for m in models]
-        for model, hmm in zip(models, hmms):
-            if _shape(hmm) != _shape(hmms[0]):
-                raise ModelError(
-                    f"speaker {model.speaker_id!r}: {stream} model is {_shape(hmm)} (states,"
-                    f" mixtures, dim) where speaker {models[0].speaker_id!r} has {_shape(hmms[0])};"
-                    " an enrolled population shares one topology"
-                )
-        fused.append(log_forward_table(hmms, [getattr(o, stream) for o in observations]) + lp)
+        sequences = [getattr(o, stream) for o in observations]
+        table = log_forward_table(getattr(population, stream), sequences)
+        fused.append(table + population.log_priors)
     return (1.0 - alpha) * fused[0] + alpha * fused[1]
 
 

@@ -29,6 +29,21 @@ def component_densities(state: GaussianMixture, x) -> list[float]:
     return densities
 
 
+def direct_component_log_pdf(state: GaussianMixture, obs) -> np.ndarray:
+    """log(w_m * N(x_t; mu_m, var_m)) from the quadratic form sum_d (x - mu)^2 / var: (T, M).
+
+    The direct formula, with a (T, M, D) temporary, that the package's
+    expanded, centred emission kernel replaces.
+    """
+    obs = np.atleast_2d(np.asarray(obs, dtype=np.float64))
+    diff = obs[:, None, :] - state.means[None, :, :]
+    quad = np.sum(diff * diff / state.variances[None, :, :], axis=2)
+    log_norm = -0.5 * (state.dim * math.log(2.0 * math.pi) + np.sum(np.log(state.variances), axis=1))
+    with np.errstate(divide="ignore"):
+        log_w = np.log(state.weights)
+    return log_w[None, :] + log_norm[None, :] - 0.5 * quad
+
+
 def mixture_density(state: GaussianMixture, x) -> float:
     """Plain probability-domain diagonal-Gaussian mixture density."""
     return sum(component_densities(state, x))

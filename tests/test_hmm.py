@@ -30,8 +30,10 @@ from emospeaker.hmm import (
 from helpers import (
     brute_force_em_step,
     brute_force_log_likelihood,
+    direct_component_log_pdf,
     log_domain_backward,
     log_domain_forward,
+    log_mixture_density,
     looped_kmeans,
     mixture_density,
     per_sequence_baum_welch,
@@ -122,6 +124,91 @@ class TestEmissions:
             x = rng.standard_normal(3)
             expected = np.log(mixture_density(state, x))
             assert model.log_emissions(x[None, :])[0, 0] == pytest.approx(expected, rel=1e-12)
+
+    @staticmethod
+    def assert_close(got, want, rtol):
+        assert np.all(np.abs(got - want) <= rtol * np.maximum(1.0, np.abs(want)))
+
+    def test_kernel_matches_direct_formula(self):
+        rng = np.random.default_rng(33)
+        for _ in range(30):
+            n, m, d = (int(k) for k in rng.integers(1, 6, size=3))
+            model = random_model(rng, n, m, d)
+            obs = rng.normal(0.0, 3.0, (int(rng.integers(1, 40)), d))
+            for state in model.states:
+                self.assert_close(
+                    state.component_log_pdf(obs), direct_component_log_pdf(state, obs), 1e-12
+                )
+
+    @staticmethod
+    def wav_shaped_prosodic_model(rng) -> HmmModel:
+        """3x2 over (mean f0, f0 range, log energy, voiced fraction) as trained on
+        synthetic WAV speech: f0 near 115 Hz, range 0 and voicing 1 constant, so
+        those variances sit at the 1e-6 floor."""
+        states = []
+        for _ in range(3):
+            means = np.empty((2, 4))
+            means[:, 0] = 115.3 + rng.normal(0.0, 1e-3, 2)
+            means[:, 1] = 0.0
+            means[:, 2] = rng.uniform(72.0, 74.0, 2)
+            means[:, 3] = 1.0
+            variances = np.full((2, 4), 1e-6)
+            variances[:, 2] = rng.uniform(0.17, 0.49, 2)
+            states.append(GaussianMixture(rng.dirichlet(np.ones(2)), means, variances))
+        transitions = np.stack([rng.dirichlet(np.ones(3)) for _ in range(3)])
+        model = HmmModel(rng.dirichlet(np.ones(3)), transitions, states)
+        model.validate()
+        return model
+
+    @pytest.mark.parametrize("f0", [115.3, 139.7])
+    def test_kernel_at_variance_floor_far_from_origin(self, f0):
+        # the speaker's own voice (115.3 Hz) and another's (139.7 Hz); without the
+        # per-state shift the expansion is off by about 2e-6 nats a frame here
+        rng = np.random.default_rng(34)
+        model = self.wav_shaped_prosodic_model(rng)
+        obs = np.column_stack([
+            np.full(12, f0), np.zeros(12), rng.normal(73.0, 0.5, 12), np.ones(12)
+        ])
+        want = np.array([[log_mixture_density(s, x) for s in model.states] for x in obs])
+        self.assert_close(model.log_emissions(obs), want, 1e-9)
+        ll, _ = log_forward(model, obs)
+        self.assert_close(ll, log_domain_forward(model, obs)[0], 1e-9)
+
+    def test_kernel_with_one_component_at_the_floor(self):
+        # a prosodic state trained on synthetic blocks, one of whose components
+        # holds the blocks clipped to f0 = 75 Hz at the 1e-6 variance floor, the
+        # other the voiced ones near 115 Hz; scored on two clipped blocks. Shifted
+        # by the plain mean of its means (95 Hz), its log-likelihood was off by
+        # 1e-8 relative; the precision-weighted shift sits at the clipped mean.
+        state = GaussianMixture(
+            weights=[0.85929233, 0.14070767],
+            means=[[75.0, 55.69730978, -20.24296955, 0.45069946],
+                   [114.86418833, 43.39402019, -25.75191681, 0.62612365]],
+            variances=[[1e-6, 2.6335868, 1.10690701, 1.40896705e-3],
+                       [1.31231124, 0.864164517, 0.502285281, 1.40944766e-3]],
+        )
+        model = HmmModel([1.0], [[1.0]], [state])
+        obs = np.array([[75.0, 53.35580345, -21.36630989, 0.4117448],
+                        [75.0, 54.91713625, -19.1654557, 0.42523499]])
+        self.assert_close(state.component_log_pdf(obs), direct_component_log_pdf(state, obs), 1e-12)
+        self.assert_close(log_forward(model, obs)[0], log_domain_forward(model, obs)[0], 1e-12)
+
+    def test_state_alone_equals_its_slice_of_the_stack(self):
+        # a state scores bit for bit the same on its own as among a population's
+        # stacked states, for one frame or many at a time
+        rng = np.random.default_rng(35)
+        for _ in range(10):
+            n, m, d = (int(k) for k in rng.integers(1, 6, size=3))
+            models = [random_model(rng, n, m, d) for _ in range(int(rng.integers(1, 5)))]
+            obs = rng.normal(0.0, 3.0, (int(rng.integers(2, 60)), d))
+            terms = hmm._stack(models)
+            stacked = terms.component_log_pdf(obs).reshape(len(obs), len(models), n, m)
+            for v, model in enumerate(models):
+                for j, state in enumerate(model.states):
+                    assert np.array_equal(state.component_log_pdf(obs), stacked[:, v, j])
+                    for t in (0, len(obs) - 1):
+                        one = state.component_log_pdf(obs[t : t + 1])
+                        assert np.array_equal(one, stacked[t : t + 1, v, j])
 
 
 class TestForward:

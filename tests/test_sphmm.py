@@ -1,4 +1,6 @@
 import math
+from collections.abc import Sequence
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from emospeaker.hmm import ModelError, ModelFormatError, log_forward
 from emospeaker.sphmm import (
     DualObservation,
+    Population,
     SpeakerModel,
     Topology,
     fused_log_score,
@@ -143,6 +146,44 @@ class TestFusion:
                 prosodic=model.prosodic,
                 log_prior=0.1,
             ).validate()
+
+
+class TestPopulation:
+    """A population is the enrolled speakers in order, each stream stacked once."""
+
+    def models(self, seed, n=3):
+        rng = np.random.default_rng(seed)
+        return [
+            SpeakerModel(f"spk{i:02d}", random_model(rng, 2, 2, 3), random_model(rng, 3, 1, 2),
+                         math.log(1 / n))
+            for i in range(1, n + 1)
+        ]
+
+    def test_sequence_of_speaker_models_in_enrollment_order(self):
+        # what callers outside the package rely on: iterate, index, read fields
+        models = self.models(36)
+        population = Population(models)
+        assert isinstance(population, Sequence)
+        assert len(population) == 3
+        assert all(a is b for a, b in zip(population, models, strict=True))
+        assert population[-1] is models[-1]
+        assert [m.speaker_id for m in population[1:]] == ["spk02", "spk03"]
+        for v, model in enumerate(models):
+            assert population.acoustic[v] is model.acoustic
+            assert population.prosodic[v] is model.prosodic
+        assert np.array_equal(population.log_priors, [m.log_prior for m in models])
+
+    def test_empty_rejected(self):
+        with pytest.raises(ModelError, match="empty enrolled population"):
+            Population([])
+
+    @pytest.mark.parametrize("stream", ["acoustic", "prosodic"])
+    def test_mixed_shapes_rejected_when_built(self, stream):
+        models = self.models(37)
+        other = random_model(np.random.default_rng(38), 4, 1, getattr(models[0], stream).dim)
+        models[1] = replace(models[1], **{stream: other})
+        with pytest.raises(ModelError, match=f"speaker 'spk02': {stream} model is \\(4, 1, "):
+            Population(models)
 
 
 class TestTraining:
