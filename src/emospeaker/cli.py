@@ -247,11 +247,18 @@ def read_performance_csv(path: Path) -> dict[str, float]:
     if not lines or lines[0] != "Emotion,Males(%),Females(%),Average(%)":
         raise CorpusError(f"{path}: not a performance report")
     averages = {}
-    for line in lines[1:]:
-        emotion, _, _, avg = line.split(",")
+    for number, line in enumerate(lines[1:], start=2):
+        fields = line.split(",")
+        if len(fields) != 4:
+            raise CorpusError(f"{path}: line {number}: {len(fields)} fields, expected 4")
+        emotion, avg = fields[0], fields[3]
         if emotion == "average":
             continue
-        averages[emotion] = float(avg)
+        try:
+            averages[emotion] = float(avg)
+        except ValueError:
+            message = f"{path}: line {number}: Average(%) {avg!r} is not a number"
+            raise CorpusError(message) from None
     return averages
 
 

@@ -197,11 +197,3 @@ def build_config(file_path: str | Path | None = None, overrides: dict | None = N
     config.validate()
     return config
 
-
-def dump_config(config: RunConfig) -> str:
-    """Render every key, suitable for rereading with :func:`load_config_file`."""
-    lines = []
-    for f in fields(RunConfig):
-        value = getattr(config, f.name)
-        lines.append(f"{f.name} = {str(value)}")
-    return "\n".join(lines) + "\n"

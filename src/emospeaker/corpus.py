@@ -151,13 +151,6 @@ class CorpusManifest:
             return Path(record.source)
         return self.root / record.source  # an absolute source replaces root
 
-    def select(self, **criteria) -> list[UtteranceRecord]:
-        """Records matching every given field value (e.g. session='test')."""
-        out = self.records
-        for name, value in criteria.items():
-            out = [r for r in out if getattr(r, name) == value]
-        return out
-
 
 def load_manifest(path: str | Path) -> CorpusManifest:
     """Parse a manifest file, rejecting malformed rows with line-numbered errors."""

@@ -82,11 +82,6 @@ class LogFilterbank:
     def n_bands(self) -> int:
         return len(self.bin_lo)
 
-    def band_masks(self) -> np.ndarray:
-        """Boolean matrix (n_bands, n_bins): True where a bin belongs to a band."""
-        bins = np.arange(self.n_fft // 2 + 1)
-        return (bins >= self.bin_lo[:, None]) & (bins <= self.bin_hi[:, None])
-
 
 def build_log_filterbank(
     sample_rate: int,

@@ -34,14 +34,17 @@ terms and log parameters, built once: a group of utterances runs against every
 model at once, each pair with the arithmetic of `log_forward`.
 Training is multi-sequence expectation-maximization with parameter floors;
 each iteration runs every sequence through the recursions in one batched pass
-per group of whole sequences (`_em_groups`), and accumulates its statistics
-over the real frames with one broadcast for the transitions and one matmul per
-moment. Initialization is a deterministic seeded k-means over pooled frames.
-Models serialize to a versioned text format whose floats round-trip exactly.
+per group of whole sequences, and accumulates its statistics over the real
+frames with one broadcast for the transitions and one matmul per moment.
+Training and scoring form their groups by one rule (`batch_groups`), which
+keeps every batched pass within one budget of table cells. Initialization is
+a deterministic seeded k-means over pooled frames. Models serialize to a
+versioned text format whose floats round-trip exactly.
 """
 
 import math
-from collections.abc import Sequence
+import operator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -58,9 +61,10 @@ WEIGHT_FLOOR = 1e-8
 # raise peak memory without gain.
 _SLICE_ELEMENTS = 1 << 15
 
-# Cells of the tables one EM group of sequences may fill (_em_groups), so that
-# training's peak memory does not grow with the number of sequences.
-_EM_GROUP_CELLS = 1 << 18
+# float64 cells (2 MB) the tables of one batched pass may fill (batch_groups),
+# so that the peak memory of training and of scoring does not grow with the
+# number of sequences.
+_GROUP_CELLS = 1 << 18
 
 
 class ModelError(ValueError):
@@ -380,20 +384,16 @@ def log_forward(model: HmmModel, obs: np.ndarray) -> tuple[float, np.ndarray]:
     return float(_termination(log_alpha[-1])), log_alpha
 
 
-def log_forward_table(
-    models: HmmStack | list[HmmModel], sequences: list[np.ndarray]
-) -> np.ndarray:
+def log_forward_table(stack: HmmStack, sequences: list[np.ndarray]) -> np.ndarray:
     """log P(sequence u | model v) for every pair: a (U, V) table.
 
-    One pass for the lot against the stacked models; a plain list of models,
-    which must share (states, mixtures, dim), is stacked on entry. The
-    sequences, padded to the longest, run through the forward recursion
-    together, and each is read at its own last frame. Every entry equals
-    ``log_forward(models[v], sequences[u])[0]`` bit for bit. Memory grows
+    One pass for the lot against the stacked models. The sequences, padded
+    to the longest, run through the forward recursion together, and each is
+    read at its own last frame. Every entry equals
+    ``log_forward(stack[v], sequences[u])[0]`` bit for bit. Memory grows
     with U * max length * V * N, one table that holds the emissions and then
-    alpha; callers bound it by grouping the sequences.
+    alpha; callers bound it by grouping the sequences (``batch_groups``).
     """
-    stack = models if isinstance(models, HmmStack) else HmmStack(models)
     seqs = [_check_obs(stack[0], s) for s in sequences]
     lengths = np.array([len(s) for s in seqs])
     log_b, _ = _padded_emissions(stack.emissions, stack.states, np.concatenate(seqs), lengths)
@@ -580,7 +580,9 @@ def baum_welch_train(
         raise TrainingError("no training sequences")
 
     n, m, d = model.n_states, model.n_mixtures, model.dim
-    groups = _em_groups([len(obs) for obs in obs_list], n * (m + n) + d)
+    # a frame's component responsibilities and transition posteriors outweigh
+    # its emission, forward and backward cells; d counts the frame itself
+    groups = list(batch_groups(obs_list, lambda obs: (len(obs),), (n * (m + n) + d,)))
     history: list[float] = []
     converged = False
 
@@ -595,9 +597,10 @@ def baum_welch_train(
         sq_acc = np.zeros((n, m, d))
         total_ll = 0.0
 
-        for lo, hi in groups:
-            lengths = np.array([len(obs) for obs in obs_list[lo:hi]])
-            frames = np.concatenate(obs_list[lo:hi])
+        first = 0  # index of the group's first sequence
+        for group in groups:
+            lengths = np.array([len(obs) for obs in group])
+            frames = np.concatenate(group)
             log_b, comp_log = _padded_emissions(terms, (n,), frames, lengths, components=True)
             log_alpha = _forward(log_pi, log_a, log_b)
             lls = _termination(log_alpha[lengths - 1, np.arange(len(lengths))])
@@ -605,7 +608,7 @@ def baum_welch_train(
             if len(bad):
                 k = bad[0]
                 raise TrainingError(
-                    f"sequence {lo + k}: non-finite log-likelihood {float(lls[k])} "
+                    f"sequence {first + k}: non-finite log-likelihood {float(lls[k])} "
                     f"(length {lengths[k]}) at iteration {iteration}"
                 )
             # the same left-to-right sum as adding one sequence at a time
@@ -630,6 +633,7 @@ def baum_welch_train(
             resp = resp.reshape(len(frames), n * m)
             mean_acc += (resp.T @ frames).reshape(n, m, d)
             sq_acc += (resp.T @ (frames * frames)).reshape(n, m, d)
+            first += len(group)
 
         history.append(total_ll)
         if on_iteration is not None:
@@ -648,23 +652,29 @@ def baum_welch_train(
     return TrainingResult(model=model, log_likelihoods=history, converged=converged)
 
 
-def _em_groups(lengths: list[int], frame_cells: int) -> list[tuple[int, int]]:
-    """Consecutive [lo, hi) runs of whole sequences that fit ``_EM_GROUP_CELLS``.
+def batch_groups(
+    items: Iterable, rows: Callable[[object], tuple[int, ...]], row_cells: tuple[int, ...]
+) -> Iterator[list]:
+    """Consecutive runs of whole items, in order, whose batched pass fits ``_GROUP_CELLS``.
 
-    A group of S sequences, the longest T frames, costs S * T * frame_cells,
-    where frame_cells = N * (M + N) + D counts a frame's component
-    responsibilities and transition posteriors, which outweigh its emission,
-    forward and backward cells, and the frame itself. A sequence that alone
-    exceeds the budget is a group of its own.
+    In stream k of the pass an item spans ``rows(item)[k]`` rows of
+    ``row_cells[k]`` cells each, and every item of a run is padded to the
+    run's longest, so a run of U items costs
+    U * max_k(longest rows in stream k * row_cells[k]). An item that alone
+    exceeds the budget is a run of its own. ``items`` is read one run at a
+    time, so a lazy iterable is never held whole.
     """
-    groups, lo, longest = [], 0, 0
-    for hi, length in enumerate(lengths):
-        longest = max(longest, length)
-        if hi > lo and (hi - lo + 1) * longest * frame_cells > _EM_GROUP_CELLS:
-            groups.append((lo, hi))
-            lo, longest = hi, length
-    groups.append((lo, len(lengths)))
-    return groups
+    run, longest = [], ()
+    for item in items:
+        size = rows(item)
+        grown = tuple(map(max, longest, size)) if run else size
+        if run and (len(run) + 1) * max(map(operator.mul, grown, row_cells)) > _GROUP_CELLS:
+            yield run
+            run, grown = [], size
+        run.append(item)
+        longest = grown
+    if run:
+        yield run
 
 
 def _reestimate(

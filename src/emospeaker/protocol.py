@@ -11,12 +11,12 @@ earliest enrolled speaker.
 
 An enrolled population is a ``sphmm.Population``, which stacks each stream's
 models once: ``train_population`` returns one, cross-validation builds one per
-fold, and ``identify``, ``score_records`` and ``run_session`` take one (a plain
-list of speaker models is built into one on entry). A session is scored in one
-batched pass per group of utterances: test utterances are loaded in order, in
-groups of whole utterances that fit a fixed memory budget, and each group is
-scored against every speaker at once (``sphmm.fused_log_scores``).
-``identify`` is the one-utterance case.
+fold, and ``identify``, ``score_session`` and ``run_session`` take one and
+nothing else. ``score_session`` is the one session scorer, which both
+``run_session`` and ``cross_validate`` use: test utterances are loaded in
+order, in groups of whole utterances that fit one memory budget
+(``hmm.batch_groups``), and each group is scored against every speaker at once
+(``sphmm.fused_log_scores``). ``identify`` is the one-utterance case.
 """
 
 import functools
@@ -35,20 +35,8 @@ from .corpus import (
     normalize_plan,
     plan_cells,
 )
-from .sphmm import (
-    Population,
-    SpeakerModel,
-    Topology,
-    as_population,
-    fused_log_scores,
-    train_speaker_model,
-)
-
-
-# float64 cells one stream of a scoring group may fill (2 MB; see
-# _scoring_groups), so a session's peak memory stays flat however many
-# trials it has.
-_GROUP_CELLS = 1 << 18
+from .hmm import batch_groups
+from .sphmm import Population, Topology, fused_log_scores, train_speaker_model
 
 
 class ProtocolError(CorpusError):
@@ -112,22 +100,12 @@ def session_test_records(manifest: CorpusManifest, plan: str) -> list[UtteranceR
     return sorted(records, key=_trial_order)
 
 
-def _enrolled(models: Population | list[SpeakerModel]) -> Population:
-    """The population to score against; a list of speaker models is stacked here."""
-    if not models:
-        raise ProtocolError("empty enrolled population")
-    return as_population(models)
-
-
-def identify(
-    models: Population | list[SpeakerModel], obs, alpha: float
-) -> tuple[str, np.ndarray]:
+def identify(population: Population, obs, alpha: float) -> tuple[str, np.ndarray]:
     """Argmax of the fused score over the enrolled population.
 
     Returns (speaker_id, score vector in enrollment order). On an exact score
     tie the earliest enrolled speaker wins (np.argmax picks the first maximum).
     """
-    population = _enrolled(models)
     scores = fused_log_scores(population, [obs], alpha)[0]
     return population[int(np.argmax(scores))].speaker_id, scores
 
@@ -259,80 +237,49 @@ class SessionResult:
         return matrix
 
 
-def score_records(
-    models: Population | list[SpeakerModel], records: list[UtteranceRecord], loader, alpha: float
-) -> list[Trial]:
+def score_session(
+    population: Population, records: list[UtteranceRecord], loader, plan: str, alpha: float
+) -> SessionResult:
     """Identify every record, in order, scoring whole groups of utterances at once.
 
     Records are loaded in order and scored a group at a time, so neither the
-    session's observations nor its score tables are ever held whole.
+    session's observations nor its score tables are ever held whole. In each
+    stream an utterance of T frames spans max(T, N) rows of V * N + D cells
+    for V speakers of N states and D-dimensional frames: the padded emission
+    and forward tables, the frames themselves and the recursion's per-frame
+    step (``hmm.batch_groups``).
     """
-    population = _enrolled(models)
+    streams = [(s, getattr(population, s)) for s in ("acoustic", "prosodic")]
+    row_cells = tuple(stack.emissions.n_states + stack.emissions.dim for _, stack in streams)
+
+    def rows(obs) -> tuple[int, ...]:
+        return tuple(max(len(getattr(obs, s)), stack.states[1]) for s, stack in streams)
+
     trials = []
-    for group, observations in _scoring_groups(population, records, loader):
-        scores = fused_log_scores(population, observations, alpha)
-        for record, row in zip(group, scores):
+    for group in batch_groups(map(loader, records), rows, row_cells):
+        scores = fused_log_scores(population, group, alpha)
+        done = len(trials)
+        for record, row in zip(records[done:done + len(group)], scores):
             predicted = population[int(np.argmax(row))].speaker_id
             trials.append(Trial(record=record, predicted=predicted))
-    return trials
-
-
-def _scoring_groups(models: Population, records: list[UtteranceRecord], loader):
-    """Consecutive (records, observations) groups that fit the scoring budget.
-
-    In each stream a group of U utterances, the longest T frames, costs
-    U * max(T, N) * (V * N + D) cells for V speakers of N states and
-    D-dimensional frames: the padded emission and forward tables, the frames
-    themselves and the recursion's per-frame step. An utterance that alone
-    exceeds the budget is a group of its own.
-    """
-    streams = [(s, getattr(models[0], s)) for s in ("acoustic", "prosodic")]
-    group, observations, longest = [], [], {}
-    for record in records:
-        obs = loader(record)
-        grown = {s: max(longest.get(s, 0), len(getattr(obs, s))) for s, _ in streams}
-        cells = max(
-            (len(group) + 1) * max(grown[s], h.n_states) * (len(models) * h.n_states + h.dim)
-            for s, h in streams
-        )
-        if group and cells > _GROUP_CELLS:
-            yield group, observations
-            group, observations = [], []
-            grown = {s: len(getattr(obs, s)) for s, _ in streams}
-        group.append(record)
-        observations.append(obs)
-        longest = grown
-    if group:
-        yield group, observations
-
-
-def _score_session(
-    models: Population | list[SpeakerModel], records: list[UtteranceRecord], loader, plan: str,
-    alpha: float,
-) -> SessionResult:
-    trials = score_records(models, records, loader, alpha)
     return SessionResult(
         plan=plan,
         alpha=alpha,
-        speakers=[m.speaker_id for m in models],
+        speakers=[m.speaker_id for m in population],
         trials=trials,
         table=PerformanceTable.from_trials(trials),
     )
 
 
 def run_session(
-    models: Population | list[SpeakerModel],
-    manifest: CorpusManifest,
-    loader,
-    plan: str,
-    alpha: float = 0.5,
+    population: Population, manifest: CorpusManifest, loader, plan: str, alpha: float = 0.5
 ) -> SessionResult:
     """Score every test-session utterance of the plan against the population."""
     plan = normalize_plan(plan)
     records = session_test_records(manifest, plan)
     if not records:
         raise ProtocolError(f"no test-session records for plan {plan}")
-    return _score_session(models, records, loader, plan, alpha)
+    return score_session(population, records, loader, plan, alpha)
 
 
 # --- cross-validation ---------------------------------------------------------------
@@ -437,7 +384,7 @@ def cross_validate(
         for speaker_id, records in training_sets.items():
             if not records:
                 raise ProtocolError(f"fold {fold_idx}: speaker {speaker_id} has no training data")
-        models = train_population(
+        population = train_population(
             manifest,
             loader,
             plan,
@@ -450,6 +397,6 @@ def cross_validate(
         test_records = sorted(assignment["test"], key=_trial_order)
         if not test_records:
             raise ProtocolError(f"fold {fold_idx}: no test data")
-        result = _score_session(models, test_records, loader, plan, alpha)
+        result = score_session(population, test_records, loader, plan, alpha)
         folds.append(FoldResult(fold=fold_idx, result=result))
     return CrossValidationResult(plan=plan, alpha=alpha, folds=folds)

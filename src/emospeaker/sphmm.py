@@ -15,11 +15,11 @@ sets the prosodic weight: 0 reduces exactly to the spectral-only classifier,
 utterances against the whole population in one batched pass per stream;
 ``fused_log_score`` is its one-pair case.
 
-An enrolled population is a :class:`Population`: its speakers' models in
-enrollment order, with each stream's models stacked for scoring
-(``hmm.HmmStack``) when the population is built, not on every scoring call.
-Building it rejects an empty population and speakers that disagree on a
-stream's (states, mixtures, dim).
+An enrolled population is a :class:`Population`, the only thing scored: its
+speakers' models in enrollment order, with each stream's models stacked for
+scoring (``hmm.HmmStack``) when the population is built, not on every scoring
+call. Building it rejects an empty population, a speaker id given twice and
+speakers that disagree on a stream's (states, mixtures, dim).
 """
 
 import math
@@ -97,15 +97,19 @@ class Population(Sequence):
 
     A sequence of :class:`SpeakerModel`. ``acoustic`` and ``prosodic`` are
     each stream's models as one ``HmmStack``, and ``log_priors`` holds the
-    speakers' log priors. Every speaker must share each stream's (states,
-    mixtures, dim), and the models must not change after the population is
-    built.
+    speakers' log priors. Speaker ids must be distinct, every speaker must
+    share each stream's (states, mixtures, dim), and the models must not
+    change after the population is built.
     """
 
     def __init__(self, models: list[SpeakerModel]):
         self._models = tuple(models)
         if not self._models:
             raise ModelError("empty enrolled population")
+        ids = [m.speaker_id for m in self._models]
+        twice = sorted({i for i in ids if ids.count(i) > 1})
+        if twice:
+            raise ModelError(f"speaker id(s) enrolled more than once: {', '.join(twice)}")
         first = self._models[0]
         for stream in ("acoustic", "prosodic"):
             want = _shape(getattr(first, stream))
@@ -128,25 +132,19 @@ class Population(Sequence):
         return len(self._models)
 
 
-def as_population(models: Population | list[SpeakerModel]) -> Population:
-    """``models`` itself if it is a Population, else a Population built from it."""
-    return models if isinstance(models, Population) else Population(models)
-
-
 def fused_log_scores(
-    models: Population | list[SpeakerModel], observations: list[DualObservation], alpha: float
+    population: Population, observations: list[DualObservation], alpha: float
 ) -> np.ndarray:
     """Fused scores of every utterance against every speaker: a (U, V) table.
 
     Each stream with a nonzero weight is scored in one batched pass
     (``log_forward_table``) against the population's stack of that stream; a
     stream whose weight is 0 is not scored and contributes 0.0, so alpha 0
-    and 1 give exactly the single-stream posterior. A plain list of speaker
-    models is built into a :class:`Population` on entry.
+    and 1 give exactly the single-stream posterior. Callers bound the pass's
+    memory by grouping the utterances (``hmm.batch_groups``).
     """
     if not 0.0 <= alpha <= 1.0:
         raise ModelError(f"alpha must lie in [0, 1], got {alpha}")
-    population = as_population(models)
     fused = []
     for stream, weight in (("acoustic", 1.0 - alpha), ("prosodic", alpha)):
         if weight == 0.0:
@@ -165,7 +163,7 @@ def _shape(model: HmmModel) -> tuple[int, int, int]:
 def fused_log_score(model: SpeakerModel, obs: DualObservation, alpha: float) -> float:
     """Affine combination of the two stream posteriors with prosodic weight alpha:
     the one-speaker, one-utterance case of :func:`fused_log_scores`."""
-    return float(fused_log_scores([model], [obs], alpha)[0, 0])
+    return float(fused_log_scores(Population([model]), [obs], alpha)[0, 0])
 
 
 @dataclass

@@ -3,10 +3,8 @@
 Two classifiers are compared over matched per-category accuracies by a
 Student-t statistic whose denominator is sqrt((SD1^2 + SD2^2) / n) — the two
 sample SDs combined and divided by the single shared sample size. That
-combination rule is kept verbatim because downstream reports depend on it; the
-conventional equal-size pooled-variance formula is available separately as
-:func:`pooled_sd_conventional` for comparison. Significance is one-sided
-against the 95% critical value 1.645.
+combination rule is kept verbatim because downstream reports depend on it.
+Significance is one-sided against the 95% critical value 1.645.
 
 Agreement between two labelings (system vs. ground truth, or two raters) is
 summarized by Cohen's kappa and banded on the Landis & Koch scale.
@@ -89,19 +87,6 @@ def pooled_sd(summary: TwoSampleSummary) -> float:
     """sqrt((SD1^2 + SD2^2) / n): the denominator of :func:`t_statistic`."""
     summary.validate()
     return math.sqrt((summary.sd1 ** 2 + summary.sd2 ** 2) / summary.n)
-
-
-def pooled_sd_conventional(summary: TwoSampleSummary) -> float:
-    """Textbook pooled SD of two equal-size samples: sqrt((SD1^2 + SD2^2) / 2).
-
-    Provided for comparison with :func:`pooled_sd`, which divides by n instead
-    and therefore shrinks with sample size.
-    """
-    summary.validate()
-    return math.sqrt(
-        ((summary.n - 1) * summary.sd1 ** 2 + (summary.n - 1) * summary.sd2 ** 2)
-        / (2 * summary.n - 2)
-    )
 
 
 def t_statistic(summary: TwoSampleSummary) -> float:

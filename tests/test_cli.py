@@ -371,6 +371,52 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "status=fail" in err and "deficit" in err
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("angry,78.00,82.00", "line 3: 3 fields, expected 4"),
+            ("angry,78.00,82.00,high", "line 3: Average(%) 'high' is not a number"),
+        ],
+        ids=["three-fields", "non-numeric-average"],
+    )
+    def test_malformed_compare_report_exits_1(self, pipeline, tmp_path, capsys, row, message):
+        baseline = tmp_path / "baseline_performance.csv"
+        baseline.write_text(
+            "Emotion,Males(%),Females(%),Average(%)\n"
+            f"neutral,92.00,88.00,90.00\n{row}\naverage,85.00,85.00,85.00\n"
+        )
+        code = run(
+            [
+                "evaluate",
+                "--manifest", str(pipeline["manifest"]),
+                "--out", str(pipeline["out"]),
+                "--compare", str(baseline),
+                *TINY_FLAGS,
+            ]
+        )
+        assert code == 1
+        assert f"error: {baseline}: {message}" in capsys.readouterr().err
+
+    def test_duplicate_speaker_in_population_exits_1(self, pipeline, tmp_path, capsys):
+        # a speaker listed twice would be scored twice and counted as a third
+        # speaker of a two-speaker population in statistics.csv
+        models = tmp_path / "run" / "models" / "unbiased"
+        models.mkdir(parents=True)
+        for name in ("spk01.model", "spk02.model"):
+            (models / name).write_bytes((pipeline["out"] / "models" / "unbiased" / name).read_bytes())
+        (models / "population.txt").write_text("spk01\nspk02\nspk01\n")
+        code = run(
+            [
+                "evaluate",
+                "--manifest", str(pipeline["manifest"]),
+                "--out", str(tmp_path / "run"),
+                *TINY_FLAGS,
+            ]
+        )
+        assert code == 1
+        assert "speaker id(s) enrolled more than once: spk01" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "reports").exists()
+
     def test_identify_without_models(self, tmp_path, pipeline, capsys):
         feat = next((pipeline["corpus"] / "features").glob("*.lfpc.feat"))
         code = run(

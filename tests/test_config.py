@@ -4,8 +4,6 @@ from emospeaker.config import (
     ConfigError,
     RunConfig,
     build_config,
-    config_keys,
-    dump_config,
     load_config_file,
     parse_value,
 )
@@ -129,16 +127,3 @@ class TestBuildConfig:
         with pytest.raises(ConfigError, match=fragment):
             build_config(None, overrides)
 
-
-class TestDump:
-    def test_round_trip(self, tmp_path):
-        cfg = build_config(None, {"alpha": 0.25, "plan": "biased:sad", "seed": 11})
-        path = tmp_path / "dumped.cfg"
-        path.write_text(dump_config(cfg))
-        again = build_config(path)
-        assert again == cfg
-
-    def test_every_key_present(self):
-        text = dump_config(RunConfig())
-        for key in config_keys():
-            assert f"{key} = " in text

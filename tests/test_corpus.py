@@ -214,7 +214,10 @@ class TestManifestIo:
         manifest = full_manifest()
         assert manifest.speakers == ["spk01", "spk02"]
         assert manifest.emotions == ["neutral", "angry"]
-        chosen = manifest.select(speaker_id="spk01", session="test", emotion="angry")
+        chosen = [
+            r for r in manifest.records
+            if (r.speaker_id, r.session, r.emotion) == ("spk01", "test", "angry")
+        ]
         assert len(chosen) == 5 * 6
         assert all(r.repetition >= 10 for r in chosen)
 
@@ -458,7 +461,7 @@ class TestSyntheticCorpus:
         for speaker in manifest.speakers:
             rows = [
                 read_feature_file(manifest.root / r.source).mean(axis=0)
-                for r in manifest.select(speaker_id=speaker)[:20]
+                for r in [r for r in manifest.records if r.speaker_id == speaker][:20]
             ]
             means[speaker] = np.mean(rows, axis=0)
         gap = np.abs(means["spk01"] - means["spk02"]).max()
@@ -472,7 +475,7 @@ class TestSyntheticCorpus:
         tags = {r.bias_tag for r in manifest.records}
         # biased:neutral folds into unbiased; only angry gets a biased set
         assert tags == {"unbiased", "biased:angry"}
-        biased = manifest.select(bias_tag="biased:angry")
+        biased = [r for r in manifest.records if r.bias_tag == "biased:angry"]
         assert len(biased) == 2 * 5 * 15
         assert all(r.emotion == "angry" for r in biased)
 

@@ -131,15 +131,6 @@ class TestFilterbank:
         assert bank.bin_lo[0] == 3
         assert bank.bin_hi[-1] == 256  # 8 kHz = Nyquist bin
 
-    def test_masks_are_disjoint_and_match_ranges(self):
-        bank = build_log_filterbank(16000, 512)
-        masks = bank.band_masks()
-        assert np.all(masks.sum(axis=0) <= 1)
-        for m in range(bank.n_bands):
-            covered = np.flatnonzero(masks[m])
-            assert covered[0] == bank.bin_lo[m]
-            assert covered[-1] == bank.bin_hi[m]
-
     def test_too_small_fft_rejected(self):
         with pytest.raises(DspError):
             build_log_filterbank(16000, 64)

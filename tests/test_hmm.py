@@ -12,10 +12,12 @@ from emospeaker import hmm
 from emospeaker.hmm import (
     GaussianMixture,
     HmmModel,
+    HmmStack,
     ModelError,
     ModelFormatError,
     TrainingError,
     _kmeans,
+    batch_groups,
     baum_welch_train,
     init_model,
     load_model,
@@ -244,7 +246,7 @@ class TestForward:
                     upper = np.triu(model.transitions)
                     model.transitions = upper / upper.sum(axis=1, keepdims=True)
             sequences = [rng.normal(0.0, 3.0, (int(t), d)) for t in rng.choice([1, 2, 9, 40], 5)]
-            table = log_forward_table(models, sequences)
+            table = log_forward_table(HmmStack(models), sequences)
             per_pair = [[log_forward(model, seq)[0] for model in models] for seq in sequences]
             assert np.array_equal(table, per_pair)
 
@@ -470,7 +472,7 @@ class TestBaumWelch:
         # ragged sequences of 1-30 frames, half the models with zero transitions,
         # in one EM group or (64 cells) mostly one sequence per group
         if group_cells is not None:
-            monkeypatch.setattr(hmm, "_EM_GROUP_CELLS", group_cells)
+            monkeypatch.setattr(hmm, "_GROUP_CELLS", group_cells)
         rng = np.random.default_rng(29)
         floors = dict(variance_floor=1e-6, transition_floor=1e-8, weight_floor=1e-8)
         cases = []
@@ -519,6 +521,55 @@ class TestBaumWelch:
         assert after > before
 
 
+class TestBatchGroups:
+    """Training and scoring group whole items into runs by one rule: U items
+    cost U * max over streams of (longest rows * cells per row), within
+    hmm._GROUP_CELLS = 2**18."""
+
+    @staticmethod
+    def sizes(items, rows, row_cells):
+        return [len(run) for run in batch_groups(items, rows, row_cells)]
+
+    def test_run_that_exactly_fills_the_budget_is_one_group(self):
+        # 4 items * 65,536 rows * 1 cell = 2**18
+        assert hmm._GROUP_CELLS == 1 << 18
+        assert self.sizes([1 << 16] * 4, lambda t: (t,), (1,)) == [4]
+        assert self.sizes([1 << 10] * 33, lambda t: (t,), (16,)) == [16, 16, 1]
+
+    def test_run_that_overflows_by_one_cell_splits(self):
+        # 5 items * 52,429 rows = 2**18 + 1; the fifth starts a new run
+        assert 5 * 52_429 == (1 << 18) + 1
+        assert self.sizes([52_429] * 5, lambda t: (t,), (1,)) == [4, 1]
+
+    def test_longest_item_sets_every_items_cost(self):
+        # 3 items of 10 rows fit; a 100,000-row fourth would make all four cost 100,000
+        assert self.sizes([10, 10, 10, 100_000, 10], lambda t: (t,), (1,)) == [3, 2]
+
+    def test_costliest_stream_sets_the_run(self):
+        # (acoustic, prosodic) rows of (5, 100) at (10, 1000) cells per row: the
+        # acoustic stream alone would fit every item, the prosodic one fits two
+        items = [(5, 100)] * 5
+        assert self.sizes(items, lambda item: item, (10, 1000)) == [2, 2, 1]
+        assert self.sizes(items, lambda item: item[:1], (10,)) == [5]
+
+    def test_item_over_budget_is_a_group_of_its_own(self):
+        runs = list(batch_groups([10, 300_000, 10, 10], lambda t: (t,), (1,)))
+        assert runs == [[10], [300_000], [10, 10]]
+        assert list(batch_groups([], lambda t: (t,), (1,))) == []
+
+    def test_items_are_read_one_run_at_a_time(self):
+        read = []
+
+        def items():
+            for t in [1 << 17] * 5:
+                read.append(t)
+                yield t
+
+        runs = batch_groups(items(), lambda t: (t,), (1,))
+        assert next(runs) == [1 << 17] * 2
+        assert len(read) == 3  # the item that closed the run, and no more
+
+
 class TestEmWorkingSet:
     """EM runs over groups of whole sequences that fit a fixed budget, so its
     memory does not grow with the number of training sequences."""
@@ -528,7 +579,7 @@ class TestEmWorkingSet:
         n, m, d = 16, 16, 16
         model = random_model(rng, n, m, d)
         # long enough that two sequences overflow one EM group
-        length = hmm._EM_GROUP_CELLS // (2 * (n * (m + n) + d)) + 1
+        length = hmm._GROUP_CELLS // (2 * (n * (m + n) + d)) + 1
         seqs = [rng.normal(0.0, 2.0, (length, d)) for _ in range(30)]
         few = traced_peak(lambda: baum_welch_train(model, seqs[:3], max_iterations=1))
         many = traced_peak(lambda: baum_welch_train(model, seqs, max_iterations=1))

@@ -13,7 +13,7 @@ from emospeaker.corpus import (
     session_for_repetition,
     validate_protocol_counts,
 )
-from emospeaker import protocol, sphmm
+from emospeaker import hmm, protocol, sphmm
 from emospeaker.hmm import GaussianMixture, HmmModel, ModelError, log_forward
 from emospeaker.protocol import (
     PerformanceTable,
@@ -24,7 +24,7 @@ from emospeaker.protocol import (
     identify,
     partition_folds,
     run_session,
-    score_records,
+    score_session,
     session_test_records,
     train_population,
 )
@@ -146,7 +146,7 @@ class TestIdentify:
         models = self.make_population(50)
         rng = np.random.default_rng(51)
         obs = DualObservation(rng.standard_normal((10, 3)), rng.standard_normal((4, 2)))
-        winner, scores = identify(models, obs, 0.5)
+        winner, scores = identify(Population(models), obs, 0.5)
         assert winner == models[int(np.argmax(scores))].speaker_id
         assert scores.shape == (3,)
 
@@ -160,7 +160,7 @@ class TestIdentify:
         )
         rng = np.random.default_rng(53)
         obs = DualObservation(rng.standard_normal((8, 3)), rng.standard_normal((3, 2)))
-        winner, scores = identify([models[0], clone], obs, 0.5)
+        winner, scores = identify(Population([models[0], clone]), obs, 0.5)
         assert scores[0] == scores[1]
         assert winner == "spk01"
 
@@ -171,12 +171,7 @@ class TestIdentify:
         acoustic, prosodic = rng.standard_normal((6, 3)), rng.standard_normal((3, 2))
         acoustic[2, 0] = np.nan
         with pytest.raises(ModelError, match="non-finite"):
-            identify(models, DualObservation(acoustic, prosodic), 0.5)
-
-    def test_empty_population(self):
-        obs = DualObservation(np.zeros((4, 3)), np.zeros((2, 2)))
-        with pytest.raises(ProtocolError, match="empty"):
-            identify([], obs, 0.5)
+            identify(Population(models), DualObservation(acoustic, prosodic), 0.5)
 
     @pytest.mark.parametrize("stream", ["acoustic", "prosodic"])
     def test_mixed_shape_population_rejected(self, stream):
@@ -187,19 +182,7 @@ class TestIdentify:
         models[1] = replace(models[1], **{stream: random_model(rng, 3, 1, dim)})
         obs = DualObservation(rng.standard_normal((6, 3)), rng.standard_normal((3, 2)))
         with pytest.raises(ModelError, match=f"speaker 'spk02': {stream} model is"):
-            identify(models, obs, 0.5)
-
-    @pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0])
-    def test_population_scores_as_its_list(self, alpha):
-        models = self.make_population(58)
-        population = Population(models)
-        rng = np.random.default_rng(59)
-        for _ in range(5):
-            obs = ragged_observation(rng)
-            winner, scores = identify(population, obs, alpha)
-            want_winner, want_scores = identify(models, obs, alpha)
-            assert winner == want_winner
-            assert np.array_equal(scores, want_scores)
+            identify(Population(models), obs, 0.5)
 
 
 def per_pair_fused(model: SpeakerModel, obs: DualObservation, alpha: float) -> float:
@@ -254,7 +237,7 @@ def left_right_population() -> list[SpeakerModel]:
 
 
 class TestBatchedScoring:
-    """identify, score_records and run_session score a whole group of utterances
+    """identify, score_session and run_session score a whole group of utterances
     against the whole population at once; every fused score must equal the
     per-pair expression exactly."""
 
@@ -290,10 +273,11 @@ class TestBatchedScoring:
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_identify_equals_per_pair(self, alpha):
         models = self.population()
+        population = Population(models)
         rng = np.random.default_rng(59)
         for _ in range(12):
             obs = ragged_observation(rng)
-            winner, scores = identify(models, obs, alpha)
+            winner, scores = identify(population, obs, alpha)
             want = per_pair_table(models, [obs], alpha)[0]
             assert np.array_equal(scores, want)
             assert scores[3] == scores[0]
@@ -305,8 +289,9 @@ class TestBatchedScoring:
         manifest, loader = session_setup(ragged_observation)
         records = session_test_records(manifest, "unbiased")
         calls = self.record_tables(monkeypatch)
-        session = run_session(models, manifest, loader, "unbiased", alpha)
-        trials = score_records(models, records, loader, alpha)
+        population = Population(models)
+        session = run_session(population, manifest, loader, "unbiased", alpha)
+        trials = score_session(population, records, loader, "unbiased", alpha).trials
         assert [t.record for t in session.trials] == records
         assert [t.predicted for t in session.trials] == [t.predicted for t in trials]
         assert len(calls) == 2  # 60 short utterances are one group per session
@@ -332,10 +317,11 @@ class TestBatchedScoring:
         ]
         manifest, loader = session_setup(lambda rng: observations[int(rng.integers(4))])
         calls = self.record_tables(monkeypatch)
+        population = Population(models)
         with np.errstate(over="ignore"):
             want = per_pair_table(models, observations, alpha)
-            got = np.array([identify(models, obs, alpha)[1] for obs in observations])
-            run_session(models, manifest, loader, "unbiased", alpha)
+            got = np.array([identify(population, obs, alpha)[1] for obs in observations])
+            run_session(population, manifest, loader, "unbiased", alpha)
             for observations_seen, table in calls:
                 assert np.array_equal(table, per_pair_table(models, observations_seen, alpha))
         assert np.array_equal(got, want)
@@ -359,9 +345,10 @@ class TestBatchedScoring:
 
         real = sphmm.log_forward_table
         monkeypatch.setattr(sphmm, "log_forward_table", spy)
-        identify(models, loader(records[0]), alpha)
-        score_records(models, records, loader, alpha)
-        run_session(models, manifest, loader, "unbiased", alpha)
+        population = Population(models)
+        identify(population, loader(records[0]), alpha)
+        score_session(population, records, loader, "unbiased", alpha)
+        run_session(population, manifest, loader, "unbiased", alpha)
         assert streams == [[scored]] * 3
 
 
@@ -378,7 +365,7 @@ class TestScoringWorkingSet:
             for i in range(speakers)
         ]
         # long enough that two utterances overflow one scoring group
-        frames = protocol._GROUP_CELLS // (2 * (speakers * states + dim)) + 1
+        frames = hmm._GROUP_CELLS // (2 * (speakers * states + dim)) + 1
         records = session_test_records(manifest_with_cells([("neutral", "unbiased")]), "unbiased")
         index = {r.key: i for i, r in enumerate(records)}
 
@@ -386,9 +373,33 @@ class TestScoringWorkingSet:
             generator = np.random.default_rng(index[record.key])
             return DualObservation(generator.normal(0.0, 2.0, (frames, dim)), [[0.0, 1.0]])
 
-        few = traced_peak(lambda: score_records(models, records[:5], loader, 0.5))
-        many = traced_peak(lambda: score_records(models, records[:50], loader, 0.5))
+        def peak(records):
+            return traced_peak(
+                lambda: score_session(Population(models), records, loader, "unbiased", 0.5)
+            )
+
+        few, many = peak(records[:5]), peak(records[:50])
         assert many <= 1.1 * few
+
+    def test_prosodic_stream_can_set_the_group_size(self, monkeypatch):
+        # 1-state acoustic and 16-state prosodic models of 4 speakers: an
+        # utterance of 10 frames and 1000 blocks costs 10 * (4 * 1 + 2) = 60
+        # acoustic cells and 1000 * (4 * 16 + 2) = 66,000 prosodic ones, so
+        # three fit one group of 2**18 cells and a fourth does not
+        rng = np.random.default_rng(63)
+        population = Population([
+            SpeakerModel(f"spk{i:02d}", random_model(rng, 1, 1, 2),
+                         random_model(rng, 16, 1, 2), math.log(1 / 4))
+            for i in range(4)
+        ])
+        records = session_test_records(manifest_with_cells([("neutral", "unbiased")]), "unbiased")
+
+        def loader(record):
+            return DualObservation(np.zeros((10, 2)), np.zeros((1000, 2)))
+
+        calls = TestBatchedScoring.record_tables(monkeypatch)
+        score_session(population, records[:10], loader, "unbiased", 0.5)
+        assert [len(observations) for observations, _ in calls] == [3, 3, 3, 1]
 
     def test_paper_topology_peak_within_per_call_stacking_peak(self):
         # 50 speakers at 9x10 acoustic / 3x2 prosodic, 400-frame utterances,
@@ -413,7 +424,9 @@ class TestScoringWorkingSet:
         def loader(record):
             return observations[records.index(record)]
 
-        batched = traced_peak(lambda: score_records(Population(models), records, loader, 0.5))
+        batched = traced_peak(
+            lambda: score_session(Population(models), records, loader, "unbiased", 0.5)
+        )
         assert batched <= 3_958_645
 
 
@@ -487,7 +500,7 @@ class TestSessions:
 
     def test_score_records_preserves_order(self, tiny_corpus, tiny_loader, tiny_models):
         records = session_test_records(tiny_corpus, "unbiased")[:10]
-        trials = score_records(tiny_models, records, tiny_loader, 0.5)
+        trials = score_session(tiny_models, records, tiny_loader, "unbiased", 0.5).trials
         assert [t.record for t in trials] == records
 
     def test_train_population_deterministic(

@@ -1,8 +1,9 @@
-"""The demos and the benchmark only name package attributes that exist.
+"""The demos, the benchmark and the README only name package attributes that exist.
 
-``bench/`` does not run in this suite, so a renamed or deleted public name
-would break it silently (``demos/`` runs in test_demos.py). Here the scripts
-of both are parsed, not run: every
+``bench/`` and the README's examples do not run in this suite, so a renamed
+or deleted public name would break them silently (``demos/`` runs in
+test_demos.py). Here the scripts and the README's ```python blocks are
+parsed, not run: every
 name imported from ``emospeaker``, every ``<emospeaker module>.<name>`` read,
 and every ``("emospeaker.<module>", "<attribute path>")`` string pair (the
 benchmark's tracing targets) must resolve.
@@ -10,6 +11,7 @@ benchmark's tracing targets) must resolve.
 
 import ast
 import importlib
+import re
 import types
 from pathlib import Path
 
@@ -17,6 +19,17 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+
+
+def sources() -> list[tuple[str, str, int]]:
+    """(label, Python source, line offset in its file) of every script and
+    every ```python block of README.md."""
+    found = [(f"{p.parent.name}/{p.name}", p.read_text(encoding="utf-8"), 0) for p in SCRIPTS]
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    for block in re.finditer(r"^```python\n(.*?)^```", readme, re.DOTALL | re.MULTILINE):
+        fence = readme.count("\n", 0, block.start()) + 1
+        found.append((f"README.md:{fence}", block.group(1), fence))
+    return found
 
 
 def _is_package(name: str) -> bool:
@@ -71,15 +84,22 @@ def references(tree: ast.AST) -> list[tuple[int, str, str]]:
     return found
 
 
-@pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: f"{p.parent.name}/{p.name}")
+@pytest.mark.parametrize("script", sources(), ids=lambda source: source[0])
 def test_package_references_resolve(script):
-    tree = ast.parse(script.read_text(encoding="utf-8"), filename=str(script))
+    label, text, offset = script
+    tree = ast.parse(text, filename=label)
     missing = [
-        f"{script.name}:{line}: {module}.{path}"
+        f"{label.split(':')[0]}:{line + offset}: {module}.{path}"
         for line, module, path in references(tree)
         if not _resolves(module, path)
     ]
     assert not missing, "names the package no longer has:\n" + "\n".join(missing)
+
+
+def test_readme_examples_are_checked():
+    readme = [text for label, text, _ in sources() if label.startswith("README")]
+    assert readme, "no ```python block found in README.md"
+    assert all(references(ast.parse(text)) for text in readme)
 
 
 def test_checker_sees_every_kind_of_reference():

@@ -185,6 +185,15 @@ class TestPopulation:
         with pytest.raises(ModelError, match=f"speaker 'spk02': {stream} model is \\(4, 1, "):
             Population(models)
 
+    def test_duplicate_speaker_ids_rejected(self):
+        # a speaker enrolled twice would be counted twice in the session's
+        # speakers and lose its trials to one copy in the confusion matrix
+        models = self.models(39, n=4)
+        models[3] = replace(models[3], speaker_id="spk02")
+        with pytest.raises(ModelError, match=r"enrolled more than once: spk02$"):
+            Population(models)
+        Population(models[:3])
+
 
 class TestTraining:
     def make_observations(self, seed, n=8):

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +14,6 @@ from emospeaker.stats import (
     kappa_band,
     mean_performance,
     pooled_sd,
-    pooled_sd_conventional,
     relative_improvement,
     sample_sd,
     significant_at_005,
@@ -90,13 +87,6 @@ class TestPooledSd:
         base = pooled_sd(TwoSampleSummary(0, sd1, 0, sd2, n))
         quartered = pooled_sd(TwoSampleSummary(0, sd1, 0, sd2, 4 * n))
         assert quartered == pytest.approx(base / 2, rel=1e-12)
-
-    def test_conventional_variant_divides_by_two(self):
-        s = TwoSampleSummary(0.0, 3.0, 0.0, 4.0, 25)
-        assert pooled_sd_conventional(s) == pytest.approx(math.sqrt(25 / 2))
-        # unlike pooled_sd, independent of n
-        s2 = TwoSampleSummary(0.0, 3.0, 0.0, 4.0, 100)
-        assert pooled_sd_conventional(s2) == pooled_sd_conventional(s)
 
     def test_validation(self):
         with pytest.raises(StatsError):
