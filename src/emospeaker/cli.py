@@ -240,13 +240,14 @@ def write_performance_csv(result: SessionResult, path: Path) -> None:
 
 
 def read_performance_csv(path: Path) -> dict[str, float]:
-    """Emotion -> Average(%) mapping from a performance report."""
+    """Emotion -> Average(%) mapping from a performance report; each emotion once."""
     if not path.exists():
         raise CorpusError(f"performance report not found: {path}")
     lines = path.read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != "Emotion,Males(%),Females(%),Average(%)":
         raise CorpusError(f"{path}: not a performance report")
     averages = {}
+    line_of = {}
     for number, line in enumerate(lines[1:], start=2):
         fields = line.split(",")
         if len(fields) != 4:
@@ -254,6 +255,10 @@ def read_performance_csv(path: Path) -> dict[str, float]:
         emotion, avg = fields[0], fields[3]
         if emotion == "average":
             continue
+        if emotion in line_of:
+            message = f"{path}: lines {line_of[emotion]} and {number} both list {emotion!r}"
+            raise CorpusError(message)
+        line_of[emotion] = number
         try:
             averages[emotion] = float(avg)
         except ValueError:

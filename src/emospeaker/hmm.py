@@ -15,23 +15,36 @@ of each diagonal component is expanded around that shift:
 
 with k = log w - (D log 2pi + sum_d [log var + (mu - c_s)^2 / var]) / 2
 precomputed once per stack of states, along with c_s, -1/(2 var) and
-(mu - c_s)/var. A slice of frames then costs one centring, (frames, states,
-D), and two `einsum` contractions to (frames, states, M); `einsum` keeps each
-row's arithmetic independent of how many frames or states share the call, so a
-state scores bit for bit the same alone as in a population's stack. The
-rounding error of the expansion is about
+(mu - c_s)/var. The rounding error of the expansion is about
 eps * sum_d ((x - c_s)^2 + (mu - c_s)^2) / var: centring keeps it small where
-the variances are tiny against the means, as on prosodic features at the variance floor, and the precision
-weights, which minimize sum_m (mu_m - c_s)^2 / var_m, keep a component pinned
-at the floor (a clipped or constant feature) from paying for its state's broad
-components far away. Two components at the floor far apart in one state would
-still cost about eps * (distance / 2)^2 / var each. Scoring and training also
-share one forward and one backward recursion, the only loops over frames; both
-take batch axes, and `_padded_emissions` lays ragged sequences out for them,
-padded to the longest. A population is scored in one batched pass
-(`log_forward_table`) against an `HmmStack`, which holds its V models' kernel
-terms and log parameters, built once: a group of utterances runs against every
-model at once, each pair with the arithmetic of `log_forward`.
+the variances are tiny against the means, as on prosodic features at the
+variance floor, and the precision weights, which minimize
+sum_m (mu_m - c_s)^2 / var_m, keep a component pinned at the floor (a clipped
+or constant feature) from paying for its state's broad components far away.
+Two components at the floor far apart in one state would still cost about
+eps * (distance / 2)^2 / var each.
+
+The emission tables put the frames on the contiguous axis, so numpy's inner
+loops run along the frames rather than along D dimensions or M components: a
+slice of frames costs one centring, (states, D, frames), and two `einsum`
+contractions to (states, M, frames). The mixture log-sum-exp takes the exact
+maximum over M, then adds the M rows of exp(x - max) into one
+(states, frames) total one row at a time, in order; numpy's `sum` over M
+would add a lone frame's terms pairwise and many frames' in order. Only the
+per-state log b is transposed, as a view, into the recursions'
+(frames, ..., states) layout, and EM's responsibilities keep the
+(states, M, frames) layout. Every entry's arithmetic is thus independent of
+how many frames or states share a call: a state scores bit for bit the same
+alone as in a population's stack, and a frame the same alone as among
+others, which keeps `log_forward_table` equal to `log_forward`.
+
+Scoring and training also share one forward and one backward recursion, the
+only loops over frames; both take batch axes, and `_padded_emissions` lays
+ragged sequences out for them, padded to the longest. A population is scored
+in one batched pass (`log_forward_table`) against an `HmmStack`, which holds
+its V models' kernel terms and log parameters, built once: a group of
+utterances runs against every model at once, each pair with the arithmetic of
+`log_forward`.
 Training is multi-sequence expectation-maximization with parameter floors;
 each iteration runs every sequence through the recursions in one batched pass
 per group of whole sequences, and accumulates its statistics over the real
@@ -51,12 +64,13 @@ from pathlib import Path
 import numpy as np
 
 _LOG_2PI = math.log(2.0 * math.pi)
+_LOWEST = np.finfo(np.float64).min
 
 VARIANCE_FLOOR = 1e-6
 TRANSITION_FLOOR = 1e-8
 WEIGHT_FLOOR = 1e-8
 
-# Elements of the (frames, states, max(D, M)) temporaries one kernel call of
+# Elements of the (states, max(D, M), frames) temporaries one kernel call of
 # _padded_emissions may make: cache-sized slices were fastest, and larger ones
 # raise peak memory without gain.
 _SLICE_ELEMENTS = 1 << 15
@@ -122,7 +136,7 @@ class GaussianMixture:
         The one-state case of the emission kernel (``_StateTerms``).
         """
         obs = np.atleast_2d(np.asarray(obs, dtype=np.float64))
-        return _StateTerms.of([self]).component_log_pdf(obs)[:, 0]
+        return _StateTerms.of([self]).component_log_pdf(obs)[0].T
 
 
 @dataclass(frozen=True)
@@ -174,11 +188,11 @@ class _StateTerms:
         return self.shift.shape[1]
 
     def component_log_pdf(self, obs: np.ndarray) -> np.ndarray:
-        """Component log densities of (T, D) frames under every state: (T, S, M)."""
-        centred = obs[:, None, :] - self.shift
-        out = np.einsum("tsd,smd->tsm", centred * centred, self.precision)
-        out += np.einsum("tsd,smd->tsm", centred, self.linear)
-        out += self.constant
+        """Component log densities of (T, D) frames under every state: (S, M, T)."""
+        centred = obs.T[None, :, :] - self.shift[:, :, None]
+        out = np.einsum("sdt,smd->smt", centred * centred, self.precision)
+        out += np.einsum("sdt,smd->smt", centred, self.linear)
+        out += self.constant[:, :, None]
         return out
 
 
@@ -259,26 +273,52 @@ class HmmStack(Sequence):
         return len(self._models)
 
 
+def _clamp_peak(peak: np.ndarray) -> np.ndarray:
+    """A log-sum-exp's maximum with -inf raised, in place, to the lowest float.
+
+    An all -inf slice then still sums exp(-inf) = 0 and gives -inf, and NaN
+    stays NaN.
+    """
+    return np.maximum(peak, _LOWEST, out=peak)
+
+
 def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
     """log(sum(exp(x))) along ``axis``, shifted by the maximum; -inf where all are -inf.
 
     Callers silence the divide warning that log(0) gives for an all -inf slice.
     """
-    peak = x.max(axis=axis, keepdims=True)
-    peak[~np.isfinite(peak)] = 0.0
-    return np.log(np.exp(x - peak).sum(axis=axis)) + peak.squeeze(axis)
+    peak = _clamp_peak(x.max(axis=axis, keepdims=True))
+    scaled = np.subtract(x, peak)
+    total = np.exp(scaled, out=scaled).sum(axis=axis, keepdims=True)
+    np.log(total, out=total)
+    total += peak
+    return total.squeeze(axis)
 
 
 def _emissions(
     terms: _StateTerms, states: tuple[int, ...], obs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Component log densities (T, *states, M) and their per-state mixtures (T, *states).
+    """Component log densities (*states, M, T) and their per-state mixtures (T, *states).
 
     ``states`` is (N,) for one model's stack and (V, N) for a population's.
+    The mixtures, log b, come back as a transposed view. Their M rows are
+    added in order, so a frame's sum does not depend on how many frames share
+    the call (see the module docstring).
     """
-    comp_log = terms.component_log_pdf(obs).reshape(len(obs), *states, terms.n_mixtures)
+    comp_log = terms.component_log_pdf(obs)
+    peak = _clamp_peak(comp_log.max(axis=1))
+    scaled = np.subtract(comp_log, peak[:, None, :])
+    np.exp(scaled, out=scaled)
+    total = scaled[:, 0]
+    for row in range(1, terms.n_mixtures):
+        total += scaled[:, row]
     with np.errstate(divide="ignore"):
-        return comp_log, _logsumexp(comp_log, axis=-1)
+        np.log(total, out=total)
+    total += peak
+    return (
+        comp_log.reshape(*states, terms.n_mixtures, len(obs)),
+        total.T.reshape(len(obs), *states),
+    )
 
 
 def _layout(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -300,22 +340,22 @@ def _padded_emissions(
 
     T is the longest length; padded frames hold 0 and no recursion reads them
     as data. Densities are taken over the concatenated frames in slices of at
-    most ``_SLICE_ELEMENTS`` elements of each (frames, states, D) and
-    (frames, states, M) temporary. With ``components``, the component log
-    densities of the real frames, (F, *states, M) in concatenation order, come
-    back too.
+    most ``_SLICE_ELEMENTS`` elements of each (states, D, frames) and
+    (states, M, frames) temporary. With ``components``, the component log
+    densities of the real frames, (*states, M, F) with the F frames in
+    concatenation order, come back too.
     """
     owner, position = _layout(lengths)
     log_b = np.zeros((lengths.max(), len(lengths), *states))
     comp_log = None
     if components:
-        comp_log = np.empty((len(frames), *states, terms.n_mixtures))
+        comp_log = np.empty((*states, terms.n_mixtures, len(frames)))
     step = max(1, _SLICE_ELEMENTS // (terms.n_states * max(terms.dim, terms.n_mixtures)))
     for lo in range(0, len(frames), step):
         part = slice(lo, lo + step)
         comp_part, log_b[position[part], owner[part]] = _emissions(terms, states, frames[part])
         if comp_log is not None:
-            comp_log[part] = comp_part
+            comp_log[..., part] = comp_part
     return log_b, comp_log
 
 
@@ -331,7 +371,7 @@ def _check_obs(model: HmmModel, obs: np.ndarray) -> np.ndarray:
         raise ModelError("empty observation sequence")
     if obs.shape[1] != model.dim:
         raise ModelError(f"observation dim {obs.shape[1]} != model dim {model.dim}")
-    if not np.all(np.isfinite(obs)):
+    if not np.isfinite(obs).all():
         raise ModelError("non-finite values in observation sequence")
     return obs
 
@@ -351,7 +391,8 @@ def _forward(
     log_alpha[0] = log_pi + log_b[0]
     with np.errstate(divide="ignore"):
         for t in range(1, len(log_b)):
-            log_alpha[t] = _logsumexp(log_alpha[t - 1][..., :, None] + log_a, axis=-2) + log_b[t]
+            step = _logsumexp(log_alpha[t - 1][..., :, None] + log_a, axis=-2)
+            np.add(step, log_b[t], out=log_alpha[t])
     return log_alpha
 
 
@@ -626,13 +667,13 @@ def baum_welch_train(
             xi += (log_b + log_beta)[src + 1, None, :]
             xi -= frame_ll[src, :, None]
             xi_acc += np.exp(xi, out=xi).sum(axis=0)
-            comp_log += log_gamma[:, :, None]                       # responsibilities, in place
-            comp_log -= log_b[:, :, None]
-            resp = np.exp(comp_log, out=comp_log)                   # (F, N, M)
-            comp_acc += resp.sum(axis=0)
-            resp = resp.reshape(len(frames), n * m)
-            mean_acc += (resp.T @ frames).reshape(n, m, d)
-            sq_acc += (resp.T @ (frames * frames)).reshape(n, m, d)
+            comp_log += log_gamma.T[:, None, :]                     # responsibilities, in place
+            comp_log -= log_b.T[:, None, :]
+            resp = np.exp(comp_log, out=comp_log)                   # (N, M, F)
+            comp_acc += resp.sum(axis=2)
+            resp = resp.reshape(n * m, len(frames))
+            mean_acc += (resp @ frames).reshape(n, m, d)
+            sq_acc += (resp @ (frames * frames)).reshape(n, m, d)
             first += len(group)
 
         history.append(total_ll)

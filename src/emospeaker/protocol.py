@@ -247,8 +247,13 @@ def score_session(
     stream an utterance of T frames spans max(T, N) rows of V * N + D cells
     for V speakers of N states and D-dimensional frames: the padded emission
     and forward tables, the frames themselves and the recursion's per-frame
-    step (``hmm.batch_groups``).
+    step (``hmm.batch_groups``). A record of a speaker the population does
+    not enroll raises ``ProtocolError`` before anything is loaded or scored.
     """
+    speakers = [m.speaker_id for m in population]
+    unknown = sorted({r.speaker_id for r in records}.difference(speakers))
+    if unknown:
+        raise ProtocolError(f"test speaker(s) not enrolled: {', '.join(unknown)}")
     streams = [(s, getattr(population, s)) for s in ("acoustic", "prosodic")]
     row_cells = tuple(stack.emissions.n_states + stack.emissions.dim for _, stack in streams)
 
@@ -265,7 +270,7 @@ def score_session(
     return SessionResult(
         plan=plan,
         alpha=alpha,
-        speakers=[m.speaker_id for m in population],
+        speakers=speakers,
         trials=trials,
         table=PerformanceTable.from_trials(trials),
     )

@@ -417,6 +417,46 @@ class TestErrors:
         assert "speaker id(s) enrolled more than once: spk01" in capsys.readouterr().err
         assert not (tmp_path / "run" / "reports").exists()
 
+    def test_duplicate_emotion_in_compare_report_exits_1(self, pipeline, tmp_path, capsys):
+        # a second row for an emotion would silently replace the first
+        baseline = tmp_path / "baseline_performance.csv"
+        baseline.write_text(
+            "Emotion,Males(%),Females(%),Average(%)\n"
+            "neutral,85.00,85.00,85.00\nangry,78.00,82.00,80.00\n"
+            "neutral,10.00,10.00,10.00\naverage,85.00,85.00,85.00\n"
+        )
+        code = run(
+            [
+                "evaluate",
+                "--manifest", str(pipeline["manifest"]),
+                "--out", str(pipeline["out"]),
+                "--compare", str(baseline),
+                *TINY_FLAGS,
+            ]
+        )
+        assert code == 1
+        assert f"error: {baseline}: lines 2 and 4 both list 'neutral'" in capsys.readouterr().err
+
+    def test_unenrolled_test_speaker_exits_1(self, pipeline, tmp_path, capsys):
+        # a 3-speaker manifest against the 2 speakers the pipeline enrolled
+        corpus = tmp_path / "corpus"
+        flags = [*TINY_FLAGS, "--n_speakers", "3"]
+        assert run(["synth", "--seed", "4", "--out", str(corpus), *flags]) == 0
+        models = tmp_path / "run" / "models"
+        models.mkdir(parents=True)
+        (models / "unbiased").symlink_to(pipeline["out"] / "models" / "unbiased")
+        code = run(
+            [
+                "evaluate",
+                "--manifest", str(corpus / "manifest.csv"),
+                "--out", str(tmp_path / "run"),
+                *flags,
+            ]
+        )
+        assert code == 1
+        assert "error: test speaker(s) not enrolled: spk03" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "reports").exists()
+
     def test_identify_without_models(self, tmp_path, pipeline, capsys):
         feat = next((pipeline["corpus"] / "features").glob("*.lfpc.feat"))
         code = run(

@@ -200,17 +200,50 @@ class TestEmissions:
         # stacked states, for one frame or many at a time
         rng = np.random.default_rng(35)
         for _ in range(10):
-            n, m, d = (int(k) for k in rng.integers(1, 6, size=3))
+            n = int(rng.integers(1, 6))
+            m = int(rng.integers(1, 13))
+            d = int(rng.integers(1, 17))
             models = [random_model(rng, n, m, d) for _ in range(int(rng.integers(1, 5)))]
             obs = rng.normal(0.0, 3.0, (int(rng.integers(2, 60)), d))
             terms = hmm._stack(models)
-            stacked = terms.component_log_pdf(obs).reshape(len(obs), len(models), n, m)
+            stacked = terms.component_log_pdf(obs).reshape(len(models), n, m, len(obs))
             for v, model in enumerate(models):
                 for j, state in enumerate(model.states):
-                    assert np.array_equal(state.component_log_pdf(obs), stacked[:, v, j])
+                    assert np.array_equal(state.component_log_pdf(obs), stacked[v, j].T)
                     for t in (0, len(obs) - 1):
                         one = state.component_log_pdf(obs[t : t + 1])
-                        assert np.array_equal(one, stacked[t : t + 1, v, j])
+                        assert np.array_equal(one, stacked[v, j, :, t : t + 1].T)
+
+
+def masked_logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
+    """The log-sum-exp that zeroed every non-finite peak, which ``_logsumexp`` replaced."""
+    peak = x.max(axis=axis, keepdims=True)
+    peak[~np.isfinite(peak)] = 0.0
+    return np.log(np.exp(x - peak).sum(axis=axis)) + peak.squeeze(axis)
+
+
+class TestLogsumexp:
+    def test_all_minus_inf_slice_gives_minus_inf(self):
+        x = np.array([[-np.inf, -np.inf, -np.inf], [0.0, -np.inf, 1.0]])
+        with np.errstate(divide="ignore"):
+            got = hmm._logsumexp(x, axis=1)
+        assert got[0] == -np.inf
+        assert got[1] == pytest.approx(np.logaddexp(0.0, 1.0), rel=1e-15)
+
+    def test_nan_propagates(self):
+        x = np.array([[0.0, np.nan, 1.0], [np.nan, -np.inf, -np.inf], [np.nan] * 3])
+        assert np.all(np.isnan(hmm._logsumexp(x, axis=1)))
+        assert np.all(np.isnan(hmm._logsumexp(x, axis=0)))
+
+    def test_equals_masked_form_on_tables_with_minus_inf(self):
+        rng = np.random.default_rng(37)
+        for _ in range(50):
+            shape = tuple(int(k) for k in rng.integers(1, 6, size=int(rng.integers(1, 5))))
+            x = rng.normal(0.0, 30.0, shape)
+            x[rng.random(shape) < 0.4] = -np.inf
+            for axis in range(-x.ndim, 0):
+                with np.errstate(divide="ignore"):
+                    assert np.array_equal(hmm._logsumexp(x, axis), masked_logsumexp(x, axis))
 
 
 class TestForward:
@@ -249,6 +282,32 @@ class TestForward:
             table = log_forward_table(HmmStack(models), sequences)
             per_pair = [[log_forward(model, seq)[0] for model in models] for seq in sequences]
             assert np.array_equal(table, per_pair)
+
+    @pytest.mark.parametrize("n, m, d", [(9, 10, 16), (3, 2, 4)], ids=["acoustic", "prosodic"])
+    def test_short_utterances_score_alone_as_in_a_group(self, n, m, d):
+        # the paper's two streams, 2 speakers: a 1- or 2-frame utterance's
+        # emissions and scores are the same alone as among others, although a
+        # lone frame fills its own kernel call (numpy's sum over 10 components
+        # adds a lone frame's terms in another order). Components lie close
+        # together and frames near them, so log b is near 0 and every term of a
+        # mixture sum reaches its last bits.
+        rng = np.random.default_rng(36)
+        models = [random_model(rng, n, m, d) for _ in range(2)]
+        for state in (s for model in models for s in model.states):
+            state.means *= 0.15
+            state.variances *= 0.1
+        stack = HmmStack(models)
+        for _ in range(10):
+            sequences = [rng.normal(0.0, 0.3, (int(t), d)) for t in rng.choice([1, 2, 9], 8)]
+            ends = np.cumsum([len(seq) for seq in sequences])
+            for model in stack:
+                log_b = model.log_emissions(np.concatenate(sequences))
+                for seq, end in zip(sequences, ends):
+                    assert np.array_equal(model.log_emissions(seq), log_b[end - len(seq) : end])
+            table = log_forward_table(stack, sequences)
+            for u, seq in enumerate(sequences):
+                assert np.array_equal(table[u], log_forward_table(stack, [seq])[0])
+                assert np.array_equal(table[u], [log_forward(model, seq)[0] for model in stack])
 
     def test_batched_backward_equals_per_sequence(self):
         # ragged sequences padded to the longest: each one's beta is

@@ -503,6 +503,14 @@ class TestSessions:
         trials = score_session(tiny_models, records, tiny_loader, "unbiased", 0.5).trials
         assert [t.record for t in trials] == records
 
+    def test_unenrolled_test_speaker_rejected_before_scoring(self, tiny_corpus, tiny_models):
+        enrolled = Population([m for m in tiny_models if m.speaker_id != "spk02"])
+        records = session_test_records(tiny_corpus, "unbiased")
+        loaded = []
+        with pytest.raises(ProtocolError, match=r"test speaker\(s\) not enrolled: spk02$"):
+            score_session(enrolled, records, loaded.append, "unbiased", 0.5)
+        assert loaded == []
+
     def test_train_population_deterministic(
         self, tiny_corpus, tiny_loader, small_topology
     ):
