@@ -140,11 +140,6 @@ class CorpusManifest:
     def speakers(self) -> list[str]:
         return sorted({r.speaker_id for r in self.records})
 
-    @property
-    def emotions(self) -> list[str]:
-        present = {r.emotion for r in self.records}
-        return [e for e in EMOTIONS if e in present]
-
     def resolve(self, record: UtteranceRecord) -> Path:
         """Absolute path of a record's source, relative paths anchored at root."""
         if self.root is None:
@@ -186,7 +181,10 @@ def load_manifest(path: str | Path) -> CorpusManifest:
     if header_line is None:
         raise ManifestError(f"{path}: no header row found")
 
-    sample_rate = int(metadata.pop("sample_rate", "16000"))
+    rate = metadata.pop("sample_rate", "16000")
+    if not rate.isdecimal() or int(rate) == 0:
+        raise ManifestError(f"{path}: sample_rate {rate!r} is not a positive integer")
+    sample_rate = int(rate)
     records: list[UtteranceRecord] = []
     errors: list[str] = []
     seen: dict[tuple, int] = {}
@@ -289,81 +287,88 @@ class ProtocolReport:
         return "\n".join(lines)
 
 
-def plan_combinations(plan: str, emotions: list[str]) -> list[tuple[str, str]]:
-    """(emotion, bias_tag) pairs a plan draws utterances from."""
-    plan = normalize_plan(plan)
-    if plan == UNBIASED:
-        return [(e, UNBIASED) for e in emotions]
-    target = plan.split(":", 1)[1]
-    combos = [(target, plan)]
-    combos.extend((e, UNBIASED) for e in emotions if e != target)
-    return combos
-
-
 def normalize_plan(plan: str) -> str:
     """A training plan is a bias tag; ``biased:neutral`` resolves to unbiased."""
     return normalize_bias_tag(plan)
 
 
 def plan_cells(manifest: CorpusManifest, plan: str) -> list[tuple[str, str]]:
-    """(emotion, bias_tag) cells a plan draws from on this manifest.
+    """(emotion, bias_tag) cells a plan draws from on this manifest: the one plan rule.
 
-    The plan covers every emotion with unbiased records in the manifest, plus
-    the target of a biased plan, which :func:`plan_combinations` always adds.
+    A plan covers every emotion that has unbiased records in the manifest and
+    draws each from its unbiased material, except that plan ``biased:<e>``
+    draws emotion e from its ``biased:<e>`` material instead. That cell comes
+    first and is always covered, with or without records; the others follow
+    in ``EMOTIONS`` order.
     """
-    emotions = [e for e in EMOTIONS if any(r.emotion == e and r.bias_tag == UNBIASED
-                                           for r in manifest.records)]
-    return plan_combinations(plan, emotions)
+    plan = normalize_plan(plan)
+    unbiased = {r.emotion for r in manifest.records if r.bias_tag == UNBIASED}
+    if plan == UNBIASED:
+        return [(e, UNBIASED) for e in EMOTIONS if e in unbiased]
+    target = plan.split(":", 1)[1]
+    return [(target, plan)] + [(e, UNBIASED) for e in EMOTIONS if e in unbiased and e != target]
+
+
+def plan_grid(manifest: CorpusManifest, plan: str) -> dict[tuple, list[UtteranceRecord]]:
+    """The records a plan draws from, grouped once by cell.
+
+    Maps each (speaker, emotion, bias_tag, sentence) cell of :func:`plan_cells`
+    that has records to its records of both sessions, in repetition order;
+    cells without records are absent. Every consumer of a plan reads this grid
+    and imposes its own order.
+    """
+    wanted = set(plan_cells(manifest, plan))
+    grid: dict[tuple, list[UtteranceRecord]] = {}
+    for r in manifest.records:
+        if (r.emotion, r.bias_tag) in wanted:
+            grid.setdefault((r.speaker_id, r.emotion, r.bias_tag, r.sentence_id), []).append(r)
+    for cell in grid.values():
+        cell.sort(key=lambda r: r.repetition)
+    return grid
+
+
+def session_part(cell: list[UtteranceRecord], session: str) -> list[UtteranceRecord]:
+    """A grid cell's records of one session, in repetition order.
+
+    The one completeness rule: a cell is complete for a session when this
+    holds as many records as the session has repetitions.
+    """
+    return [r for r in cell if r.session == session]
 
 
 def validate_protocol_counts(manifest: CorpusManifest, plan: str) -> ProtocolReport:
     """Check the 9-train/6-test sentence grid for every speaker under a plan.
 
-    The (emotion, bias) cells come from :func:`plan_cells`, so reduced
-    synthetic corpora validate under the same counting rule: 5 sentences x 9
-    or 6 repetitions per cell.
+    Every (emotion, bias) cell of :func:`plan_cells` must hold 5 sentences x
+    9 training and 6 test repetitions, so reduced synthetic corpora validate
+    under the same rule. Deficits are listed per speaker, then cell, then
+    sentence, train before test.
     """
     plan = normalize_plan(plan)
-    combos = plan_cells(manifest, plan)
+    cells = plan_cells(manifest, plan)
+    grid = plan_grid(manifest, plan)
+    sessions = (("train", len(TRAIN_REPS)), ("test", len(TEST_REPS)))
 
-    by_cell: dict[tuple, set[int]] = {}
-    for r in manifest.records:
-        by_cell.setdefault(
-            (r.speaker_id, r.emotion, r.bias_tag, r.sentence_id), set()
-        ).add(r.repetition)
-
+    speakers = manifest.speakers
+    counts = {session: dict.fromkeys(speakers, 0) for session, _ in sessions}
     deficits = []
-    train_counts: dict[str, int] = {}
-    test_counts: dict[str, int] = {}
-    for speaker in manifest.speakers:
-        n_train = n_test = 0
-        for emotion, bias in combos:
+    for speaker in speakers:
+        for emotion, bias in cells:
             for sentence in SENTENCE_IDS:
-                reps = by_cell.get((speaker, emotion, bias, sentence), set())
-                have_train = len(reps & set(TRAIN_REPS))
-                have_test = len(reps & set(TEST_REPS))
-                n_train += have_train
-                n_test += have_test
-                if have_train != len(TRAIN_REPS):
-                    deficits.append(
-                        (speaker, emotion, sentence, bias, "train", have_train, len(TRAIN_REPS))
-                    )
-                if have_test != len(TEST_REPS):
-                    deficits.append(
-                        (speaker, emotion, sentence, bias, "test", have_test, len(TEST_REPS))
-                    )
-        train_counts[speaker] = n_train
-        test_counts[speaker] = n_test
+                cell = grid.get((speaker, emotion, bias, sentence), [])
+                for session, want in sessions:
+                    have = len(session_part(cell, session))
+                    counts[session][speaker] += have
+                    if have != want:
+                        deficits.append((speaker, emotion, sentence, bias, session, have, want))
 
-    expected_train = len(combos) * len(SENTENCE_IDS) * len(TRAIN_REPS)
-    expected_test = len(combos) * len(SENTENCE_IDS) * len(TEST_REPS)
     return ProtocolReport(
         ok=not deficits,
         plan=plan,
-        expected_train_per_speaker=expected_train,
-        expected_test_per_speaker=expected_test,
-        train_counts=train_counts,
-        test_counts=test_counts,
+        expected_train_per_speaker=len(cells) * len(SENTENCE_IDS) * len(TRAIN_REPS),
+        expected_test_per_speaker=len(cells) * len(SENTENCE_IDS) * len(TEST_REPS),
+        train_counts=counts["train"],
+        test_counts=counts["test"],
         deficits=deficits,
     )
 

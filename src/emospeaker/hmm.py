@@ -59,7 +59,6 @@ import math
 import operator
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -839,13 +838,3 @@ def model_from_text(text: str) -> HmmModel:
         raise ModelFormatError(f"deserialized model invalid: {exc}") from exc
     return model
 
-
-def save_model(model: HmmModel, path: str | Path) -> None:
-    Path(path).write_text(model_to_text(model), encoding="utf-8")
-
-
-def load_model(path: str | Path) -> HmmModel:
-    path = Path(path)
-    if not path.exists():
-        raise ModelFormatError(f"model file not found: {path}")
-    return model_from_text(path.read_text(encoding="utf-8"))

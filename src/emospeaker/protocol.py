@@ -5,9 +5,12 @@ emotion; repetitions 1..9 (first session) train, 10..15 (second session) test.
 A *training plan* selects material per emotion: the ``unbiased`` plan uses the
 emotion's unbiased recordings, while plan ``biased:<e>`` swaps emotion e's
 material for recordings whose content correlates with the speaker
-(``biased:<e>`` rows in the manifest). Identification is the argmax of the
-fused two-stream score over the enrolled population, ties resolved to the
-earliest enrolled speaker.
+(``biased:<e>`` rows in the manifest). ``corpus.plan_cells`` is the one rule
+for which cells a plan covers, and ``corpus.plan_grid`` groups the manifest's
+records by cell once: the training sets, the test trials, the cross-validation
+folds and ``corpus.validate_protocol_counts`` all read that grid, each in its
+own order. Identification is the argmax of the fused two-stream score over the
+enrolled population, ties resolved to the earliest enrolled speaker.
 
 An enrolled population is a ``sphmm.Population``, which stacks each stream's
 models once: ``train_population`` returns one, cross-validation builds one per
@@ -34,6 +37,8 @@ from .corpus import (
     derive_seed,
     normalize_plan,
     plan_cells,
+    plan_grid,
+    session_part,
 )
 from .hmm import batch_groups
 from .sphmm import Population, Topology, fused_log_scores, train_speaker_model
@@ -51,34 +56,33 @@ def _trial_order(record: UtteranceRecord) -> tuple:
 
 
 def assemble_training_set(
-    manifest: CorpusManifest,
-    speaker_id: str,
-    plan: str,
-    *,
-    allow_partial: bool = False,
+    manifest: CorpusManifest, speaker_id: str, plan: str
 ) -> list[UtteranceRecord]:
     """Training-session records for one speaker under a plan.
 
     The full protocol expects 9 repetitions per (emotion, sentence) cell —
-    45 utterances per emotion; missing cells raise unless ``allow_partial``.
+    45 utterances per emotion; a cell short of that raises.
     """
     plan = normalize_plan(plan)
-    combos = plan_cells(manifest, plan)
-    by_cell: dict[tuple, list[UtteranceRecord]] = {}
-    for r in manifest.records:
-        if r.speaker_id == speaker_id and r.session == "train":
-            by_cell.setdefault((r.emotion, r.bias_tag, r.sentence_id), []).append(r)
+    return _training_set(plan_grid(manifest, plan), plan_cells(manifest, plan), speaker_id, plan)
+
+
+def _training_set(grid: dict, cells: list, speaker_id: str, plan: str) -> list[UtteranceRecord]:
+    """One speaker's training records from a plan's grid and cells.
+
+    Ordered by plan cell, then sentence, then repetition: EM sums in this order.
+    """
     selected: list[UtteranceRecord] = []
     missing: list[str] = []
-    for emotion, bias in combos:
+    for emotion, bias in cells:
         for sentence in SENTENCE_IDS:
-            cell = by_cell.get((emotion, bias, sentence), [])
-            if len(cell) != len(TRAIN_REPS) and not allow_partial:
+            cell = session_part(grid.get((speaker_id, emotion, bias, sentence), []), "train")
+            if len(cell) != len(TRAIN_REPS):
                 missing.append(
                     f"{speaker_id} {emotion} sentence {sentence} {bias}:"
                     f" {len(cell)}/{len(TRAIN_REPS)} training repetitions"
                 )
-            selected.extend(sorted(cell, key=lambda r: r.repetition))
+            selected.extend(cell)
     if missing:
         raise ProtocolError("incomplete training material:\n  " + "\n  ".join(missing))
     if not selected:
@@ -92,12 +96,9 @@ def session_test_records(manifest: CorpusManifest, plan: str) -> list[UtteranceR
     Ordered by (speaker, emotion, sentence, repetition); with the full corpus
     this enumerates speakers x emotions x 5 sentences x 6 repetitions trials.
     """
-    wanted = set(plan_cells(manifest, plan))
-    records = [
-        r for r in manifest.records
-        if r.session == "test" and (r.emotion, r.bias_tag) in wanted
-    ]
-    return sorted(records, key=_trial_order)
+    grid = plan_grid(manifest, plan)
+    return sorted((r for cell in grid.values() for r in session_part(cell, "test")),
+                  key=_trial_order)
 
 
 def identify(population: Population, obs, alpha: float) -> tuple[str, np.ndarray]:
@@ -119,33 +120,32 @@ def train_population(
     seed: int = 0,
     max_iterations: int = 40,
     tolerance: float = 1e-4,
-    allow_partial: bool = False,
     training_sets: dict[str, list[UtteranceRecord]] | None = None,
 ) -> Population:
     """Enroll every speaker of the manifest under one plan.
 
     Speakers are enrolled in sorted id order and share a uniform prior 1/V.
     ``training_sets`` overrides the per-speaker record selection (used by
-    cross-validation); otherwise the plan's full training session is used.
+    cross-validation); otherwise the plan's full training session is used,
+    every speaker's drawn from one grid.
     """
     speakers = manifest.speakers
     if not speakers:
         raise ProtocolError("manifest has no speakers")
+    plan = normalize_plan(plan)
+    if training_sets is None:
+        grid, cells = plan_grid(manifest, plan), plan_cells(manifest, plan)
+        training_sets = {s: _training_set(grid, cells, s, plan) for s in speakers}
+    train_seed = derive_seed(seed, "train", plan)
     prior = 1.0 / len(speakers)
     models = []
     for speaker_id in speakers:
-        if training_sets is not None:
-            records = training_sets[speaker_id]
-        else:
-            records = assemble_training_set(
-                manifest, speaker_id, plan, allow_partial=allow_partial
-            )
-        observations = [loader(r) for r in records]
+        observations = [loader(r) for r in training_sets[speaker_id]]
         result = train_speaker_model(
             speaker_id,
             observations,
             topology,
-            seed=derive_seed(seed, "train", normalize_plan(plan)),
+            seed=train_seed,
             prior=prior,
             max_iterations=max_iterations,
             tolerance=tolerance,
@@ -327,23 +327,14 @@ def partition_folds(
     permutation and assigned round-robin, so each fold holds a stratified
     slice and each speaker keeps train and test material in every fold.
     """
-    plan = normalize_plan(plan)
+    grid = plan_grid(manifest, plan)
     if n_folds < 2:
         raise ProtocolError("need at least 2 folds")
-    wanted = set(plan_cells(manifest, plan))
-
     assignments: list[dict[str, list[UtteranceRecord]]] = [
         {"test": [], "train": []} for _ in range(n_folds)
     ]
-    cells: dict[tuple, list[UtteranceRecord]] = {}
-    for r in manifest.records:
-        if (r.emotion, r.bias_tag) in wanted:
-            cells.setdefault(
-                (r.speaker_id, r.emotion, r.bias_tag, r.sentence_id), []
-            ).append(r)
-
-    for key in sorted(cells):
-        cell = sorted(cells[key], key=lambda r: r.repetition)
+    for key in sorted(grid):
+        cell = grid[key]
         if len(cell) < n_folds:
             raise ProtocolError(
                 f"cell {key} has {len(cell)} repetitions < {n_folds} folds"

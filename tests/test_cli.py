@@ -371,6 +371,15 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "status=fail" in err and "deficit" in err
 
+    def test_bad_sample_rate_exits_1(self, pipeline, tmp_path, capsys):
+        lines = pipeline["manifest"].read_text().splitlines()
+        body = [ln for ln in lines if not ln.startswith("# sample_rate=")]
+        broken = tmp_path / "broken.csv"
+        broken.write_text("\n".join(["# sample_rate=abc"] + body) + "\n")
+        code = run(["train", "--manifest", str(broken), "--out", str(tmp_path / "o"), *TINY_FLAGS])
+        assert code == 1
+        assert "sample_rate 'abc' is not a positive integer" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "row, message",
         [

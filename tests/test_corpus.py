@@ -21,7 +21,7 @@ from emospeaker.corpus import (
     generate_synthetic_corpus,
     load_manifest,
     normalize_bias_tag,
-    plan_combinations,
+    plan_cells,
     read_audio,
     read_feature_file,
     session_for_repetition,
@@ -90,19 +90,20 @@ class TestBiasTags:
         assert bias_file_token("unbiased") == "unbiased"
 
     def test_plan_combinations(self):
-        emotions = ["neutral", "angry", "sad"]
-        assert plan_combinations("unbiased", emotions) == [
+        manifest = full_manifest(emotions=("sad", "neutral", "angry"), bias=("angry",))
+        assert plan_cells(manifest, "unbiased") == [
             ("neutral", "unbiased"),
             ("angry", "unbiased"),
             ("sad", "unbiased"),
         ]
-        combos = plan_combinations("biased:angry", emotions)
-        assert ("angry", "biased:angry") in combos
-        assert ("angry", "unbiased") not in combos
-        assert ("neutral", "unbiased") in combos
-        assert plan_combinations("biased:neutral", emotions) == plan_combinations(
-            "unbiased", emotions
-        )
+        assert plan_cells(manifest, "biased:angry") == [
+            ("angry", "biased:angry"),
+            ("neutral", "unbiased"),
+            ("sad", "unbiased"),
+        ]
+        assert plan_cells(manifest, "biased:neutral") == plan_cells(manifest, "unbiased")
+        # the target of a biased plan is covered even without biased records
+        assert plan_cells(manifest, "biased:fear")[0] == ("fear", "biased:fear")
 
 
 class TestRecordValidation:
@@ -210,10 +211,19 @@ class TestManifestIo:
         assert loaded.sample_rate == 8000
         assert loaded.metadata == {"origin": "studio b"}
 
+    @pytest.mark.parametrize("value", ["abc", "-5", "0", "16000.5"])
+    def test_bad_sample_rate_rejected(self, tmp_path, value):
+        path = tmp_path / "m.csv"
+        path.write_text(
+            f"# sample_rate={value}\n"
+            "speaker_id,gender,emotion,sentence_id,bias_tag,session,repetition,source\n"
+        )
+        with pytest.raises(ManifestError, match="sample_rate.*not a positive integer"):
+            load_manifest(path)
+
     def test_select_and_speakers(self):
         manifest = full_manifest()
         assert manifest.speakers == ["spk01", "spk02"]
-        assert manifest.emotions == ["neutral", "angry"]
         chosen = [
             r for r in manifest.records
             if (r.speaker_id, r.session, r.emotion) == ("spk01", "test", "angry")

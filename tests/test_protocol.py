@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 
@@ -83,12 +84,22 @@ class TestAssembleTrainingSet:
         with pytest.raises(ProtocolError, match="spk02 angry sentence 3.*8/9"):
             assemble_training_set(pruned, "spk02", "unbiased")
 
-    def test_allow_partial_skips_check(self, tiny_corpus):
-        pruned = replace(
-            tiny_corpus, records=[r for r in tiny_corpus.records if r.repetition != 4]
-        )
-        records = assemble_training_set(pruned, "spk01", "unbiased", allow_partial=True)
-        assert len(records) == 80  # 8 reps instead of 9
+    def test_biased_plan_key_sequence(self):
+        """Target's biased cell, other emotions in EMOTIONS order, sentence, repetition."""
+        manifest = manifest_with_cells([
+            ("sad", "unbiased"), ("angry", "unbiased"), ("neutral", "unbiased"),
+            ("angry", "biased:angry"), ("fear", "unbiased"),
+        ])
+        manifest = replace(manifest, records=manifest.records[::-1])
+        want = [
+            f"spk01_{emotion}_s{sentence}_r{rep:02d}_{token}"
+            for emotion, token in (("angry", "biased-angry"), ("neutral", "unbiased"),
+                                   ("sad", "unbiased"), ("fear", "unbiased"))
+            for sentence in SENTENCE_IDS
+            for rep in range(1, 10)
+        ]
+        records = assemble_training_set(manifest, "spk01", "biased:angry")
+        assert [r.key for r in records] == want
 
     def test_biased_plan_swaps_target_material(self, biased_corpus):
         records = assemble_training_set(biased_corpus, "spk01", "biased:angry")
@@ -569,6 +580,22 @@ class TestFolds:
                     counts.get((r.speaker_id, r.emotion, r.sentence_id), 0) + 1
                 )
             assert set(counts.values()) == {5}
+
+    def test_assignment_digest_is_frozen(self):
+        manifest = manifest_with_cells(
+            [("neutral", "unbiased"), ("angry", "unbiased"), ("angry", "biased:angry")]
+        )
+        folds = partition_folds(manifest, "biased:angry", 3, seed=5)
+        lines = [
+            f"{fold} {role} {r.key}"
+            for fold, assignment in enumerate(folds)
+            for role in ("test", "train")
+            for r in assignment[role]
+        ]
+        # every record of 2 speakers x 2 cells x 5 sentences x 15 reps, once per fold
+        assert len(lines) == 3 * 2 * 2 * 5 * 15
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "193543d2df56f815d41e2f1e1201b6a808a4d99e178c20a58fe51431fd4e0b24"
 
     def test_too_many_folds_raises(self, tiny_corpus):
         with pytest.raises(ProtocolError, match="folds"):
