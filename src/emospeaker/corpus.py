@@ -6,9 +6,10 @@ the header
     speaker_id,gender,emotion,sentence_id,bias_tag,session,repetition,source
 
 Lines starting with ``#`` before the header carry ``key=value`` metadata
-(``sample_rate`` is special-cased). Each speaker utters 5 sentences, 15 times
-each, per emotion: repetitions 1..9 belong to the training session and 10..15
-to the test session. ``bias_tag`` is either ``unbiased`` or ``biased:<emotion>``;
+(``sample_rate`` is special-cased), each key once; a ``#`` line without ``=``
+is a comment. Each speaker utters 5 sentences, 15 times each, per emotion:
+repetitions 1..9 belong to the training session and 10..15 to the test
+session. ``bias_tag`` is either ``unbiased`` or ``biased:<emotion>``;
 a neutral-biased sentence set is the unbiased set itself, so ``biased:neutral``
 is normalized to ``unbiased`` on load.
 
@@ -24,6 +25,8 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
+
+from .dsp import frame_geometry
 
 EMOTIONS = ("neutral", "angry", "sad", "happy", "disgust", "fear")
 GENDERS = ("male", "female")
@@ -154,6 +157,7 @@ def load_manifest(path: str | Path) -> CorpusManifest:
         raise ManifestError(f"manifest not found: {path}")
 
     metadata: dict[str, str] = {}
+    key_lines: dict[str, int] = {}
     header_line = None
     rows: list[tuple[int, list[str]]] = []
     with path.open(encoding="utf-8", newline="") as fh:
@@ -164,8 +168,16 @@ def load_manifest(path: str | Path) -> CorpusManifest:
             if stripped.startswith("#"):
                 if header_line is not None:
                     raise ManifestError(f"{path}:{lineno}: comment after header")
-                key, _, value = stripped[1:].strip().partition("=")
-                metadata[key.strip()] = value.strip()
+                key, is_pair, value = stripped[1:].strip().partition("=")
+                if not is_pair:
+                    continue  # a free-text comment
+                key = key.strip()
+                if key in key_lines:
+                    raise ManifestError(
+                        f"{path}:{lineno}: metadata key {key!r} already set on line {key_lines[key]}"
+                    )
+                key_lines[key] = lineno
+                metadata[key] = value.strip()
                 continue
             if header_line is None:
                 header_line = lineno
@@ -514,8 +526,6 @@ def generate_synthetic_corpus(
     noise_scale: float = 2.0,
     audio: bool = False,
     sample_rate: int = 16000,
-    window_length: int = 480,
-    hop: int = 80,
 ) -> CorpusManifest:
     """Generate a seeded corpus following the 9-train/6-test repetition protocol.
 
@@ -575,7 +585,7 @@ def generate_synthetic_corpus(
                 if audio:
                     write = _audio_cell_writer(
                         seed, out_dir, voice, cell_emotion, separation * boost,
-                        frames_range, sample_rate, window_length, hop,
+                        frames_range, sample_rate,
                     )
                 else:
                     write = _feature_cell_writer(
@@ -665,15 +675,17 @@ def _feature_cell_writer(seed, out_dir, speaker, emotion, base, signature, pros_
     return write
 
 
-def _audio_cell_writer(seed, out_dir, voice, emotion, separation, frames_range, sample_rate,
-                       window_length, hop):
+def _audio_cell_writer(seed, out_dir, voice, emotion, separation, frames_range, sample_rate):
     """Writer of one (speaker, cell)'s WAV files: ``write(key)`` -> source path.
 
     ``voice`` is the speaker's two draws for f0 and harmonic decay; with the
     emotion factor they fix the cell's harmonics here, once. ``write`` draws
     only from the utterance's own stream: frame count, one phase per
-    harmonic, then noise.
+    harmonic, then noise. A WAV of n frames holds exactly the samples that
+    the front end's framing at ``sample_rate`` (``dsp.frame_geometry``) cuts
+    into n frames.
     """
+    window_length, hop = frame_geometry(sample_rate)
     f0 = float(np.clip(130.0 + separation * voice[0], 80.0, 320.0))
     decay = 1.5 + abs(voice[1]) * (1.0 + separation)
     emotion_factor = 1.0 + 0.04 * _derived_rng(seed, "emo", emotion, "audio").standard_normal()

@@ -23,6 +23,16 @@ class DspError(ValueError):
     pass
 
 
+def frame_geometry(
+    sample_rate: int, window_ms: float = 30.0, hop_ms: float = 5.0
+) -> tuple[int, int]:
+    """(frame length, hop) in samples of a ``window_ms`` window every ``hop_ms``.
+
+    At 16 kHz the defaults give a 480-sample window with an 80-sample hop.
+    """
+    return int(round(sample_rate * window_ms / 1000.0)), int(round(sample_rate * hop_ms / 1000.0))
+
+
 def frame_signal(samples: np.ndarray, frame_length: int, hop: int) -> np.ndarray:
     """Slice a 1-D signal into overlapping frames, dropping any tail remainder.
 
@@ -161,11 +171,9 @@ def lfpc_sequence(
 ) -> np.ndarray:
     """Full front end: frames -> Hamming -> power spectrum -> banded dB power.
 
-    Returns (n_frames, n_bands) float64. At 16 kHz the defaults give a
-    480-sample window with an 80-sample hop.
+    Returns (n_frames, n_bands) float64, framed by ``frame_geometry``.
     """
-    frame_length = int(round(sample_rate * window_ms / 1000.0))
-    hop = int(round(sample_rate * hop_ms / 1000.0))
+    frame_length, hop = frame_geometry(sample_rate, window_ms, hop_ms)
     bank = build_log_filterbank(sample_rate, n_fft, n_bands, f_low, f_high)
     frames = frame_signal(samples, frame_length, hop)
     windowed = frames * hamming_window(frame_length)[None, :]

@@ -38,12 +38,16 @@ how many frames or states share a call: a state scores bit for bit the same
 alone as in a population's stack, and a frame the same alone as among
 others, which keeps `log_forward_table` equal to `log_forward`.
 
+`HmmStack` is the one path from models to kernel terms and log start and
+transition tables: it stacks V models that share a shape, once. A population
+is scored against its stack, and the one-model forms, `log_forward` and each
+EM iteration, build the V = 1 case of it.
+
 Scoring and training also share one forward and one backward recursion, the
 only loops over frames; both take batch axes, and `_padded_emissions` lays
 ragged sequences out for them, padded to the longest. A population is scored
-in one batched pass (`log_forward_table`) against an `HmmStack`, which holds
-its V models' kernel terms and log parameters, built once: a group of
-utterances runs against every model at once, each pair with the arithmetic of
+in one batched pass (`log_forward_table`): a group of utterances runs against
+every model of the stack at once, each pair with the arithmetic of
 `log_forward`.
 Training is multi-sequence expectation-maximization with parameter floors;
 each iteration runs every sequence through the recursions in one batched pass
@@ -65,6 +69,9 @@ import numpy as np
 _LOG_2PI = math.log(2.0 * math.pi)
 _LOWEST = np.finfo(np.float64).min
 
+# Parameter floors of initialization and EM re-estimation: the least variance
+# per dimension, and the least start, transition and mixture-weight
+# probability before a distribution is renormalized.
 VARIANCE_FLOOR = 1e-6
 TRANSITION_FLOOR = 1e-8
 WEIGHT_FLOOR = 1e-8
@@ -132,7 +139,9 @@ class GaussianMixture:
     def component_log_pdf(self, obs: np.ndarray) -> np.ndarray:
         """log(w_m * N(x_t; mu_m, var_m)) for every frame/component: (T, M).
 
-        The one-state case of the emission kernel (``_StateTerms``).
+        The one-state case of the emission kernel (``_StateTerms``). Only
+        tests score a lone state; the method stays because the benchmark's
+        ``hmm.emission`` layer traces it by name.
         """
         obs = np.atleast_2d(np.asarray(obs, dtype=np.float64))
         return _StateTerms.of([self]).component_log_pdf(obs)[0].T
@@ -237,33 +246,25 @@ class HmmModel:
         for s in self.states:
             s.validate()
 
-    def log_emissions(self, obs: np.ndarray) -> np.ndarray:
-        """State-conditional log densities: (T, N)."""
-        return _emissions(_stack([self]), (self.n_states,), obs)[1]
-
-
-def _stack(models: list[HmmModel]) -> _StateTerms:
-    """Kernel terms of every state of every model, model-major then state-major.
-
-    The models must share (states, mixtures, dim).
-    """
-    return _StateTerms.of([s for model in models for s in model.states])
-
 
 class HmmStack(Sequence):
-    """V models that share (states, mixtures, dim), stacked once for scoring.
+    """V models that share (states, mixtures, dim), stacked once.
 
     A sequence of the models in their given order, which also holds their
-    kernel terms as one stack of V*N states and their log start and
-    transition probabilities as (V, N) and (V, N, N) arrays. The models must
-    not change after the stack is built.
+    kernel terms as one stack of V*N states, model-major then state-major,
+    and their log start and transition probabilities as (V, N) and (V, N, N)
+    arrays, where a zero probability is -inf. Every pass builds its terms
+    here: scoring a population, and scoring or training one model as V = 1.
+    The models must not change after the stack is built.
     """
 
     def __init__(self, models: list[HmmModel]):
         self._models = tuple(models)
         self.states = (len(self._models), self._models[0].n_states)
-        self.emissions = _stack(self._models)
-        self.log_pi, self.log_a = (np.stack(p) for p in zip(*map(_log_params, self._models)))
+        self.emissions = _StateTerms.of([s for model in self._models for s in model.states])
+        with np.errstate(divide="ignore"):
+            self.log_pi = np.log(np.stack([model.pi for model in self._models]))
+            self.log_a = np.log(np.stack([model.transitions for model in self._models]))
 
     def __getitem__(self, index):
         return self._models[index]
@@ -358,12 +359,6 @@ def _padded_emissions(
     return log_b, comp_log
 
 
-def _log_params(model: HmmModel) -> tuple[np.ndarray, np.ndarray]:
-    """Log start and transition probabilities; zero probabilities map to -inf."""
-    with np.errstate(divide="ignore"):
-        return np.log(model.pi), np.log(model.transitions)
-
-
 def _check_obs(model: HmmModel, obs: np.ndarray) -> np.ndarray:
     obs = np.atleast_2d(np.asarray(obs, dtype=np.float64))
     if obs.shape[0] == 0:
@@ -420,7 +415,9 @@ def _backward(log_a: np.ndarray, log_b: np.ndarray, lengths) -> np.ndarray:
 def log_forward(model: HmmModel, obs: np.ndarray) -> tuple[float, np.ndarray]:
     """Forward recursion. Returns (log P(obs | model), log alpha matrix (T, N))."""
     obs = _check_obs(model, obs)
-    log_alpha = _forward(*_log_params(model), model.log_emissions(obs))
+    stack = HmmStack([model])
+    _, log_b = _emissions(stack.emissions, (model.n_states,), obs)
+    log_alpha = _forward(stack.log_pi[0], stack.log_a[0], log_b)
     return float(_termination(log_alpha[-1])), log_alpha
 
 
@@ -439,12 +436,6 @@ def log_forward_table(stack: HmmStack, sequences: list[np.ndarray]) -> np.ndarra
     log_b, _ = _padded_emissions(stack.emissions, stack.states, np.concatenate(seqs), lengths)
     log_alpha = _forward(stack.log_pi, stack.log_a, log_b, out=log_b)
     return _termination(log_alpha[lengths - 1, np.arange(len(seqs))])
-
-
-def log_backward(model: HmmModel, obs: np.ndarray) -> np.ndarray:
-    """Backward recursion: log beta matrix (T, N)."""
-    obs = _check_obs(model, obs)
-    return _backward(_log_params(model)[1], model.log_emissions(obs), len(obs))
 
 
 def log_likelihood(model: HmmModel, obs: np.ndarray) -> float:
@@ -510,7 +501,6 @@ def init_model(
     n_states: int,
     n_mixtures: int,
     seed: int = 0,
-    variance_floor: float = VARIANCE_FLOOR,
 ) -> HmmModel:
     """Deterministic starting model: k-means clusters dealt to states in blocks.
 
@@ -534,7 +524,7 @@ def init_model(
     centroids, assign = _kmeans(points, k, rng)
 
     order = np.argsort(centroids.sum(axis=1), kind="stable")
-    global_var = np.maximum(points.var(axis=0), variance_floor)
+    global_var = np.maximum(points.var(axis=0), VARIANCE_FLOOR)
 
     states = []
     for j in range(n_states):
@@ -549,7 +539,7 @@ def init_model(
         for m, c in enumerate(cluster_ids):
             members = points[assign == c]
             if len(members) >= 2:
-                variances[m] = np.maximum(members.var(axis=0), variance_floor)
+                variances[m] = np.maximum(members.var(axis=0), VARIANCE_FLOOR)
             else:
                 variances[m] = global_var
         states.append(GaussianMixture(weights=weights, means=means, variances=variances))
@@ -590,9 +580,6 @@ def baum_welch_train(
     *,
     max_iterations: int = 40,
     tolerance: float = 1e-4,
-    variance_floor: float = VARIANCE_FLOOR,
-    transition_floor: float = TRANSITION_FLOOR,
-    weight_floor: float = WEIGHT_FLOOR,
     on_iteration=None,
 ) -> TrainingResult:
     """Multi-sequence EM re-estimation of every parameter group.
@@ -627,8 +614,8 @@ def baum_welch_train(
     converged = False
 
     for iteration in range(max_iterations):
-        log_pi, log_a = _log_params(model)
-        terms = _stack([model])
+        stack = HmmStack([model])
+        log_pi, log_a = stack.log_pi[0], stack.log_a[0]
 
         pi_acc = np.zeros(n)
         xi_acc = np.zeros((n, n))
@@ -641,7 +628,9 @@ def baum_welch_train(
         for group in groups:
             lengths = np.array([len(obs) for obs in group])
             frames = np.concatenate(group)
-            log_b, comp_log = _padded_emissions(terms, (n,), frames, lengths, components=True)
+            log_b, comp_log = _padded_emissions(
+                stack.emissions, (n,), frames, lengths, components=True
+            )
             log_alpha = _forward(log_pi, log_a, log_b)
             lls = _termination(log_alpha[lengths - 1, np.arange(len(lengths))])
             bad = np.flatnonzero(~np.isfinite(lls))
@@ -684,10 +673,7 @@ def baum_welch_train(
                 converged = True
                 break
 
-        model = _reestimate(
-            model, pi_acc, xi_acc, comp_acc, mean_acc, sq_acc,
-            variance_floor, transition_floor, weight_floor, len(obs_list),
-        )
+        model = _reestimate(model, pi_acc, xi_acc, comp_acc, mean_acc, sq_acc, len(obs_list))
 
     return TrainingResult(model=model, log_likelihoods=history, converged=converged)
 
@@ -717,19 +703,16 @@ def batch_groups(
         yield run
 
 
-def _reestimate(
-    model, pi_acc, xi_acc, comp_acc, mean_acc, sq_acc,
-    variance_floor, transition_floor, weight_floor, n_sequences,
-) -> HmmModel:
+def _reestimate(model, pi_acc, xi_acc, comp_acc, mean_acc, sq_acc, n_sequences) -> HmmModel:
     n, m, _ = model.n_states, model.n_mixtures, model.dim
 
-    pi = _floor_distribution(pi_acc / n_sequences, transition_floor)
+    pi = _floor_distribution(pi_acc / n_sequences, TRANSITION_FLOOR)
 
     transitions = model.transitions.copy()
     for i in range(n):
         row_total = xi_acc[i].sum()
         if row_total > 0:
-            transitions[i] = _floor_distribution(xi_acc[i] / row_total, transition_floor)
+            transitions[i] = _floor_distribution(xi_acc[i] / row_total, TRANSITION_FLOOR)
 
     states = []
     for j in range(n):
@@ -739,14 +722,14 @@ def _reestimate(
         means = old.means.copy()
         variances = old.variances.copy()
         if state_total > 0:
-            weights = _floor_distribution(comp_acc[j] / state_total, weight_floor)
+            weights = _floor_distribution(comp_acc[j] / state_total, WEIGHT_FLOOR)
             for k in range(m):
                 occ = comp_acc[j, k]
                 if occ > 0:
                     mu = mean_acc[j, k] / occ
                     var = sq_acc[j, k] / occ - mu * mu
                     means[k] = mu
-                    variances[k] = np.maximum(var, variance_floor)
+                    variances[k] = np.maximum(var, VARIANCE_FLOOR)
         states.append(GaussianMixture(weights=weights, means=means, variances=variances))
 
     new_model = HmmModel(pi=pi, transitions=transitions, states=states)

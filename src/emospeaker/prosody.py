@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import DspError, frame_signal
+from .dsp import DspError, frame_geometry, frame_signal
 
 ENERGY_FLOOR = 1e-10
 
@@ -145,9 +145,7 @@ def pitch_energy_track(
     Frames are analyzed ``_SLICE_FRAMES`` at a time, so the FFT temporaries
     stay the same size however long the waveform is.
     """
-    frame_length = int(round(sample_rate * window_ms / 1000.0))
-    hop = int(round(sample_rate * hop_ms / 1000.0))
-    frames = frame_signal(samples, frame_length, hop)
+    frames = frame_signal(samples, *frame_geometry(sample_rate, window_ms, hop_ms))
     f0 = np.empty(len(frames))
     voiced = np.empty(len(frames), dtype=bool)
     log_energy = np.empty(len(frames))

@@ -41,7 +41,7 @@ from .corpus import (
     session_part,
 )
 from .hmm import batch_groups
-from .sphmm import Population, Topology, fused_log_scores, train_speaker_model
+from .sphmm import STREAMS, Population, Topology, fused_log_scores, train_speaker_model
 
 
 class ProtocolError(CorpusError):
@@ -254,7 +254,7 @@ def score_session(
     unknown = sorted({r.speaker_id for r in records}.difference(speakers))
     if unknown:
         raise ProtocolError(f"test speaker(s) not enrolled: {', '.join(unknown)}")
-    streams = [(s, getattr(population, s)) for s in ("acoustic", "prosodic")]
+    streams = [(s, getattr(population, s)) for s in STREAMS]
     row_cells = tuple(stack.emissions.n_states + stack.emissions.dim for _, stack in streams)
 
     def rows(obs) -> tuple[int, ...]:

@@ -43,6 +43,9 @@ from .hmm import (
     model_to_text,
 )
 
+# The two feature streams, in the order they are trained and fused.
+STREAMS = ("acoustic", "prosodic")
+
 
 @dataclass(frozen=True)
 class Topology:
@@ -111,7 +114,7 @@ class Population(Sequence):
         if twice:
             raise ModelError(f"speaker id(s) enrolled more than once: {', '.join(twice)}")
         first = self._models[0]
-        for stream in ("acoustic", "prosodic"):
+        for stream in STREAMS:
             want = _shape(getattr(first, stream))
             for model in self._models:
                 got = _shape(getattr(model, stream))
@@ -146,7 +149,7 @@ def fused_log_scores(
     if not 0.0 <= alpha <= 1.0:
         raise ModelError(f"alpha must lie in [0, 1], got {alpha}")
     fused = []
-    for stream, weight in (("acoustic", 1.0 - alpha), ("prosodic", alpha)):
+    for stream, weight in zip(STREAMS, (1.0 - alpha, alpha)):
         if weight == 0.0:
             fused.append(0.0)
             continue
@@ -185,6 +188,8 @@ def train_speaker_model(
 ) -> SpeakerTrainingResult:
     """Fit both stream models on the same utterances.
 
+    Both streams' feature dimensions are checked before either is trained;
+    then each stream, acoustic first, is initialized and re-estimated.
     Initialization seeds derive from (seed, stream, speaker_id), so a
     population trains reproducibly regardless of speaker order or process.
     """
@@ -194,46 +199,33 @@ def train_speaker_model(
     if not 0.0 < prior <= 1.0:
         raise ModelError(f"prior must lie in (0, 1], got {prior}")
 
-    acoustic_seqs = [o.acoustic for o in observations]
-    prosodic_seqs = [o.prosodic for o in observations]
-    if acoustic_seqs[0].shape[1] != topology.acoustic_dim:
-        raise ModelError(
-            f"speaker {speaker_id!r}: acoustic features have dim "
-            f"{acoustic_seqs[0].shape[1]}, topology expects {topology.acoustic_dim}"
+    sequences = {stream: [getattr(o, stream) for o in observations] for stream in STREAMS}
+    for stream in STREAMS:
+        dim, want = sequences[stream][0].shape[1], getattr(topology, f"{stream}_dim")
+        if dim != want:
+            raise ModelError(
+                f"speaker {speaker_id!r}: {stream} features have dim {dim}, topology expects {want}"
+            )
+    results = {}
+    for stream in STREAMS:
+        init = init_model(
+            sequences[stream],
+            getattr(topology, f"{stream}_states"),
+            getattr(topology, f"{stream}_mixtures"),
+            seed=derive_seed(seed, stream, speaker_id),
         )
-    if prosodic_seqs[0].shape[1] != topology.prosodic_dim:
-        raise ModelError(
-            f"speaker {speaker_id!r}: prosodic features have dim "
-            f"{prosodic_seqs[0].shape[1]}, topology expects {topology.prosodic_dim}"
+        results[stream] = baum_welch_train(
+            init, sequences[stream], max_iterations=max_iterations, tolerance=tolerance
         )
-
-    acoustic_init = init_model(
-        acoustic_seqs,
-        topology.acoustic_states,
-        topology.acoustic_mixtures,
-        seed=derive_seed(seed, "acoustic", speaker_id),
-    )
-    acoustic_result = baum_welch_train(
-        acoustic_init, acoustic_seqs, max_iterations=max_iterations, tolerance=tolerance
-    )
-    prosodic_init = init_model(
-        prosodic_seqs,
-        topology.prosodic_states,
-        topology.prosodic_mixtures,
-        seed=derive_seed(seed, "prosodic", speaker_id),
-    )
-    prosodic_result = baum_welch_train(
-        prosodic_init, prosodic_seqs, max_iterations=max_iterations, tolerance=tolerance
-    )
 
     model = SpeakerModel(
         speaker_id=speaker_id,
-        acoustic=acoustic_result.model,
-        prosodic=prosodic_result.model,
+        acoustic=results["acoustic"].model,
+        prosodic=results["prosodic"].model,
         log_prior=math.log(prior),
     )
     model.validate()
-    return SpeakerTrainingResult(model=model, acoustic=acoustic_result, prosodic=prosodic_result)
+    return SpeakerTrainingResult(model=model, **results)
 
 
 # --- serialization -----------------------------------------------------------------

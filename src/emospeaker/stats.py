@@ -96,9 +96,9 @@ def t_statistic(summary: TwoSampleSummary) -> float:
     return (summary.mean1 - summary.mean2) / denom
 
 
-def significant_at_005(t: float, critical: float = CRITICAL_T_005) -> bool:
-    """One-sided test: strictly greater than the critical value."""
-    return t > critical
+def significant_at_005(t: float) -> bool:
+    """One-sided test: strictly greater than the critical value ``CRITICAL_T_005``."""
+    return t > CRITICAL_T_005
 
 
 @dataclass

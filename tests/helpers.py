@@ -2,8 +2,10 @@
 
 Everything here trades speed for obviousness: explicit loops, probability
 domain where it cannot underflow, scipy's log-sum-exp where it can, no shared
-code with the package internals. The one-sequence-at-a-time EM oracle builds
-on the package's public, unbatched recursions, which the other oracles check.
+code with the package internals. The exceptions are ``log_emissions`` and
+``log_backward``, the package's own kernel and backward recursion run on one
+model with no batch axes, and the one-sequence-at-a-time EM oracle, which
+builds on them and on ``log_forward``; the other oracles check all three.
 """
 
 import itertools
@@ -13,7 +15,19 @@ import tracemalloc
 import numpy as np
 from scipy.special import logsumexp
 
-from emospeaker.hmm import GaussianMixture, HmmModel, log_backward, log_forward
+from emospeaker import hmm
+from emospeaker.hmm import GaussianMixture, HmmModel, HmmStack, log_forward
+
+
+def log_emissions(model: HmmModel, obs) -> np.ndarray:
+    """The package's state log densities of frames under one model: (T, N)."""
+    obs = np.atleast_2d(np.asarray(obs, dtype=np.float64))
+    return hmm._emissions(HmmStack([model]).emissions, (model.n_states,), obs)[1]
+
+
+def log_backward(model: HmmModel, obs) -> np.ndarray:
+    """The package's backward recursion on one sequence, no batch axes: log beta (T, N)."""
+    return hmm._backward(HmmStack([model]).log_a[0], log_emissions(model, obs), len(obs))
 
 
 def component_densities(state: GaussianMixture, x) -> list[float]:
@@ -201,7 +215,7 @@ def per_sequence_baum_welch(
         total = 0.0
         for obs in sequences:
             comp_log = np.stack([s.component_log_pdf(obs) for s in model.states], axis=1)
-            log_b = model.log_emissions(obs)
+            log_b = log_emissions(model, obs)
             ll, log_alpha = log_forward(model, obs)
             log_beta = log_backward(model, obs)
             total += ll

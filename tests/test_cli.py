@@ -380,6 +380,14 @@ class TestErrors:
         assert code == 1
         assert "sample_rate 'abc' is not a positive integer" in capsys.readouterr().err
 
+    def test_repeated_metadata_key_exits_1(self, pipeline, tmp_path, capsys):
+        lines = pipeline["manifest"].read_text().splitlines()
+        broken = tmp_path / "broken.csv"
+        broken.write_text("\n".join(["# sample_rate=8000"] + lines) + "\n")
+        code = run(["train", "--manifest", str(broken), "--out", str(tmp_path / "o"), *TINY_FLAGS])
+        assert code == 1
+        assert "metadata key 'sample_rate' already set on line 1" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "row, message",
         [

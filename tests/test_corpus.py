@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from emospeaker import corpus
+from emospeaker.features import FrontEnd, load_observation
 from emospeaker.corpus import (
     EMOTIONS,
     AudioFormatError,
@@ -210,6 +211,32 @@ class TestManifestIo:
         loaded = load_manifest(path)
         assert loaded.sample_rate == 8000
         assert loaded.metadata == {"origin": "studio b"}
+
+    def test_comment_without_equals_is_skipped(self, tmp_path):
+        # a free-text line is neither a metadata key nor written back
+        path = tmp_path / "m.csv"
+        path.write_text(
+            "# recorded in studio b\n"
+            "# origin=studio b\n"
+            "speaker_id,gender,emotion,sentence_id,bias_tag,session,repetition,source\n"
+        )
+        loaded = load_manifest(path)
+        assert loaded.metadata == {"origin": "studio b"}
+        write_manifest(loaded, tmp_path / "again.csv")
+        assert "recorded" not in (tmp_path / "again.csv").read_text()
+
+    @pytest.mark.parametrize("key, values", [("sample_rate", ("8000", "16000")), ("seed", ("1", "2"))])
+    def test_repeated_key_rejected_with_both_lines(self, tmp_path, key, values):
+        path = tmp_path / "m.csv"
+        path.write_text(
+            f"# {key}={values[0]}\n"
+            "# origin=studio b\n"
+            f"# {key}={values[1]}\n"
+            "speaker_id,gender,emotion,sentence_id,bias_tag,session,repetition,source\n"
+        )
+        with pytest.raises(ManifestError) as err:
+            load_manifest(path)
+        assert str(err.value) == f"{path}:3: metadata key {key!r} already set on line 1"
 
     @pytest.mark.parametrize("value", ["abc", "-5", "0", "16000.5"])
     def test_bad_sample_rate_rejected(self, tmp_path, value):
@@ -500,6 +527,19 @@ class TestSyntheticCorpus:
         assert signal.sample_rate == 16000
         n_frames = (len(signal.samples) - 480) // 80 + 1
         assert 12 <= n_frames <= 14
+
+    def test_audio_frames_follow_sample_rate(self, tmp_path):
+        # at 8 kHz the front end takes a 240-sample window every 40 samples;
+        # a WAV asked for 10 frames gives 10 LFPC frames and two 9-frame blocks
+        manifest = generate_synthetic_corpus(
+            seed=6, n_speakers=2, emotions=("neutral",), separation=1.0,
+            out_dir=tmp_path, frames_range=(10, 10), audio=True, sample_rate=8000,
+        )
+        front_end = FrontEnd(f_high=4000.0, n_bands=12)
+        for record in manifest.records[:3]:
+            obs = load_observation(manifest, record, front_end)
+            assert obs.acoustic.shape == (10, 12)
+            assert len(obs.prosodic) == 2
 
     def test_rejects_bad_arguments(self, tmp_path):
         with pytest.raises(CorpusError):

@@ -20,7 +20,6 @@ from emospeaker.hmm import (
     batch_groups,
     baum_welch_train,
     init_model,
-    log_backward,
     log_forward,
     log_forward_table,
     log_likelihood,
@@ -31,8 +30,10 @@ from helpers import (
     brute_force_em_step,
     brute_force_log_likelihood,
     direct_component_log_pdf,
+    log_backward,
     log_domain_backward,
     log_domain_forward,
+    log_emissions,
     log_mixture_density,
     looped_kmeans,
     mixture_density,
@@ -108,9 +109,10 @@ class TestValidation:
         model = random_model(np.random.default_rng(4), 2, 1, 3)
         obs = np.random.default_rng(5).standard_normal((6, 3))
         obs[3, 1] = bad
-        for score in (log_forward, log_backward):
-            with pytest.raises(ModelError, match="non-finite"):
-                score(model, obs)
+        with pytest.raises(ModelError, match="non-finite"):
+            log_forward(model, obs)
+        with pytest.raises(ModelError, match="non-finite"):
+            log_forward_table(HmmStack([model]), [obs[:3], obs])
         with pytest.raises(ModelError, match="non-finite"):
             baum_welch_train(model, [obs[:3], obs], max_iterations=1)
 
@@ -123,7 +125,7 @@ class TestEmissions:
         for _ in range(5):
             x = rng.standard_normal(3)
             expected = np.log(mixture_density(state, x))
-            assert model.log_emissions(x[None, :])[0, 0] == pytest.approx(expected, rel=1e-12)
+            assert log_emissions(model, x[None, :])[0, 0] == pytest.approx(expected, rel=1e-12)
 
     @staticmethod
     def assert_close(got, want, rtol):
@@ -170,7 +172,7 @@ class TestEmissions:
             np.full(12, f0), np.zeros(12), rng.normal(73.0, 0.5, 12), np.ones(12)
         ])
         want = np.array([[log_mixture_density(s, x) for s in model.states] for x in obs])
-        self.assert_close(model.log_emissions(obs), want, 1e-9)
+        self.assert_close(log_emissions(model, obs), want, 1e-9)
         ll, _ = log_forward(model, obs)
         self.assert_close(ll, log_domain_forward(model, obs)[0], 1e-9)
 
@@ -203,7 +205,7 @@ class TestEmissions:
             d = int(rng.integers(1, 17))
             models = [random_model(rng, n, m, d) for _ in range(int(rng.integers(1, 5)))]
             obs = rng.normal(0.0, 3.0, (int(rng.integers(2, 60)), d))
-            terms = hmm._stack(models)
+            terms = HmmStack(models).emissions
             stacked = terms.component_log_pdf(obs).reshape(len(models), n, m, len(obs))
             for v, model in enumerate(models):
                 for j, state in enumerate(model.states):
@@ -262,7 +264,7 @@ class TestForward:
         rng = np.random.default_rng(6)
         model = random_model(rng, 3, 2, 2)
         x = rng.standard_normal((1, 2))
-        expected = logsumexp(np.log(model.pi) + model.log_emissions(x)[0])
+        expected = logsumexp(np.log(model.pi) + log_emissions(model, x)[0])
         assert log_likelihood(model, x) == pytest.approx(float(expected), rel=1e-12)
 
     def test_table_equals_per_pair_forward(self):
@@ -299,9 +301,9 @@ class TestForward:
             sequences = [rng.normal(0.0, 0.3, (int(t), d)) for t in rng.choice([1, 2, 9], 8)]
             ends = np.cumsum([len(seq) for seq in sequences])
             for model in stack:
-                log_b = model.log_emissions(np.concatenate(sequences))
+                log_b = log_emissions(model, np.concatenate(sequences))
                 for seq, end in zip(sequences, ends):
-                    assert np.array_equal(model.log_emissions(seq), log_b[end - len(seq) : end])
+                    assert np.array_equal(log_emissions(model, seq), log_b[end - len(seq) : end])
             table = log_forward_table(stack, sequences)
             for u, seq in enumerate(sequences):
                 assert np.array_equal(table[u], log_forward_table(stack, [seq])[0])
@@ -321,10 +323,11 @@ class TestForward:
             model.transitions *= 1.0 + 4e-9
             seqs = [rng.normal(0.0, 3.0, (int(t), d)) for t in rng.choice([1, 2, 9, 30], 6)]
             lengths = np.array([len(s) for s in seqs])
+            stack = HmmStack([model])
             log_b, _ = hmm._padded_emissions(
-                hmm._stack([model]), (n,), np.concatenate(seqs), lengths
+                stack.emissions, (n,), np.concatenate(seqs), lengths
             )
-            log_beta = hmm._backward(hmm._log_params(model)[1], log_b, lengths)
+            log_beta = hmm._backward(stack.log_a[0], log_b, lengths)
             for k, seq in enumerate(seqs):
                 assert np.array_equal(log_beta[: len(seq), k], log_backward(model, seq))
                 assert np.all(log_beta[len(seq) - 1 :, k] == 0.0)
@@ -509,13 +512,14 @@ class TestBaumWelch:
 
     def test_one_iteration_matches_brute_force(self):
         rng = np.random.default_rng(27)
-        floors = dict(variance_floor=1e-6, transition_floor=1e-8, weight_floor=1e-8)
+        floors = dict(variance_floor=hmm.VARIANCE_FLOOR, transition_floor=hmm.TRANSITION_FLOOR,
+                      weight_floor=hmm.WEIGHT_FLOOR)
         for _ in range(10):
             n, m, d = int(rng.integers(1, 4)), int(rng.integers(1, 3)), int(rng.integers(1, 3))
             model = random_model(rng, n, m, d)
             seqs = [rng.normal(0.0, 2.0, (int(rng.integers(1, 6)), d))
                     for _ in range(int(rng.integers(2, 4)))]
-            got = baum_welch_train(model, seqs, max_iterations=1, **floors).model
+            got = baum_welch_train(model, seqs, max_iterations=1).model
             want = brute_force_em_step(model, seqs, **floors)
             assert got.pi == pytest.approx(want.pi, rel=1e-9)
             assert got.transitions == pytest.approx(want.transitions, rel=1e-9)
@@ -531,7 +535,8 @@ class TestBaumWelch:
         if group_cells is not None:
             monkeypatch.setattr(hmm, "_GROUP_CELLS", group_cells)
         rng = np.random.default_rng(29)
-        floors = dict(variance_floor=1e-6, transition_floor=1e-8, weight_floor=1e-8)
+        floors = dict(variance_floor=hmm.VARIANCE_FLOOR, transition_floor=hmm.TRANSITION_FLOOR,
+                      weight_floor=hmm.WEIGHT_FLOOR)
         cases = []
         for trial in range(12):
             n, m, d = (int(k) for k in rng.integers(1, 5, size=3))
@@ -544,7 +549,7 @@ class TestBaumWelch:
         seqs = two_state_sequences(rng, n_sequences=6, length=20)
         cases.append((init_model(seqs, 2, 2, seed=4), seqs))
         for model, seqs in cases:
-            got = baum_welch_train(model, seqs, max_iterations=3, tolerance=0.0, **floors)
+            got = baum_welch_train(model, seqs, max_iterations=3, tolerance=0.0)
             want, history = per_sequence_baum_welch(model, seqs, 3, 0.0, **floors)
             assert got.log_likelihoods[0] == history[0]
             assert got.log_likelihoods == pytest.approx(history, rel=1e-12, abs=0)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from emospeaker import sphmm
 from emospeaker.hmm import ModelError, ModelFormatError, log_forward
 from emospeaker.sphmm import (
     DualObservation,
@@ -238,11 +239,28 @@ class TestTraining:
                                      max_iterations=2, prior=0.1)
         assert result.model.log_prior == pytest.approx(math.log(0.1))
 
-    def test_dimension_mismatch_rejected(self):
-        topo = Topology(2, 1, 5, 2, 1, 3)
+    @pytest.mark.parametrize("stream", ["acoustic", "prosodic"])
+    def test_dimension_mismatch_rejected(self, stream, monkeypatch):
+        # features are 4-D acoustic and 3-D prosodic; the topology expects 5
+        # in one stream. Both streams are checked before either initializes.
+        dims = {"acoustic": 4, "prosodic": 3}
+        want = {s: 5 if s == stream else d for s, d in dims.items()}
+        topo = Topology(2, 1, want["acoustic"], 2, 1, want["prosodic"])
+        calls = []
+        real_init = sphmm.init_model
+
+        def counting_init(*args, **kwargs):
+            calls.append(args[1:3])
+            return real_init(*args, **kwargs)
+
+        monkeypatch.setattr(sphmm, "init_model", counting_init)
         obs = self.make_observations(44)
-        with pytest.raises(ModelError, match="dim"):
+        with pytest.raises(ModelError) as err:
             train_speaker_model("spk01", obs, topo, seed=0, max_iterations=2)
+        assert str(err.value) == (
+            f"speaker 'spk01': {stream} features have dim {dims[stream]}, topology expects 5"
+        )
+        assert calls == []
 
     def test_no_observations_rejected(self):
         topo = Topology(2, 1, 4, 2, 1, 3)
