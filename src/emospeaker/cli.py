@@ -29,6 +29,7 @@ from .corpus import (
     normalize_plan,
     validate_protocol_counts,
 )
+from .dsp import HOP_MS, WINDOW_MS
 from .features import extract_corpus, make_loader, read_observation
 from .hmm import ModelError, TrainingError
 from .protocol import (
@@ -146,6 +147,11 @@ def load_population(directory: Path) -> Population:
 def cmd_synth(args) -> int:
     config = _config_from_args(args)
     _require(config, "out")
+    if config.synth_audio and (config.window_ms, config.hop_ms) != (WINDOW_MS, HOP_MS):
+        raise ConfigError(
+            f"synth_audio writes WAVs framed at window_ms={WINDOW_MS:g} and hop_ms={HOP_MS:g};"
+            f" got window_ms={config.window_ms:g} and hop_ms={config.hop_ms:g}"
+        )
     manifest = corpus_mod.generate_synthetic_corpus(
         seed=config.seed,
         n_speakers=config.n_speakers,

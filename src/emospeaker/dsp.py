@@ -23,8 +23,14 @@ class DspError(ValueError):
     pass
 
 
+# The front end's default framing: a 30 ms window every 5 ms. Synthetic WAVs
+# are always cut for it.
+WINDOW_MS = 30.0
+HOP_MS = 5.0
+
+
 def frame_geometry(
-    sample_rate: int, window_ms: float = 30.0, hop_ms: float = 5.0
+    sample_rate: int, window_ms: float = WINDOW_MS, hop_ms: float = HOP_MS
 ) -> tuple[int, int]:
     """(frame length, hop) in samples of a ``window_ms`` window every ``hop_ms``.
 

@@ -334,29 +334,26 @@ def _padded_emissions(
     states: tuple[int, ...],
     frames: np.ndarray,
     lengths: np.ndarray,
-    components: bool = False,
-) -> tuple[np.ndarray, np.ndarray | None]:
+    out: np.ndarray | None = None,
+) -> np.ndarray:
     """Emissions of S concatenated sequences: log b padded to (T, S, *states).
 
     T is the longest length; padded frames hold 0 and no recursion reads them
     as data. Densities are taken over the concatenated frames in slices of at
     most ``_SLICE_ELEMENTS`` elements of each (states, D, frames) and
-    (states, M, frames) temporary. With ``components``, the component log
-    densities of the real frames, (*states, M, F) with the F frames in
-    concatenation order, come back too.
+    (states, M, frames) temporary. Given ``out``, (*states, M, F), the
+    component log densities of the F real frames are written into it, in
+    concatenation order.
     """
     owner, position = _layout(lengths)
     log_b = np.zeros((lengths.max(), len(lengths), *states))
-    comp_log = None
-    if components:
-        comp_log = np.empty((*states, terms.n_mixtures, len(frames)))
     step = max(1, _SLICE_ELEMENTS // (terms.n_states * max(terms.dim, terms.n_mixtures)))
     for lo in range(0, len(frames), step):
         part = slice(lo, lo + step)
         comp_part, log_b[position[part], owner[part]] = _emissions(terms, states, frames[part])
-        if comp_log is not None:
-            comp_log[..., part] = comp_part
-    return log_b, comp_log
+        if out is not None:
+            out[..., part] = comp_part
+    return log_b
 
 
 def _check_obs(model: HmmModel, obs: np.ndarray) -> np.ndarray:
@@ -433,7 +430,7 @@ def log_forward_table(stack: HmmStack, sequences: list[np.ndarray]) -> np.ndarra
     """
     seqs = [_check_obs(stack[0], s) for s in sequences]
     lengths = np.array([len(s) for s in seqs])
-    log_b, _ = _padded_emissions(stack.emissions, stack.states, np.concatenate(seqs), lengths)
+    log_b = _padded_emissions(stack.emissions, stack.states, np.concatenate(seqs), lengths)
     log_alpha = _forward(stack.log_pi, stack.log_a, log_b, out=log_b)
     return _termination(log_alpha[lengths - 1, np.arange(len(seqs))])
 
@@ -444,55 +441,89 @@ def log_likelihood(model: HmmModel, obs: np.ndarray) -> float:
 
 # --- initialization ---------------------------------------------------------------
 
-def _pairwise_sq_dist(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    d2 = (
-        np.sum(points * points, axis=1)[:, None]
-        - 2.0 * points @ centroids.T
-        + np.sum(centroids * centroids, axis=1)[None, :]
-    )
-    return np.maximum(d2, 0.0)
+def _pairwise_sq_dist(
+    norms: np.ndarray, doubled: np.ndarray, centroids: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """Squared distances of n points to k centroids, written into ``out`` (n, k).
+
+    ``norms`` is ``np.sum(points * points, axis=1)`` and ``doubled`` is
+    ``2.0 * points``, both taken once per k-means. Each entry is
+    max(norm - (2 x) . c + |c|^2, 0), added in that order.
+    """
+    np.matmul(doubled, centroids.T, out=out)
+    np.subtract(norms[:, None], out, out=out)
+    out += np.sum(centroids * centroids, axis=1)[None, :]
+    return np.maximum(out, 0.0, out=out)
 
 
-def _kmeans_pp_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _choice_index(rng: np.random.Generator, p: np.ndarray) -> int:
+    """``int(rng.choice(len(p), p=p))`` by the sampler ``choice`` runs, without its checks.
+
+    A cumulative sum scaled by its last entry, searched with one ``random()``:
+    the same index, and the same draws from ``rng``.
+    """
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
+def _kmeans_pp_seed(
+    points: np.ndarray, norms: np.ndarray, doubled: np.ndarray, k: int, rng: np.random.Generator
+) -> np.ndarray:
+    n = len(points)
     centroids = np.empty((k, points.shape[1]))
-    centroids[0] = points[rng.integers(len(points))]
-    min_d2 = _pairwise_sq_dist(points, centroids[:1])[:, 0]
+    centroids[0] = points[rng.integers(n)]
+    column = np.empty((n, 1))
+    min_d2 = _pairwise_sq_dist(norms, doubled, centroids[:1], column)[:, 0].copy()
     for j in range(1, k):
         total = min_d2.sum()
         if total <= 0.0:
-            idx = int(rng.integers(len(points)))
+            idx = int(rng.integers(n))
         else:
-            idx = int(rng.choice(len(points), p=min_d2 / total))
+            idx = _choice_index(rng, min_d2 / total)
         centroids[j] = points[idx]
-        min_d2 = np.minimum(min_d2, _pairwise_sq_dist(points, centroids[j : j + 1])[:, 0])
+        np.minimum(
+            min_d2, _pairwise_sq_dist(norms, doubled, centroids[j : j + 1], column)[:, 0], out=min_d2
+        )
     return centroids
 
 
 def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator, n_iter: int = 10):
-    """Seeded Lloyd iterations; empty clusters reseed to the worst-fit point."""
+    """Seeded Lloyd iterations; empty clusters reseed to the worst-fit point.
+
+    k-means++ seeding draws each next centroid with the sampler that
+    ``Generator.choice(n, p=...)`` runs internally (a scaled cumulative sum
+    searched with one ``random()``), so the picks and the generator's state
+    are those of ``choice``. One call holds one (n, k) distance table, which
+    every Lloyd step refills in place, and one (n, 1) column for seeding.
+    """
     n = len(points)
+    norms = np.sum(points * points, axis=1)
+    doubled = 2.0 * points
     if n >= k:
-        centroids = _kmeans_pp_seed(points, k, rng)
+        centroids = _kmeans_pp_seed(points, norms, doubled, k, rng)
     else:
         spread = points.std(axis=0) + 1e-6
         centroids = points[np.arange(k) % n] + 1e-3 * spread * rng.standard_normal(
             (k, points.shape[1])
         )
-    assign = np.zeros(n, dtype=int)
+    d2 = np.empty((n, k))
     for _ in range(n_iter):
-        d2 = _pairwise_sq_dist(points, centroids)
-        assign = np.argmin(d2, axis=1)
+        assign = np.argmin(_pairwise_sq_dist(norms, doubled, centroids, d2), axis=1)
         counts = np.bincount(assign, minlength=k)
-        sums = np.zeros_like(centroids)
-        np.add.at(sums, assign, points)   # each cluster's points summed in order, as .mean does
+        # each cluster's points summed in input order, as .mean does
+        sums = np.stack(
+            [np.bincount(assign, weights=column, minlength=k) for column in points.T], axis=1
+        )
         filled = counts > 0
         new_centroids = np.empty_like(centroids)
         new_centroids[filled] = sums[filled] / counts[filled, None]
-        new_centroids[~filled] = points[np.argmax(d2[np.arange(n), assign])]
+        if not filled.all():
+            new_centroids[~filled] = points[np.argmax(d2[np.arange(n), assign])]
         if np.array_equal(new_centroids, centroids):
             break
         centroids = new_centroids
-    assign = np.argmin(_pairwise_sq_dist(points, centroids), axis=1)
+    assign = np.argmin(_pairwise_sq_dist(norms, doubled, centroids, d2), axis=1)
     return centroids, assign
 
 
@@ -505,9 +536,13 @@ def init_model(
     """Deterministic starting model: k-means clusters dealt to states in blocks.
 
     Pooled frames are clustered into n_states * n_mixtures groups (k-means++
-    seeding from ``seed``); clusters are ordered by centroid coordinate sum and
-    assigned to states contiguously. Start and transition distributions begin
-    uniform (fully ergodic).
+    seeding from ``seed``, whose picks are ``Generator.choice``'s own draw for
+    draw; the k-means holds one (n, k) distance table per call). Clusters are
+    ordered by centroid coordinate sum and assigned to states contiguously;
+    a cluster's members are read as one slice of the frames sorted stably by
+    cluster, in their pooled order. Start and transition distributions begin
+    uniform (fully ergodic). EM (``baum_welch_train``) then holds two working
+    buffers per call.
     """
     if not sequences:
         raise TrainingError("no training sequences")
@@ -525,20 +560,23 @@ def init_model(
 
     order = np.argsort(centroids.sum(axis=1), kind="stable")
     global_var = np.maximum(points.var(axis=0), VARIANCE_FLOOR)
+    sizes = np.bincount(assign, minlength=k)
+    starts = np.cumsum(sizes) - sizes
+    grouped = points[np.argsort(assign, kind="stable")]  # cluster by cluster, in pooled order
 
     states = []
     for j in range(n_states):
         cluster_ids = order[j * n_mixtures : (j + 1) * n_mixtures]
-        counts = np.array([(assign == c).sum() for c in cluster_ids], dtype=np.float64)
+        counts = sizes[cluster_ids].astype(np.float64)
         weights = _floor_distribution(
             counts / counts.sum() if counts.sum() > 0 else np.full(n_mixtures, 1.0 / n_mixtures),
             WEIGHT_FLOOR,
         )
-        means = centroids[cluster_ids].copy()
+        means = centroids[cluster_ids]
         variances = np.empty_like(means)
         for m, c in enumerate(cluster_ids):
-            members = points[assign == c]
-            if len(members) >= 2:
+            if sizes[c] >= 2:
+                members = grouped[starts[c] : starts[c] + sizes[c]]
                 variances[m] = np.maximum(members.var(axis=0), VARIANCE_FLOOR)
             else:
                 variances[m] = global_var
@@ -610,6 +648,11 @@ def baum_welch_train(
     # a frame's component responsibilities and transition posteriors outweigh
     # its emission, forward and backward cells; d counts the frame itself
     groups = list(batch_groups(obs_list, lambda obs: (len(obs),), (n * (m + n) + d,)))
+    # the responsibilities (N, M, F) and transition posteriors (F - S, N, N)
+    # of every group are views of two buffers, each sized for its largest group
+    group_frames = [sum(map(len, group)) for group in groups]
+    resp_buffer = np.empty(n * m * max(group_frames))
+    xi_buffer = np.empty(n * n * max(f - len(g) for f, g in zip(group_frames, groups)))
     history: list[float] = []
     converged = False
 
@@ -625,12 +668,11 @@ def baum_welch_train(
         total_ll = 0.0
 
         first = 0  # index of the group's first sequence
-        for group in groups:
+        for group, n_frames in zip(groups, group_frames):
             lengths = np.array([len(obs) for obs in group])
             frames = np.concatenate(group)
-            log_b, comp_log = _padded_emissions(
-                stack.emissions, (n,), frames, lengths, components=True
-            )
+            comp_log = resp_buffer[: n * m * n_frames].reshape(n, m, n_frames)
+            log_b = _padded_emissions(stack.emissions, (n,), frames, lengths, out=comp_log)
             log_alpha = _forward(log_pi, log_a, log_b)
             lls = _termination(log_alpha[lengths - 1, np.arange(len(lengths))])
             bad = np.flatnonzero(~np.isfinite(lls))
@@ -651,7 +693,8 @@ def baum_welch_train(
             log_gamma = log_alpha + log_beta - frame_ll               # (F, N)
             pi_acc += np.exp(log_gamma[position == 0]).sum(axis=0)
             src = np.flatnonzero(position[1:])     # frames whose successor is in their sequence
-            xi = log_alpha[src, :, None] + log_a
+            xi = xi_buffer[: len(src) * n * n].reshape(len(src), n, n)
+            np.add(log_alpha[src, :, None], log_a, out=xi)
             xi += (log_b + log_beta)[src + 1, None, :]
             xi -= frame_ll[src, :, None]
             xi_acc += np.exp(xi, out=xi).sum(axis=0)
@@ -659,7 +702,7 @@ def baum_welch_train(
             comp_log -= log_b.T[:, None, :]
             resp = np.exp(comp_log, out=comp_log)                   # (N, M, F)
             comp_acc += resp.sum(axis=2)
-            resp = resp.reshape(n * m, len(frames))
+            resp = resp.reshape(n * m, n_frames)
             mean_acc += (resp @ frames).reshape(n, m, d)
             sq_acc += (resp @ (frames * frames)).reshape(n, m, d)
             first += len(group)

@@ -302,6 +302,43 @@ def looped_kmeans(points, k, rng, n_iter=10):
     return centroids, np.argmin(_sq_dist(points, centroids), axis=1)
 
 
+def looped_init_model(sequences, n_states: int, n_mixtures: int, seed: int = 0) -> HmmModel:
+    """``hmm.init_model`` from ``looped_kmeans`` and one boolean mask per cluster.
+
+    Clusters ordered by centroid coordinate sum are dealt to states in
+    blocks. A cluster's weight is its share of its state's frames, and its
+    variances are those of its members, or of all frames when it has fewer
+    than two. Start and transition distributions are uniform.
+    """
+    points = np.concatenate([np.atleast_2d(np.asarray(s, dtype=float)) for s in sequences])
+    centroids, assign = looped_kmeans(points, n_states * n_mixtures, np.random.default_rng(seed))
+    order = np.argsort(centroids.sum(axis=1), kind="stable")
+    global_var = np.maximum(points.var(axis=0), hmm.VARIANCE_FLOOR)
+    states = []
+    for j in range(n_states):
+        cluster_ids = order[j * n_mixtures : (j + 1) * n_mixtures]
+        counts = np.array([(assign == c).sum() for c in cluster_ids], dtype=float)
+        if counts.sum() > 0:
+            weights = _floored(counts / counts.sum(), hmm.WEIGHT_FLOOR)
+        else:
+            weights = np.full(n_mixtures, 1.0 / n_mixtures)
+        variances = []
+        for c in cluster_ids:
+            mask = assign == c
+            if mask.sum() >= 2:
+                variances.append(np.maximum(points[mask].var(axis=0), hmm.VARIANCE_FLOOR))
+            else:
+                variances.append(global_var)
+        states.append(
+            GaussianMixture(weights=weights, means=centroids[cluster_ids], variances=variances)
+        )
+    return HmmModel(
+        pi=np.full(n_states, 1.0 / n_states),
+        transitions=np.full((n_states, n_states), 1.0 / n_states),
+        states=states,
+    )
+
+
 def traced_peak(fn) -> int:
     """Peak bytes that numpy and Python allocate while fn runs, above what was live before."""
     tracemalloc.start()

@@ -371,6 +371,18 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "status=fail" in err and "deficit" in err
 
+    def test_synth_audio_non_default_hop_exits_1(self, tmp_path, capsys):
+        # synthetic WAVs are cut for a 30 ms window every 5 ms, whatever the run asks
+        for flag, value in (("--hop_ms", "10"), ("--window_ms", "25")):
+            out = tmp_path / flag.strip("-")
+            code = run(["synth", "--out", str(out), "--synth_audio", "true", flag, value,
+                        *TINY_FLAGS])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert "window_ms=30 and hop_ms=5" in err
+            assert f"{flag.strip('-')}={value}" in err
+            assert not (out / "manifest.csv").exists()
+
     def test_bad_sample_rate_exits_1(self, pipeline, tmp_path, capsys):
         lines = pipeline["manifest"].read_text().splitlines()
         body = [ln for ln in lines if not ln.startswith("# sample_rate=")]

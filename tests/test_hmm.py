@@ -35,6 +35,7 @@ from helpers import (
     log_domain_forward,
     log_emissions,
     log_mixture_density,
+    looped_init_model,
     looped_kmeans,
     mixture_density,
     per_sequence_baum_welch,
@@ -324,9 +325,7 @@ class TestForward:
             seqs = [rng.normal(0.0, 3.0, (int(t), d)) for t in rng.choice([1, 2, 9, 30], 6)]
             lengths = np.array([len(s) for s in seqs])
             stack = HmmStack([model])
-            log_b, _ = hmm._padded_emissions(
-                stack.emissions, (n,), np.concatenate(seqs), lengths
-            )
+            log_b = hmm._padded_emissions(stack.emissions, (n,), np.concatenate(seqs), lengths)
             log_beta = hmm._backward(stack.log_a[0], log_b, lengths)
             for k, seq in enumerate(seqs):
                 assert np.array_equal(log_beta[: len(seq), k], log_backward(model, seq))
@@ -438,6 +437,69 @@ class TestInit:
             want_centroids, want_assign = looped_kmeans(points, k, np.random.default_rng(trial))
             assert np.array_equal(centroids, want_centroids)
             assert np.array_equal(assign, want_assign)
+
+    def test_seeding_sampler_is_generator_choice(self):
+        # k-means++ picks with the sampler Generator.choice runs internally; if
+        # a numpy release changes choice, the index or the generator's next
+        # draw differs here instead of the picks drifting in silence
+        rng = np.random.default_rng(41)
+        kinds = set()
+        for trial in range(1200):
+            kind = trial % 4
+            n = {0: 1, 1: 2000}.get(kind, int(rng.integers(1, 2001)))
+            weights = rng.exponential(1.0, n) ** 2
+            if kind == 2:    # zero entries
+                weights[rng.random(n) < 0.6] = 0.0
+            elif kind == 3:  # a single non-zero entry
+                weights[:] = 0.0
+            if not weights.any():
+                weights[rng.integers(n)] = rng.uniform(1e-3, 1e3)
+            kinds.add(("n=1" if n == 1 else "n=2000" if n == 2000 else "other",
+                       int(np.count_nonzero(weights == 0.0) > 0),
+                       int(np.count_nonzero(weights) == 1)))
+            p = weights / weights.sum()
+            ours, numpys = np.random.default_rng(trial), np.random.default_rng(trial)
+            assert hmm._choice_index(ours, p) == int(numpys.choice(n, p=p))
+            assert ours.random() == numpys.random()
+        assert {("n=1", 0, 1), ("n=2000", 0, 0), ("other", 1, 0), ("other", 1, 1)} <= kinds
+
+    def test_init_model_matches_masked_oracle(self):
+        # members read as slices of the frames sorted stably by cluster give
+        # the model that one boolean mask per cluster gives, byte for byte
+        rng = np.random.default_rng(42)
+        shapes = set()
+        for trial in range(40):
+            n_states, n_mixtures = int(rng.integers(1, 10)), int(rng.integers(1, 11))
+            k = n_states * n_mixtures
+            d = int(rng.integers(2, 17))
+            n_frames = int(rng.integers(1, k)) if trial % 5 == 0 and k > 1 else int(
+                rng.integers(k, 600)
+            )
+            points = rng.normal(0.0, 2.0, (n_frames, d)) * rng.uniform(0.1, 50.0)
+            if trial % 3 == 0:
+                points[:, int(rng.integers(d))] = 7.5
+                shapes.add("constant column")
+            if trial % 4 == 1:  # duplicate points, a few distinct rows
+                points = points[rng.integers(0, max(1, n_frames // 8), n_frames)]
+                shapes.add("duplicate points")
+            if n_frames < k:
+                shapes.add("fewer frames than states x mixtures")
+            _, assign = looped_kmeans(points, k, np.random.default_rng(trial))
+            if np.bincount(assign, minlength=k).min() == 0:
+                shapes.add("empty cluster")
+            cuts = np.sort(rng.integers(0, n_frames + 1, int(rng.integers(0, 5))))
+            sequences = [s for s in np.split(points, cuts) if len(s)]
+            got = model_to_text(init_model(sequences, n_states, n_mixtures, seed=trial))
+            assert got == model_to_text(looped_init_model(sequences, n_states, n_mixtures, trial))
+        assert shapes == {"constant column", "duplicate points", "empty cluster",
+                          "fewer frames than states x mixtures"}
+
+    def test_kmeans_peak_is_one_distance_table(self):
+        # one (n, k) distance table per call, refilled in place by every step
+        points = np.random.default_rng(44).normal(0.0, 3.0, (2000, 16))
+        table = 2000 * 90 * 8
+        peak = traced_peak(lambda: _kmeans(points, 90, np.random.default_rng(1)))
+        assert peak <= 1.5 * table
 
     def test_errors(self):
         with pytest.raises(TrainingError):
