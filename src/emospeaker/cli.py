@@ -29,7 +29,7 @@ from .corpus import (
     normalize_plan,
     validate_protocol_counts,
 )
-from .dsp import HOP_MS, WINDOW_MS
+from .dsp import HOP_MS, WINDOW_MS, DspError
 from .features import extract_corpus, make_loader, read_observation
 from .hmm import ModelError, TrainingError
 from .protocol import (
@@ -399,7 +399,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ConfigError, CorpusError, ModelError, StatsError) as exc:
+    except (ConfigError, CorpusError, DspError, ModelError, StatsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except TrainingError as exc:

@@ -83,7 +83,7 @@ def bias_file_token(tag: str) -> str:
 
 
 def session_for_repetition(repetition: int) -> str:
-    return "train" if repetition <= 9 else "test"
+    return "train" if repetition in TRAIN_REPS else "test"
 
 
 @dataclass(frozen=True)
@@ -119,14 +119,14 @@ class UtteranceRecord:
             raise CorpusError(f"unknown emotion {self.emotion!r}")
         if self.sentence_id not in SENTENCE_IDS:
             raise CorpusError(f"sentence_id {self.sentence_id} out of 1..5")
-        if not 1 <= self.repetition <= 15:
-            raise CorpusError(f"repetition {self.repetition} out of 1..15")
+        if not TRAIN_REPS[0] <= self.repetition <= TEST_REPS[-1]:
+            raise CorpusError(f"repetition {self.repetition} out of {TRAIN_REPS[0]}..{TEST_REPS[-1]}")
         if normalize_bias_tag(self.bias_tag) != self.bias_tag:
             raise CorpusError(f"bias tag {self.bias_tag!r} not normalized")
         if self.session != session_for_repetition(self.repetition):
             raise CorpusError(
                 f"session {self.session!r} inconsistent with repetition {self.repetition}"
-                f" (1..9 train, 10..15 test)"
+                f" ({TRAIN_REPS[0]}..{TRAIN_REPS[-1]} train, {TEST_REPS[0]}..{TEST_REPS[-1]} test)"
             )
 
 

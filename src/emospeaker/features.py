@@ -7,7 +7,7 @@ self-contained directory so later stages never touch audio.
 """
 
 import shutil
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .corpus import (
@@ -161,18 +161,7 @@ def extract_corpus(
                     raise
                 failures.append((record, exc))
                 continue
-        new_records.append(
-            UtteranceRecord(
-                speaker_id=record.speaker_id,
-                gender=record.gender,
-                emotion=record.emotion,
-                sentence_id=record.sentence_id,
-                bias_tag=record.bias_tag,
-                session=record.session,
-                repetition=record.repetition,
-                source=f"features/{ac_out.name}",
-            )
-        )
+        new_records.append(replace(record, source=f"features/{ac_out.name}"))
 
     extracted = CorpusManifest(
         records=new_records,

@@ -53,10 +53,14 @@ Training is multi-sequence expectation-maximization with parameter floors;
 each iteration runs every sequence through the recursions in one batched pass
 per group of whole sequences, and accumulates its statistics over the real
 frames with one broadcast for the transitions and one matmul per moment.
-Training and scoring form their groups by one rule (`batch_groups`), which
-keeps every batched pass within one budget of table cells. Initialization is
-a deterministic seeded k-means over pooled frames. Models serialize to a
-versioned text format whose floats round-trip exactly.
+Re-estimation is whole-array, one expression per parameter group, where masks
+keep the old parameters of what received no responsibility. Training and
+scoring form their groups by one rule (`batch_groups`), which keeps every
+batched pass within one budget of table cells. Initialization is a
+deterministic seeded k-means over pooled frames. Models serialize to a
+versioned text format whose floats round-trip exactly. Initialization,
+re-estimation and deserialization build every model with one constructor
+(`_model`) from stacked parameter arrays.
 """
 
 import math
@@ -334,18 +338,19 @@ def _padded_emissions(
     states: tuple[int, ...],
     frames: np.ndarray,
     lengths: np.ndarray,
+    layout: tuple[np.ndarray, np.ndarray],
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Emissions of S concatenated sequences: log b padded to (T, S, *states).
 
-    T is the longest length; padded frames hold 0 and no recursion reads them
-    as data. Densities are taken over the concatenated frames in slices of at
-    most ``_SLICE_ELEMENTS`` elements of each (states, D, frames) and
-    (states, M, frames) temporary. Given ``out``, (*states, M, F), the
-    component log densities of the F real frames are written into it, in
-    concatenation order.
+    ``layout`` is ``_layout(lengths)``. T is the longest length; padded
+    frames hold 0 and no recursion reads them as data. Densities are taken
+    over the concatenated frames in slices of at most ``_SLICE_ELEMENTS``
+    elements of each (states, D, frames) and (states, M, frames) temporary.
+    Given ``out``, (*states, M, F), the component log densities of the F real
+    frames are written into it, in concatenation order.
     """
-    owner, position = _layout(lengths)
+    owner, position = layout
     log_b = np.zeros((lengths.max(), len(lengths), *states))
     step = max(1, _SLICE_ELEMENTS // (terms.n_states * max(terms.dim, terms.n_mixtures)))
     for lo in range(0, len(frames), step):
@@ -430,7 +435,9 @@ def log_forward_table(stack: HmmStack, sequences: list[np.ndarray]) -> np.ndarra
     """
     seqs = [_check_obs(stack[0], s) for s in sequences]
     lengths = np.array([len(s) for s in seqs])
-    log_b = _padded_emissions(stack.emissions, stack.states, np.concatenate(seqs), lengths)
+    log_b = _padded_emissions(
+        stack.emissions, stack.states, np.concatenate(seqs), lengths, _layout(lengths)
+    )
     log_alpha = _forward(stack.log_pi, stack.log_a, log_b, out=log_b)
     return _termination(log_alpha[lengths - 1, np.arange(len(seqs))])
 
@@ -541,8 +548,7 @@ def init_model(
     ordered by centroid coordinate sum and assigned to states contiguously;
     a cluster's members are read as one slice of the frames sorted stably by
     cluster, in their pooled order. Start and transition distributions begin
-    uniform (fully ergodic). EM (``baum_welch_train``) then holds two working
-    buffers per call.
+    uniform (fully ergodic).
     """
     if not sequences:
         raise TrainingError("no training sequences")
@@ -564,39 +570,41 @@ def init_model(
     starts = np.cumsum(sizes) - sizes
     grouped = points[np.argsort(assign, kind="stable")]  # cluster by cluster, in pooled order
 
-    states = []
-    for j in range(n_states):
-        cluster_ids = order[j * n_mixtures : (j + 1) * n_mixtures]
-        counts = sizes[cluster_ids].astype(np.float64)
-        weights = _floor_distribution(
-            counts / counts.sum() if counts.sum() > 0 else np.full(n_mixtures, 1.0 / n_mixtures),
-            WEIGHT_FLOOR,
-        )
-        means = centroids[cluster_ids]
-        variances = np.empty_like(means)
-        for m, c in enumerate(cluster_ids):
-            if sizes[c] >= 2:
-                members = grouped[starts[c] : starts[c] + sizes[c]]
-                variances[m] = np.maximum(members.var(axis=0), VARIANCE_FLOOR)
-            else:
-                variances[m] = global_var
-        states.append(GaussianMixture(weights=weights, means=means, variances=variances))
+    # one cluster at a time, so that each keeps the two-pass arithmetic of .var
+    variances = np.empty_like(centroids)
+    for row, c in enumerate(order):
+        if sizes[c] >= 2:
+            members = grouped[starts[c] : starts[c] + sizes[c]]
+            variances[row] = np.maximum(members.var(axis=0), VARIANCE_FLOOR)
+        else:
+            variances[row] = global_var
 
-    model = HmmModel(
-        pi=np.full(n_states, 1.0 / n_states),
-        transitions=np.full((n_states, n_states), 1.0 / n_states),
-        states=states,
+    counts = sizes[order].reshape(n_states, n_mixtures).astype(np.float64)
+    totals = counts.sum(axis=1, keepdims=True)
+    with np.errstate(invalid="ignore"):
+        weights = np.where(totals > 0, counts / totals, 1.0 / n_mixtures)
+    return _model(
+        np.full(n_states, 1.0 / n_states),
+        np.full((n_states, n_states), 1.0 / n_states),
+        _floor_rows(weights, WEIGHT_FLOOR),
+        centroids[order].reshape(n_states, n_mixtures, -1),
+        variances.reshape(n_states, n_mixtures, -1),
     )
+
+
+def _model(pi, transitions, weights, means, variances) -> HmmModel:
+    """The validated model of weights (N, M), means and variances (N, M, D); states hold views."""
+    states = [GaussianMixture(*state) for state in zip(weights, means, variances)]
+    model = HmmModel(pi=pi, transitions=transitions, states=states)
     model.validate()
     return model
 
 
-def _floor_distribution(p: np.ndarray, floor: float) -> np.ndarray:
-    """Raise entries below ``floor`` and renormalize; identity when nothing binds."""
-    if not np.any(p < floor):
-        return p
-    p = np.maximum(p, floor)
-    return p / p.sum()
+def _floor_rows(p: np.ndarray, floor: float) -> np.ndarray:
+    """Rows (last axis) with an entry below ``floor`` raised to it, renormalized; others as given."""
+    raised = np.maximum(p, floor)
+    binds = np.any(p < floor, axis=-1, keepdims=True)
+    return np.where(binds, raised / raised.sum(axis=-1, keepdims=True), p)
 
 
 # --- training ---------------------------------------------------------------------
@@ -606,10 +614,6 @@ class TrainingResult:
     model: HmmModel
     log_likelihoods: list[float]
     converged: bool
-
-    @property
-    def n_iterations(self) -> int:
-        return len(self.log_likelihoods)
 
 
 def baum_welch_train(
@@ -638,6 +642,11 @@ def baum_welch_train(
     returns ``converged=False`` and a model re-estimated once more after the
     last recorded log-likelihood, so that model's own likelihood was never
     computed.
+
+    The responsibilities (N, M, F) and transition posteriors (F - S, N, N)
+    of every group are views of two working buffers, each sized for its
+    largest group. A group's frames and layout are rebuilt in each iteration,
+    so that EM's peak memory does not grow with the number of sequences.
     """
     model.validate()
     obs_list = [_check_obs(model, s) for s in sequences]
@@ -648,8 +657,6 @@ def baum_welch_train(
     # a frame's component responsibilities and transition posteriors outweigh
     # its emission, forward and backward cells; d counts the frame itself
     groups = list(batch_groups(obs_list, lambda obs: (len(obs),), (n * (m + n) + d,)))
-    # the responsibilities (N, M, F) and transition posteriors (F - S, N, N)
-    # of every group are views of two buffers, each sized for its largest group
     group_frames = [sum(map(len, group)) for group in groups]
     resp_buffer = np.empty(n * m * max(group_frames))
     xi_buffer = np.empty(n * n * max(f - len(g) for f, g in zip(group_frames, groups)))
@@ -671,8 +678,11 @@ def baum_welch_train(
         for group, n_frames in zip(groups, group_frames):
             lengths = np.array([len(obs) for obs in group])
             frames = np.concatenate(group)
+            owner, position = _layout(lengths)
             comp_log = resp_buffer[: n * m * n_frames].reshape(n, m, n_frames)
-            log_b = _padded_emissions(stack.emissions, (n,), frames, lengths, out=comp_log)
+            log_b = _padded_emissions(
+                stack.emissions, (n,), frames, lengths, (owner, position), out=comp_log
+            )
             log_alpha = _forward(log_pi, log_a, log_b)
             lls = _termination(log_alpha[lengths - 1, np.arange(len(lengths))])
             bad = np.flatnonzero(~np.isfinite(lls))
@@ -687,7 +697,6 @@ def baum_welch_train(
             log_beta = _backward(log_a, log_b, lengths)
 
             # from here on only real frames, in concatenation order
-            owner, position = _layout(lengths)
             log_alpha, log_beta, log_b = (x[position, owner] for x in (log_alpha, log_beta, log_b))
             frame_ll = lls[owner, None]
             log_gamma = log_alpha + log_beta - frame_ll               # (F, N)
@@ -747,37 +756,26 @@ def batch_groups(
 
 
 def _reestimate(model, pi_acc, xi_acc, comp_acc, mean_acc, sq_acc, n_sequences) -> HmmModel:
-    n, m, _ = model.n_states, model.n_mixtures, model.dim
+    """The M-step over every state and component at once, from EM's accumulators.
 
-    pi = _floor_distribution(pi_acc / n_sequences, TRANSITION_FLOOR)
-
-    transitions = model.transitions.copy()
-    for i in range(n):
-        row_total = xi_acc[i].sum()
-        if row_total > 0:
-            transitions[i] = _floor_distribution(xi_acc[i] / row_total, TRANSITION_FLOOR)
-
-    states = []
-    for j in range(n):
-        old = model.states[j]
-        state_total = comp_acc[j].sum()
-        weights = old.weights.copy()
-        means = old.means.copy()
-        variances = old.variances.copy()
-        if state_total > 0:
-            weights = _floor_distribution(comp_acc[j] / state_total, WEIGHT_FLOOR)
-            for k in range(m):
-                occ = comp_acc[j, k]
-                if occ > 0:
-                    mu = mean_acc[j, k] / occ
-                    var = sq_acc[j, k] / occ - mu * mu
-                    means[k] = mu
-                    variances[k] = np.maximum(var, VARIANCE_FLOOR)
-        states.append(GaussianMixture(weights=weights, means=means, variances=variances))
-
-    new_model = HmmModel(pi=pi, transitions=transitions, states=states)
-    new_model.validate()
-    return new_model
+    A transition row, state or component with no responsibility keeps its old parameters.
+    """
+    xi_total = xi_acc.sum(axis=1, keepdims=True)
+    comp_total = comp_acc.sum(axis=1, keepdims=True)
+    occ = comp_acc[:, :, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        transitions = _floor_rows(xi_acc / xi_total, TRANSITION_FLOOR)
+        weights = _floor_rows(comp_acc / comp_total, WEIGHT_FLOOR)
+        means = mean_acc / occ
+        variances = np.maximum(sq_acc / occ - means * means, VARIANCE_FLOOR)
+    states = model.states
+    return _model(
+        _floor_rows(pi_acc / n_sequences, TRANSITION_FLOOR),
+        np.where(xi_total > 0, transitions, model.transitions),
+        np.where(comp_total > 0, weights, np.stack([s.weights for s in states])),
+        np.where(occ > 0, means, np.stack([s.means for s in states])),
+        np.where(occ > 0, variances, np.stack([s.variances for s in states])),
+    )
 
 
 # --- serialization -----------------------------------------------------------------
@@ -833,6 +831,8 @@ def model_from_text(text: str) -> HmmModel:
         d = int(tokens[tokens.index("dim") + 1])
     except (ValueError, IndexError) as exc:
         raise ModelFormatError(f"bad shape line: {tokens}") from exc
+    if min(n, m, d) < 1:
+        raise ModelFormatError(f"bad shape line: {tokens}")
 
     def floats(tokens: list[str], count: int) -> np.ndarray:
         if len(tokens) != count:
@@ -844,23 +844,18 @@ def model_from_text(text: str) -> HmmModel:
 
     pi = floats(take("pi"), n)
     transitions = np.stack([floats(take(f"A {i}"), n) for i in range(n)])
-    states = []
+    weights, means, variances = np.empty((n, m)), np.empty((n, m, d)), np.empty((n, m, d))
     for j in range(n):
-        weights = floats(take(f"state {j} weights"), m)
-        means = np.empty((m, d))
-        variances = np.empty((m, d))
+        weights[j] = floats(take(f"state {j} weights"), m)
         for k in range(m):
-            means[k] = floats(take(f"state {j} mean {k}"), d)
-            variances[k] = floats(take(f"state {j} var {k}"), d)
-        states.append(GaussianMixture(weights=weights, means=means, variances=variances))
+            means[j, k] = floats(take(f"state {j} mean {k}"), d)
+            variances[j, k] = floats(take(f"state {j} var {k}"), d)
     leftover = list(it)
     if leftover:
         raise ModelFormatError(f"{len(leftover)} trailing line(s) in model file")
 
-    model = HmmModel(pi=pi, transitions=transitions, states=states)
     try:
-        model.validate()
+        return _model(pi, transitions, weights, means, variances)
     except ModelError as exc:
         raise ModelFormatError(f"deserialized model invalid: {exc}") from exc
-    return model
 

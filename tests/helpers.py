@@ -233,26 +233,42 @@ def per_sequence_baum_welch(
         history.append(total)
         if len(history) >= 2 and total - history[-2] < tolerance * max(1.0, abs(history[-2])):
             break
-
-        pi = _floored(pi_acc / len(sequences), transition_floor)
-        transitions = model.transitions.copy()
-        for i in range(n):
-            if xi_acc[i].sum() > 0:
-                transitions[i] = _floored(xi_acc[i] / xi_acc[i].sum(), transition_floor)
-        states = []
-        for j, old in enumerate(model.states):
-            weights, means, variances = old.weights.copy(), old.means.copy(), old.variances.copy()
-            if occ[j].sum() > 0:
-                weights = _floored(occ[j] / occ[j].sum(), weight_floor)
-                for k in range(m):
-                    if occ[j, k] > 0:
-                        means[k] = first[j, k] / occ[j, k]
-                        variances[k] = np.maximum(
-                            second[j, k] / occ[j, k] - means[k] * means[k], variance_floor
-                        )
-            states.append(GaussianMixture(weights=weights, means=means, variances=variances))
-        model = HmmModel(pi=pi, transitions=transitions, states=states)
+        model = looped_reestimate(
+            model, pi_acc, xi_acc, occ, first, second, len(sequences),
+            variance_floor, transition_floor, weight_floor,
+        )
     return model, history
+
+
+def looped_reestimate(
+    model: HmmModel, pi_acc, xi_acc, occ, first, second, n_sequences, variance_floor,
+    transition_floor, weight_floor,
+) -> HmmModel:
+    """The Baum-Welch M-step one transition row, state and component at a time.
+
+    ``occ`` (N, M) holds component occupancies and ``first`` and ``second``
+    (N, M, D) their first and second moments. A row, state or component with
+    no responsibility keeps its old parameters.
+    """
+    n, m = model.n_states, model.n_mixtures
+    pi = _floored(pi_acc / n_sequences, transition_floor)
+    transitions = model.transitions.copy()
+    for i in range(n):
+        if xi_acc[i].sum() > 0:
+            transitions[i] = _floored(xi_acc[i] / xi_acc[i].sum(), transition_floor)
+    states = []
+    for j, old in enumerate(model.states):
+        weights, means, variances = old.weights.copy(), old.means.copy(), old.variances.copy()
+        if occ[j].sum() > 0:
+            weights = _floored(occ[j] / occ[j].sum(), weight_floor)
+            for k in range(m):
+                if occ[j, k] > 0:
+                    means[k] = first[j, k] / occ[j, k]
+                    variances[k] = np.maximum(
+                        second[j, k] / occ[j, k] - means[k] * means[k], variance_floor
+                    )
+        states.append(GaussianMixture(weights=weights, means=means, variances=variances))
+    return HmmModel(pi=pi, transitions=transitions, states=states)
 
 
 def _sq_dist(points, centroids):

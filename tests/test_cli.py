@@ -526,6 +526,14 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "sample rate 8000" in err and "16000" in err
 
+    def test_identify_wav_shorter_than_one_frame_exits_1(self, pipeline, tmp_path, capsys):
+        wav = tmp_path / "short.wav"
+        write_audio(AudioSignal(samples=np.zeros(300, dtype=np.int16), sample_rate=16000), wav)
+        code = run(["identify", "--out", str(pipeline["out"]), "--input", str(wav), *TINY_FLAGS])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "300 samples" in err and "(480)" in err
+
     def test_unsupported_input_type(self, pipeline, tmp_path, capsys):
         bogus = tmp_path / "note.txt"
         bogus.write_text("hello")

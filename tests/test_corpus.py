@@ -136,6 +136,10 @@ class TestRecordValidation:
     def test_session_boundary(self):
         assert session_for_repetition(9) == "train"
         assert session_for_repetition(10) == "test"
+        with pytest.raises(CorpusError, match=r"\(1\.\.9 train, 10\.\.15 test\)"):
+            make_record(repetition=10, session="train").validate()
+        with pytest.raises(CorpusError, match=r"repetition 16 out of 1\.\.15"):
+            make_record(repetition=16, session="test").validate()
 
 
 class TestManifestIo:

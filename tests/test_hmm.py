@@ -36,6 +36,7 @@ from helpers import (
     log_emissions,
     log_mixture_density,
     looped_init_model,
+    looped_reestimate,
     looped_kmeans,
     mixture_density,
     per_sequence_baum_welch,
@@ -325,7 +326,9 @@ class TestForward:
             seqs = [rng.normal(0.0, 3.0, (int(t), d)) for t in rng.choice([1, 2, 9, 30], 6)]
             lengths = np.array([len(s) for s in seqs])
             stack = HmmStack([model])
-            log_b = hmm._padded_emissions(stack.emissions, (n,), np.concatenate(seqs), lengths)
+            log_b = hmm._padded_emissions(
+                stack.emissions, (n,), np.concatenate(seqs), lengths, hmm._layout(lengths)
+            )
             log_beta = hmm._backward(stack.log_a[0], log_b, lengths)
             for k, seq in enumerate(seqs):
                 assert np.array_equal(log_beta[: len(seq), k], log_backward(model, seq))
@@ -526,7 +529,7 @@ class TestBaumWelch:
         model = init_model(seqs, 2, 1, seed=3)
         result = baum_welch_train(model, seqs, max_iterations=40, tolerance=1e-3)
         assert result.converged
-        assert result.n_iterations < 40
+        assert len(result.log_likelihoods) < 40
 
     def test_iteration_cap_returns_unscored_model(self):
         # stopped by max_iterations, the run re-estimates once more after its
@@ -589,6 +592,52 @@ class TestBaumWelch:
                 assert a.weights == pytest.approx(b.weights, rel=1e-9)
                 assert a.means == pytest.approx(b.means, rel=1e-9)
                 assert a.variances == pytest.approx(b.variances, rel=1e-9)
+
+    def test_reestimate_matches_looped_m_step(self):
+        # random accumulators with zero transition rows, states and components
+        # with no responsibility, and every floor binding somewhere
+        rng = np.random.default_rng(33)
+        floors = (hmm.VARIANCE_FLOOR, hmm.TRANSITION_FLOOR, hmm.WEIGHT_FLOOR)
+        met = dict.fromkeys(["zero row", "zero state", "zero component", "start floor",
+                             "transition floor", "weight floor", "variance floor"], 0)
+
+        def sparse(shape, total=1.0):
+            # non-negative rows with some zero and some tiny entries
+            x = rng.uniform(0.0, total, shape)
+            x[rng.random(shape) < 0.2] = 0.0
+            x[rng.random(shape) < 0.1] = 1e-10 * total
+            return x
+
+        for _ in range(300):
+            n, m, d = (int(k) for k in rng.integers(1, [6, 5, 5]))
+            n_sequences = int(rng.integers(1, 9))
+            model = random_model(rng, n, m, d)
+            pi_acc = sparse(n) + (np.arange(n) == rng.integers(n))  # a non-zero entry
+            pi_acc *= n_sequences / pi_acc.sum()
+            xi_acc = sparse((n, n), 50.0)
+            xi_acc[rng.random(n) < 0.2] = 0.0
+            occ = sparse((n, m), 20.0)
+            occ[rng.random(n) < 0.2] = 0.0
+            means = rng.normal(0.0, 3.0, (n, m, d))
+            spread = np.where(rng.random((n, m, d)) < 0.2, 1e-9, rng.uniform(0.1, 2.0, (n, m, d)))
+            first = occ[:, :, None] * means
+            second = occ[:, :, None] * (means * means + spread)
+            got = hmm._reestimate(model, pi_acc, xi_acc, occ, first, second, n_sequences)
+            want = looped_reestimate(model, pi_acc, xi_acc, occ, first, second, n_sequences,
+                                     *floors)
+            assert model_to_text(got) == model_to_text(want)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                variances = second / occ[:, :, None] - (first / occ[:, :, None]) ** 2
+                met["zero row"] += np.any(xi_acc.sum(axis=1) == 0)
+                met["zero state"] += np.any(occ.sum(axis=1) == 0)
+                met["zero component"] += np.any((occ == 0) & (occ.sum(axis=1) > 0)[:, None])
+                met["start floor"] += np.any(pi_acc / n_sequences < hmm.TRANSITION_FLOOR)
+                met["transition floor"] += np.any(
+                    xi_acc / xi_acc.sum(axis=1, keepdims=True) < hmm.TRANSITION_FLOOR)
+                met["weight floor"] += np.any(occ / occ.sum(axis=1, keepdims=True) < hmm.WEIGHT_FLOOR)
+                met["variance floor"] += np.any(
+                    (variances < hmm.VARIANCE_FLOOR) & (occ > 0)[:, :, None])
+        assert all(met.values()), met
 
     @pytest.mark.parametrize("group_cells", [None, 64])
     def test_batched_e_step_matches_per_sequence_loop(self, group_cells, monkeypatch):
@@ -758,6 +807,8 @@ class TestSerialization:
             lambda lines: lines[:3],  # truncated
             lambda lines: lines + ["junk trailing line"],
             lambda lines: [lines[0], lines[1].replace("dim 3", "dim 4")] + lines[2:],
+            lambda lines: [lines[0], lines[1].replace("mixtures 1", "mixtures -1")] + lines[2:],
+            lambda lines: [lines[0], lines[1].replace("states 2", "states 0")] + lines[2:],
         ],
     )
     def test_corrupt_text_rejected(self, mutate):
