@@ -420,6 +420,8 @@ def read_audio(path: str | Path) -> AudioSignal:
             raw = wav.readframes(n_frames)
     except (wave.Error, EOFError) as exc:
         raise AudioFormatError(f"{path}: unsupported encoding ({exc})") from exc
+    except OSError as exc:
+        raise AudioFormatError(f"{path}: cannot read ({exc.strerror})") from None
     if n_channels != 1:
         raise AudioFormatError(f"{path}: expected mono, got {n_channels} channels")
     if sample_width != 2:
@@ -458,26 +460,39 @@ def write_feature_file(array: np.ndarray, path: str | Path) -> None:
 
 
 def read_feature_file(path: str | Path) -> np.ndarray:
-    if not isinstance(path, Path):
-        path = Path(path)
+    """The (frames, coefficients) array of a feature file, read whole in one unbuffered read.
+
+    Every fault, an unreadable file included, raises ``FeatureFileError``
+    naming the path.
+    """
     try:
-        blob = path.read_bytes()
+        with open(path, "rb", buffering=0) as fh:
+            blob = fh.readall()
     except FileNotFoundError:
-        raise FeatureFileError(f"feature file not found: {path}") from None
+        raise FeatureFileError(f"feature file not found: {Path(path)}") from None
+    except OSError as exc:
+        raise FeatureFileError(f"{Path(path)}: cannot read ({exc.strerror})") from None
+    try:
+        return _decode_features(blob)
+    except FeatureFileError as exc:
+        raise FeatureFileError(f"{Path(path)}: {exc}") from None
+
+
+def _decode_features(blob: bytes) -> np.ndarray:
     if len(blob) < _FEATURE_HEADER.size:
-        raise FeatureFileError(f"{path}: truncated header")
+        raise FeatureFileError("truncated header")
     magic, version, n_frames, n_coeffs = _FEATURE_HEADER.unpack_from(blob)
     if magic != FEATURE_MAGIC:
-        raise FeatureFileError(f"{path}: bad magic {magic!r}")
+        raise FeatureFileError(f"bad magic {magic!r}")
     if version != FEATURE_VERSION:
-        raise FeatureFileError(f"{path}: unsupported version {version}")
+        raise FeatureFileError(f"unsupported version {version}")
     expected = _FEATURE_HEADER.size + 8 * n_frames * n_coeffs
     if len(blob) != expected:
-        raise FeatureFileError(f"{path}: size {len(blob)} != expected {expected}")
+        raise FeatureFileError(f"size {len(blob)} != expected {expected}")
     data = np.frombuffer(blob, dtype="<f8", offset=_FEATURE_HEADER.size)
     array = data.reshape(n_frames, n_coeffs).copy()
-    if not np.all(np.isfinite(array)):
-        raise FeatureFileError(f"{path}: non-finite values")
+    if not np.isfinite(array).all():
+        raise FeatureFileError("non-finite values")
     return array
 
 

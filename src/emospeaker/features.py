@@ -6,6 +6,7 @@ or a precomputed ``*.lfpc.feat`` file with a ``*.pros.feat`` sibling.
 self-contained directory so later stages never touch audio.
 """
 
+import os
 import shutil
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -69,35 +70,43 @@ class FrontEnd:
         )
 
 
-def prosodic_sibling(acoustic_path: Path) -> Path:
-    name = acoustic_path.name
-    if not name.endswith(ACOUSTIC_SUFFIX):
+def prosodic_sibling(acoustic_path: str | Path) -> str | Path:
+    """The ``*.pros.feat`` path beside a ``*.lfpc.feat`` one: a str for a str, a Path for a Path.
+
+    The one rule that pairs the two feature streams of an utterance.
+    """
+    text = os.fspath(acoustic_path)
+    if not text.endswith(ACOUSTIC_SUFFIX):
         raise CorpusError(f"not an acoustic feature file: {acoustic_path}")
-    return acoustic_path.with_name(name[: -len(ACOUSTIC_SUFFIX)] + PROSODIC_SUFFIX)
+    sibling = text[: -len(ACOUSTIC_SUFFIX)] + PROSODIC_SUFFIX
+    return sibling if isinstance(acoustic_path, str) else Path(sibling)
 
 
 def read_observation(path: str | Path, front_end: FrontEnd, sample_rate: int) -> DualObservation:
     """Both feature streams of one utterance file: a WAV at ``sample_rate``,
-    analyzed by ``front_end``, or a ``*.lfpc.feat`` file and its sibling."""
-    if not isinstance(path, Path):
-        path = Path(path)
-    if path.name.endswith(".wav"):
+    analyzed by ``front_end``, or a ``*.lfpc.feat`` file and its sibling.
+
+    The suffix tests and the sibling run on the path's string, and feature
+    files are opened by it, so a loaded record builds no second Path.
+    """
+    text = os.fspath(path)
+    if text.endswith(".wav"):
         signal = read_audio(path)
         if signal.sample_rate != sample_rate:
             raise CorpusError(
-                f"{path}: sample rate {signal.sample_rate} != expected rate {sample_rate}"
+                f"{Path(path)}: sample rate {signal.sample_rate} != expected rate {sample_rate}"
             )
         samples = signal.as_float()
         return DualObservation(
             acoustic=front_end.acoustic(samples, signal.sample_rate),
             prosodic=front_end.prosodic(samples, signal.sample_rate),
         )
-    if path.name.endswith(ACOUSTIC_SUFFIX):
+    if text.endswith(ACOUSTIC_SUFFIX):
         return DualObservation(
-            acoustic=read_feature_file(path),
-            prosodic=read_feature_file(prosodic_sibling(path)),
+            acoustic=read_feature_file(text),
+            prosodic=read_feature_file(prosodic_sibling(text)),
         )
-    raise CorpusError(f"unsupported source type: {path} (want .wav or {ACOUSTIC_SUFFIX})")
+    raise CorpusError(f"unsupported source type: {Path(path)} (want .wav or {ACOUSTIC_SUFFIX})")
 
 
 def load_observation(

@@ -30,13 +30,22 @@ slice of frames costs one centring, (states, D, frames), and two `einsum`
 contractions to (states, M, frames). The mixture log-sum-exp takes the exact
 maximum over M, then adds the M rows of exp(x - max) into one
 (states, frames) total one row at a time, in order; numpy's `sum` over M
-would add a lone frame's terms pairwise and many frames' in order. Only the
-per-state log b is transposed, as a view, into the recursions'
-(frames, ..., states) layout, and EM's responsibilities keep the
-(states, M, frames) layout. Every entry's arithmetic is thus independent of
-how many frames or states share a call: a state scores bit for bit the same
-alone as in a population's stack, and a frame the same alone as among
-others, which keeps `log_forward_table` equal to `log_forward`.
+would add a lone frame's terms pairwise and many frames' in order. EM's
+responsibilities keep the (states, M, frames) layout. Every entry's
+arithmetic is thus independent of how many frames or states share a call: a
+state scores bit for bit the same alone as in a population's stack, and a
+frame the same alone as among others, which keeps `log_forward_table` equal
+to `log_forward`.
+
+The recursions' tables are states-major, (T, N, V, U): frames, states,
+models, sequences, with the sequences innermost. A forward step sums over its
+leading source-state axis, so its inner loops add whole contiguous (N, V, U)
+blocks, one source state at a time in order, which is also the order of one
+lone sequence's sum: every alpha is the same bit for bit however many pairs
+share the step. Numpy adds a contiguous last axis of 8 or more terms
+pairwise, not in order, and the backward step's sum over next states and the
+termination's over final states are taken that way, each with its terms laid
+out states-last; EM's statistics and every score depend on those orders.
 
 `HmmStack` is the one path from models to kernel terms and log start and
 transition tables: it stacks V models that share a shape, once. A population
@@ -256,19 +265,21 @@ class HmmStack(Sequence):
 
     A sequence of the models in their given order, which also holds their
     kernel terms as one stack of V*N states, model-major then state-major,
-    and their log start and transition probabilities as (V, N) and (V, N, N)
-    arrays, where a zero probability is -inf. Every pass builds its terms
-    here: scoring a population, and scoring or training one model as V = 1.
-    The models must not change after the stack is built.
+    and their log start and transition probabilities as (N, V) and
+    (N, N, V) arrays (from-state, to-state, model), where a zero probability
+    is -inf. These are the recursions' states-major layout, so no pass
+    transposes or copies them. Every pass builds its terms here: scoring a
+    population, and scoring or training one model as V = 1. The models must
+    not change after the stack is built.
     """
 
     def __init__(self, models: list[HmmModel]):
         self._models = tuple(models)
-        self.states = (len(self._models), self._models[0].n_states)
+        self.shape = (self._models[0].n_states, len(self._models))
         self.emissions = _StateTerms.of([s for model in self._models for s in model.states])
         with np.errstate(divide="ignore"):
-            self.log_pi = np.log(np.stack([model.pi for model in self._models]))
-            self.log_a = np.log(np.stack([model.transitions for model in self._models]))
+            self.log_pi = np.log(np.stack([model.pi for model in self._models], axis=-1))
+            self.log_a = np.log(np.stack([model.transitions for model in self._models], axis=-1))
 
     def __getitem__(self, index):
         return self._models[index]
@@ -302,12 +313,12 @@ def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
 def _emissions(
     terms: _StateTerms, states: tuple[int, ...], obs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Component log densities (*states, M, T) and their per-state mixtures (T, *states).
+    """Component log densities (S, M, T) and their per-state mixtures (T, *states).
 
-    ``states`` is (N,) for one model's stack and (V, N) for a population's.
-    The mixtures, log b, come back as a transposed view. Their M rows are
-    added in order, so a frame's sum does not depend on how many frames share
-    the call (see the module docstring).
+    ``states`` is (N,) for one model's S = N states and (V, N) for a
+    stack's S = V * N, model-major. The mixtures, log b, come back as a
+    transposed view. Their M rows are added in order, so a frame's sum does
+    not depend on how many frames share the call (see the module docstring).
     """
     comp_log = terms.component_log_pdf(obs)
     peak = _clamp_peak(comp_log.max(axis=1))
@@ -319,10 +330,7 @@ def _emissions(
     with np.errstate(divide="ignore"):
         np.log(total, out=total)
     total += peak
-    return (
-        comp_log.reshape(*states, terms.n_mixtures, len(obs)),
-        total.T.reshape(len(obs), *states),
-    )
+    return comp_log, total.T.reshape(len(obs), *states)
 
 
 def _layout(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -335,27 +343,33 @@ def _layout(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _padded_emissions(
     terms: _StateTerms,
-    states: tuple[int, ...],
+    states: tuple[int, int],
     frames: np.ndarray,
     lengths: np.ndarray,
     layout: tuple[np.ndarray, np.ndarray],
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Emissions of S concatenated sequences: log b padded to (T, S, *states).
+    """Emissions of U concatenated sequences: log b padded to (T, N, V, U).
 
-    ``layout`` is ``_layout(lengths)``. T is the longest length; padded
-    frames hold 0 and no recursion reads them as data. Densities are taken
-    over the concatenated frames in slices of at most ``_SLICE_ELEMENTS``
-    elements of each (states, D, frames) and (states, M, frames) temporary.
-    Given ``out``, (*states, M, F), the component log densities of the F real
-    frames are written into it, in concatenation order.
+    ``states`` is the stack's (N, V) and ``layout`` is ``_layout(lengths)``.
+    T is the longest length; padded frames hold 0 and no recursion reads them
+    as data. The table is states-major with the sequences innermost, the
+    layout of the recursions (see the module docstring): each frame's
+    (N, V) block is scattered to its (position, sequence) column. Densities
+    are taken over the concatenated frames in slices of at most
+    ``_SLICE_ELEMENTS`` elements of each (states, D, frames) and
+    (states, M, frames) temporary. Given ``out``, (N * V, M, F), the
+    component log densities of the F real frames are written into it, in
+    concatenation order.
     """
     owner, position = layout
-    log_b = np.zeros((lengths.max(), len(lengths), *states))
+    n, v = states
+    log_b = np.zeros((lengths.max(), n, v, len(lengths)))
     step = max(1, _SLICE_ELEMENTS // (terms.n_states * max(terms.dim, terms.n_mixtures)))
     for lo in range(0, len(frames), step):
         part = slice(lo, lo + step)
-        comp_part, log_b[position[part], owner[part]] = _emissions(terms, states, frames[part])
+        comp_part, b_part = _emissions(terms, (v, n), frames[part])
+        log_b[position[part], ..., owner[part]] = b_part.swapaxes(1, 2)
         if out is not None:
             out[..., part] = comp_part
     return log_b
@@ -375,42 +389,62 @@ def _check_obs(model: HmmModel, obs: np.ndarray) -> np.ndarray:
 def _forward(
     log_pi: np.ndarray, log_a: np.ndarray, log_b: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """log alpha (T, ..., N) from log parameters and log emissions (T, ..., N).
+    """log alpha (T, N, ...) from log parameters and log emissions (T, N, ...).
 
-    Batch axes between the frame and state axes run many (sequence, model)
-    pairs in one step per frame; log_pi (..., N) and log_a (..., N, N)
-    broadcast against them. Each pair's arithmetic is the same as unbatched.
-    ``out`` may be ``log_b`` itself, whose frame t is read before frame t of
-    alpha is written, for a caller that needs no emissions afterwards.
+    Batch axes after the state axis run many (model, sequence) pairs in one
+    step per frame; log_pi (N, ...) and log_a (N, N, ...), from-state first,
+    broadcast against them. A step fills one (N, N, ...) table of
+    alpha_i + log a_ij and reduces it over its leading axis, the source
+    state i. Numpy reduces a leading axis by adding whole contiguous
+    (N, ...) blocks, one source state after another in order, which is the
+    order of a lone pair's sum too: each pair's arithmetic is the same as
+    unbatched. ``out`` may be ``log_b`` itself, whose frame t is read before
+    frame t of alpha is written, for a caller that needs no emissions
+    afterwards.
     """
     log_alpha = np.empty_like(log_b) if out is None else out
     log_alpha[0] = log_pi + log_b[0]
+    terms = np.empty((log_b.shape[1], *log_b.shape[1:]))
     with np.errstate(divide="ignore"):
         for t in range(1, len(log_b)):
-            step = _logsumexp(log_alpha[t - 1][..., :, None] + log_a, axis=-2)
-            np.add(step, log_b[t], out=log_alpha[t])
+            np.add(log_alpha[t - 1][:, None], log_a, out=terms)
+            np.add(_logsumexp(terms, axis=0), log_b[t], out=log_alpha[t])
     return log_alpha
 
 
-def _termination(log_alpha_last: np.ndarray) -> np.ndarray:
-    """log P(obs) from the log alpha (..., N) of each sequence's last frame."""
+def _termination(log_alpha: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """log P (U, V) of each (sequence, model) pair from its (T, N, V, U) log alpha.
+
+    Each pair's alpha at its own last frame is gathered as (U, V, N) and
+    copied C-contiguous, so that ``_logsumexp`` sums the states on a last,
+    contiguous axis, pairwise at 8 or more states (see the module docstring).
+    """
+    last = log_alpha.transpose(3, 0, 2, 1)[np.arange(len(lengths)), lengths - 1]
     with np.errstate(divide="ignore"):
-        return _logsumexp(log_alpha_last, axis=-1)
+        return _logsumexp(last.copy(), axis=-1)
 
 
 def _backward(log_a: np.ndarray, log_b: np.ndarray, lengths) -> np.ndarray:
-    """log beta (T, ..., N) from log transitions and log emissions (T, ..., N).
+    """log beta (T, N, ...) from log transitions and log emissions (T, N, ...).
 
-    The batch axes are those of ``_forward``. ``lengths`` (...) gives each
-    batch entry's sequence length: its beta is held at exactly 0 from its
-    last frame onward, so the padding after it never enters.
+    The batch axes and log_a (N, N, ...) are those of ``_forward``.
+    ``lengths`` broadcasts against the batch axes (the last, the sequences,
+    in a padded table) and gives each sequence's length: its beta is held at
+    exactly 0 from its last frame onward, so the padding after it never
+    enters. A step fills one (N, ..., N) table of log a_ij + log b_j +
+    beta_j with the next state j on the last, contiguous axis, and reduces
+    it there: numpy adds a contiguous last axis of 8 or more terms pairwise,
+    and EM's statistics at 8 or more states depend on that order.
     """
     log_beta = np.zeros_like(log_b)
-    last = np.asarray(lengths)[..., None] - 1
+    last = np.asarray(lengths) - 1
+    next_last = np.moveaxis(log_a, 1, -1)  # (N, ..., N): from-state first, next state last
+    states_last = (*range(1, log_b.ndim - 1), 0)  # a frame's (N, ...) as (..., N)
+    terms = np.empty((log_b.shape[1], *log_b.shape[2:], log_b.shape[1]))
     with np.errstate(divide="ignore"):
         for t in range(len(log_b) - 2, -1, -1):
-            step = _logsumexp(log_a + (log_b[t + 1] + log_beta[t + 1])[..., None, :], axis=-1)
-            log_beta[t] = np.where(t < last, step, 0.0)
+            np.add(next_last, (log_b[t + 1] + log_beta[t + 1]).transpose(states_last), out=terms)
+            log_beta[t] = np.where(t < last, _logsumexp(terms, axis=-1), 0.0)
     return log_beta
 
 
@@ -419,8 +453,8 @@ def log_forward(model: HmmModel, obs: np.ndarray) -> tuple[float, np.ndarray]:
     obs = _check_obs(model, obs)
     stack = HmmStack([model])
     _, log_b = _emissions(stack.emissions, (model.n_states,), obs)
-    log_alpha = _forward(stack.log_pi[0], stack.log_a[0], log_b)
-    return float(_termination(log_alpha[-1])), log_alpha
+    log_alpha = _forward(stack.log_pi[..., None], stack.log_a[..., None], log_b[..., None, None])
+    return float(_termination(log_alpha, np.array([len(obs)]))[0, 0]), log_alpha[:, :, 0, 0]
 
 
 def log_forward_table(stack: HmmStack, sequences: list[np.ndarray]) -> np.ndarray:
@@ -436,10 +470,10 @@ def log_forward_table(stack: HmmStack, sequences: list[np.ndarray]) -> np.ndarra
     seqs = [_check_obs(stack[0], s) for s in sequences]
     lengths = np.array([len(s) for s in seqs])
     log_b = _padded_emissions(
-        stack.emissions, stack.states, np.concatenate(seqs), lengths, _layout(lengths)
+        stack.emissions, stack.shape, np.concatenate(seqs), lengths, _layout(lengths)
     )
-    log_alpha = _forward(stack.log_pi, stack.log_a, log_b, out=log_b)
-    return _termination(log_alpha[lengths - 1, np.arange(len(seqs))])
+    log_alpha = _forward(stack.log_pi[..., None], stack.log_a[..., None], log_b, out=log_b)
+    return _termination(log_alpha, lengths)
 
 
 def log_likelihood(model: HmmModel, obs: np.ndarray) -> float:
@@ -665,7 +699,8 @@ def baum_welch_train(
 
     for iteration in range(max_iterations):
         stack = HmmStack([model])
-        log_pi, log_a = stack.log_pi[0], stack.log_a[0]
+        pi_table, a_table = stack.log_pi[..., None], stack.log_a[..., None]
+        log_a = stack.log_a[..., 0]
 
         pi_acc = np.zeros(n)
         xi_acc = np.zeros((n, n))
@@ -681,10 +716,10 @@ def baum_welch_train(
             owner, position = _layout(lengths)
             comp_log = resp_buffer[: n * m * n_frames].reshape(n, m, n_frames)
             log_b = _padded_emissions(
-                stack.emissions, (n,), frames, lengths, (owner, position), out=comp_log
+                stack.emissions, stack.shape, frames, lengths, (owner, position), out=comp_log
             )
-            log_alpha = _forward(log_pi, log_a, log_b)
-            lls = _termination(log_alpha[lengths - 1, np.arange(len(lengths))])
+            log_alpha = _forward(pi_table, a_table, log_b)
+            lls = _termination(log_alpha, lengths)[:, 0]
             bad = np.flatnonzero(~np.isfinite(lls))
             if len(bad):
                 k = bad[0]
@@ -694,10 +729,12 @@ def baum_welch_train(
                 )
             # the same left-to-right sum as adding one sequence at a time
             total_ll = float(np.add.accumulate(np.concatenate(([total_ll], lls)))[-1])
-            log_beta = _backward(log_a, log_b, lengths)
+            log_beta = _backward(a_table, log_b, lengths)
 
             # from here on only real frames, in concatenation order
-            log_alpha, log_beta, log_b = (x[position, owner] for x in (log_alpha, log_beta, log_b))
+            log_alpha, log_beta, log_b = (
+                x[position, :, 0, owner] for x in (log_alpha, log_beta, log_b)
+            )
             frame_ll = lls[owner, None]
             log_gamma = log_alpha + log_beta - frame_ll               # (F, N)
             pi_acc += np.exp(log_gamma[position == 0]).sum(axis=0)

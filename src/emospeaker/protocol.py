@@ -258,7 +258,7 @@ def score_session(
     row_cells = tuple(stack.emissions.n_states + stack.emissions.dim for _, stack in streams)
 
     def rows(obs) -> tuple[int, ...]:
-        return tuple(max(len(getattr(obs, s)), stack.states[1]) for s, stack in streams)
+        return tuple(max(len(getattr(obs, s)), stack.shape[0]) for s, stack in streams)
 
     trials = []
     for group in batch_groups(map(loader, records), rows, row_cells):

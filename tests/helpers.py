@@ -27,7 +27,7 @@ def log_emissions(model: HmmModel, obs) -> np.ndarray:
 
 def log_backward(model: HmmModel, obs) -> np.ndarray:
     """The package's backward recursion on one sequence, no batch axes: log beta (T, N)."""
-    return hmm._backward(HmmStack([model]).log_a[0], log_emissions(model, obs), len(obs))
+    return hmm._backward(HmmStack([model]).log_a[..., 0], log_emissions(model, obs), len(obs))
 
 
 def component_densities(state: GaussianMixture, x) -> list[float]:

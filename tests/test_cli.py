@@ -534,6 +534,15 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "300 samples" in err and "(480)" in err
 
+    @pytest.mark.parametrize("name", ["dir.lfpc.feat", "dir.wav"])
+    def test_identify_unreadable_input_exits_1(self, pipeline, tmp_path, capsys, name):
+        # a directory where a feature file or WAV should be is invalid input
+        target = tmp_path / name
+        target.mkdir()
+        code = run(["identify", "--out", str(pipeline["out"]), "--input", str(target), *TINY_FLAGS])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {target}: cannot read (")
+
     def test_unsupported_input_type(self, pipeline, tmp_path, capsys):
         bogus = tmp_path / "note.txt"
         bogus.write_text("hello")

@@ -315,6 +315,15 @@ class TestAudioIo:
         with pytest.raises(AudioFormatError, match="not found"):
             read_audio(tmp_path / "ghost.wav")
 
+    def test_unreadable_file_rejected(self, tmp_path):
+        # an OSError on open or read (here a directory) names the path
+        target = tmp_path / "dir.wav"
+        target.mkdir()
+        with pytest.raises(AudioFormatError) as info:
+            read_audio(target)
+        assert str(info.value).startswith(f"{target}: cannot read (")
+        assert info.value.__cause__ is None
+
     def test_stereo_rejected(self, tmp_path):
         path = tmp_path / "stereo.wav"
         with wave.open(str(path), "wb") as w:
@@ -418,6 +427,15 @@ class TestFeatureFiles:
     def test_wrong_rank_rejected(self, tmp_path):
         with pytest.raises(FeatureFileError):
             write_feature_file(np.zeros(5), tmp_path / "x.feat")
+
+    def test_unreadable_file_rejected(self, tmp_path):
+        # an OSError on open or read (here a directory) names the path
+        target = tmp_path / "dir.lfpc.feat"
+        target.mkdir()
+        with pytest.raises(FeatureFileError) as info:
+            read_feature_file(target)
+        assert str(info.value).startswith(f"{target}: cannot read (")
+        assert info.value.__cause__ is None
 
     def test_error_messages_exact(self, tmp_path):
         # every rejection names the file and the fault, word for word

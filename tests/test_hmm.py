@@ -271,10 +271,14 @@ class TestForward:
 
     def test_table_equals_per_pair_forward(self):
         # one batched pass over ragged sequences, 1-frame ones included, and
-        # models with zero transitions: every entry is log_forward's, bit for bit
+        # models with zero transitions: every entry is log_forward's, bit for
+        # bit. The last two trials have 9 states, so the termination's state
+        # sum is one that numpy adds pairwise on a contiguous axis.
         rng = np.random.default_rng(27)
-        for trial in range(20):
+        for trial in range(22):
             n, m, d = (int(k) for k in rng.integers(1, 5, size=3))
+            if trial >= 20:
+                n = 9
             models = [random_model(rng, n, m, d) for _ in range(int(rng.integers(1, 5)))]
             if trial % 2:
                 for model in models:
@@ -315,9 +319,13 @@ class TestForward:
         # ragged sequences padded to the longest: each one's beta is
         # log_backward's bit for bit and exactly 0 from its last frame on. The
         # transition rows sum to 1 + 4e-9, so padding read as data would show.
+        # The last two trials have 9 states, whose next-state sums numpy adds
+        # pairwise on a contiguous axis and in order on any other.
         rng = np.random.default_rng(32)
-        for trial in range(10):
+        for trial in range(12):
             n, m, d = (int(k) for k in rng.integers(1, 5, size=3))
+            if trial >= 10:
+                n = 9
             model = random_model(rng, n, m, d)
             if trial % 2:
                 upper = np.triu(model.transitions)
@@ -327,12 +335,27 @@ class TestForward:
             lengths = np.array([len(s) for s in seqs])
             stack = HmmStack([model])
             log_b = hmm._padded_emissions(
-                stack.emissions, (n,), np.concatenate(seqs), lengths, hmm._layout(lengths)
+                stack.emissions, stack.shape, np.concatenate(seqs), lengths, hmm._layout(lengths)
             )
-            log_beta = hmm._backward(stack.log_a[0], log_b, lengths)
+            log_beta = hmm._backward(stack.log_a[..., None], log_b, lengths)
             for k, seq in enumerate(seqs):
-                assert np.array_equal(log_beta[: len(seq), k], log_backward(model, seq))
-                assert np.all(log_beta[len(seq) - 1 :, k] == 0.0)
+                assert np.array_equal(log_beta[: len(seq), :, 0, k], log_backward(model, seq))
+                assert np.all(log_beta[len(seq) - 1 :, :, 0, k] == 0.0)
+
+    def test_backward_sums_next_states_on_a_contiguous_axis(self):
+        # at 9 states numpy adds a contiguous axis pairwise and any other in
+        # order; each backward step sums its next states as the plain (N, N)
+        # table's last axis, the order EM's statistics are computed in
+        rng = np.random.default_rng(38)
+        model = random_model(rng, 9, 2, 3)
+        obs = rng.normal(0.0, 3.0, (30, 3))
+        log_a, log_b = np.log(model.transitions), log_emissions(model, obs)
+        want = np.zeros_like(log_b)
+        for t in range(len(obs) - 2, -1, -1):
+            terms = log_a + (log_b[t + 1] + want[t + 1])[None, :]
+            peak = terms.max(axis=1, keepdims=True)
+            want[t] = np.log(np.exp(terms - peak).sum(axis=1)) + peak[:, 0]
+        assert np.array_equal(log_backward(model, obs), want)
 
     def test_long_sequence_stays_finite(self):
         rng = np.random.default_rng(7)
@@ -642,20 +665,24 @@ class TestBaumWelch:
     @pytest.mark.parametrize("group_cells", [None, 64])
     def test_batched_e_step_matches_per_sequence_loop(self, group_cells, monkeypatch):
         # ragged sequences of 1-30 frames, half the models with zero transitions,
-        # in one EM group or (64 cells) mostly one sequence per group
+        # in one EM group or (64 cells) mostly one sequence per group; the last
+        # two models have 9 states, as the paper's acoustic models do, and 24
+        # sequences, enough frames that no component starves
         if group_cells is not None:
             monkeypatch.setattr(hmm, "_GROUP_CELLS", group_cells)
         rng = np.random.default_rng(29)
         floors = dict(variance_floor=hmm.VARIANCE_FLOOR, transition_floor=hmm.TRANSITION_FLOOR,
                       weight_floor=hmm.WEIGHT_FLOOR)
         cases = []
-        for trial in range(12):
+        for trial in range(14):
             n, m, d = (int(k) for k in rng.integers(1, 5, size=3))
+            if trial >= 12:
+                n = 9
             model = random_model(rng, n, m, d)
             if trial % 2:
                 upper = np.triu(model.transitions)
                 model.transitions = upper / upper.sum(axis=1, keepdims=True)
-            lengths = rng.integers(1, 31, size=int(rng.integers(1, 25)))
+            lengths = rng.integers(1, 31, size=24 if trial >= 12 else int(rng.integers(1, 25)))
             cases.append((model, [rng.normal(0.0, 2.0, (int(t), d)) for t in lengths]))
         seqs = two_state_sequences(rng, n_sequences=6, length=20)
         cases.append((init_model(seqs, 2, 2, seed=4), seqs))
