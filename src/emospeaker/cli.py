@@ -39,7 +39,7 @@ from .protocol import (
     run_session,
     train_population,
 )
-from .sphmm import Population, load_speaker_model, save_speaker_model
+from .sphmm import Population, load_speaker_model, read_model_text, save_speaker_model
 from .stats import (
     StatsError,
     cohen_kappa,
@@ -131,7 +131,7 @@ def load_population(directory: Path) -> Population:
     if not index.exists():
         raise ModelError(f"no trained population at {directory} (missing population.txt)")
     models = []
-    for speaker_id in index.read_text(encoding="utf-8").split():
+    for speaker_id in read_model_text(index).split():
         model = load_speaker_model(directory / f"{speaker_id}.model")
         if model.speaker_id != speaker_id:
             raise ModelError(

@@ -24,18 +24,37 @@ or constant feature) from paying for its state's broad components far away.
 Two components at the floor far apart in one state would still cost about
 eps * (distance / 2)^2 / var each.
 
-The emission tables put the frames on the contiguous axis, so numpy's inner
-loops run along the frames rather than along D dimensions or M components: a
-slice of frames costs one centring, (states, D, frames), and two `einsum`
-contractions to (states, M, frames). The mixture log-sum-exp takes the exact
-maximum over M, then adds the M rows of exp(x - max) into one
-(states, frames) total one row at a time, in order; numpy's `sum` over M
-would add a lone frame's terms pairwise and many frames' in order. EM's
-responsibilities keep the (states, M, frames) layout. Every entry's
-arithmetic is thus independent of how many frames or states share a call: a
-state scores bit for bit the same alone as in a population's stack, and a
-frame the same alone as among others, which keeps `log_forward_table` equal
-to `log_forward`.
+The kernel takes the frames in blocks of exactly B = 16, the last one padded
+with copies of the last frame, and builds [(x - c_s)^2 | x - c_s] as
+(states, blocks, 2D, B), with the frames on the contiguous axis. One batched
+`np.matmul` multiplies each state's (M, 2D) weights
+[-1/(2 var) | (mu - c_s)/var] into every block, so every product has the one
+shape (M, 2D) @ (2D, B). A BLAS product runs a fixed micro-kernel over
+register tiles (Goto and van de Geijn, "Anatomy of high-performance matrix
+multiplication", ACM TOMS 34(3), 2008): at a fixed shape, a frame meets the
+same tiles whatever block position it holds, however many frames share the
+call and whichever states are stacked with its own. A product over all the
+frames at once would not do: OpenBLAS's tile edges then move with the number
+of frames, and so do a frame's last bits. This invariance is a property of
+the BLAS build, not a promise of numpy, and `tests/test_hmm.py` checks it
+with `==` at both streams' shapes. A kernel call takes whole blocks, and
+whole models when one block under all of a stack's states is too large
+(`_SLICE_ELEMENTS`); each state's products are independent, so slicing
+changes no value. The mixture log-sum-exp keeps the (states, blocks, M, B)
+layout: it takes the exact maximum over M, then adds the M rows of
+exp(x - max) into one (states, blocks, B) total one row at a time, in order,
+so a frame's sum does not depend on its neighbours either. EM copies the
+component densities out to its (states, M, frames) responsibilities. Every
+entry's arithmetic is thus independent of how many frames or states share a
+call: a state scores bit for bit the same alone as in a population's stack,
+and a frame the same alone as among others, which keeps `log_forward_table`
+equal to `log_forward`.
+
+Each pass checks the finiteness of its frames once, on all of them together
+(`_blocked`), and the public entry points, `log_forward`,
+`log_forward_table` and each EM iteration, silence the divide warning of
+log(0) once for the kernel and recursions beneath them: a state cut off by a
+zero probability scores exactly -inf.
 
 The recursions' tables are states-major, (T, N, V, U): frames, states,
 models, sequences, with the sequences innermost. A forward step sums over its
@@ -89,9 +108,18 @@ VARIANCE_FLOOR = 1e-6
 TRANSITION_FLOOR = 1e-8
 WEIGHT_FLOOR = 1e-8
 
-# Elements of the (states, max(D, M), frames) temporaries one kernel call of
-# _padded_emissions may make: cache-sized slices were fastest, and larger ones
-# raise peak memory without gain.
+# Frames per product of the emission kernel. Every product is one state's
+# (M, 2D) weights times one block's (2D, B) frames, a fixed shape that meets
+# the same BLAS register tiles whatever the number of frames, so a frame's
+# values do not depend on where it sits or how many frames share a call.
+_BLOCK = 16
+
+# Elements of the (states, blocks, max(2D, M), B) temporaries one kernel call
+# of _padded_emissions may make. A slice is whole blocks of frames, and whole
+# models as well when one block under all of a stack's states would exceed
+# it; every state's products are independent, so slicing changes no value.
+# Cache-sized slices were fastest, and larger ones raise peak memory without
+# gain.
 _SLICE_ELEMENTS = 1 << 15
 
 # float64 cells (2 MB) the tables of one batched pass may fill (batch_groups),
@@ -166,15 +194,16 @@ class _StateTerms:
 
     Every state has M components of dimension D. ``shift`` is c_s, the mean
     of state s's component means weighted by their precisions 1/var, per
-    dimension; the component log density of a frame x is
-    ``constant + sum_d precision * (x - c_s)**2 + sum_d linear * (x - c_s)``
-    (see the module docstring).
+    dimension. ``weights`` holds each component's two linear forms side by
+    side, [-1 / (2 var) | (mu - c_s) / var], so that a frame x's component
+    log densities are ``constant + weights @ [(x - c_s)**2 | x - c_s]`` (see
+    the module docstring): one (M, 2D) @ (2D, B) product per state and block
+    of B frames.
     """
 
-    shift: np.ndarray      # (S, D): c_s
-    precision: np.ndarray  # (S, M, D): -1 / (2 var)
-    linear: np.ndarray     # (S, M, D): (mu - c_s) / var
-    constant: np.ndarray   # (S, M): log w + log_norm - sum_d (mu - c_s)^2 / (2 var)
+    shift: np.ndarray     # (S, D): c_s
+    weights: np.ndarray   # (S, M, 2D): [-1 / (2 var) | (mu - c_s) / var]
+    constant: np.ndarray  # (S, M): log w + log_norm - sum_d (mu - c_s)^2 / (2 var)
 
     @classmethod
     def of(cls, states: list[GaussianMixture]) -> "_StateTerms":
@@ -183,18 +212,17 @@ class _StateTerms:
         variances = np.stack([s.variances for s in states])
         with np.errstate(divide="ignore"):
             log_w = np.log(np.stack([s.weights for s in states]))
-        log_norm = -0.5 * (means.shape[2] * _LOG_2PI + np.sum(np.log(variances), axis=2))
+        d = means.shape[2]
+        log_norm = -0.5 * (d * _LOG_2PI + np.sum(np.log(variances), axis=2))
         inverse = np.divide(1.0, variances, out=variances)
         shift = np.sum(means * inverse, axis=1) / np.sum(inverse, axis=1)
         offset = np.subtract(means, shift[:, None, :], out=means)
-        linear = offset * inverse
+        weights = np.empty((*offset.shape[:2], 2 * d))
+        linear = np.multiply(offset, inverse, out=weights[..., d:])
         quad = np.multiply(offset, linear, out=offset)
-        return cls(
-            shift=shift,
-            precision=np.multiply(inverse, -0.5, out=inverse),
-            linear=linear,
-            constant=log_w + log_norm - 0.5 * np.sum(quad, axis=2),
-        )
+        np.multiply(inverse, -0.5, out=weights[..., :d])
+        constant = log_w + log_norm - 0.5 * np.sum(quad, axis=2)
+        return cls(shift=shift, weights=weights, constant=constant)
 
     @property
     def n_states(self) -> int:
@@ -208,13 +236,27 @@ class _StateTerms:
     def dim(self) -> int:
         return self.shift.shape[1]
 
+    def block_log_pdf(self, blocks: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+        """Component log densities of frame blocks (K, B, D) under states ``rows``: (S, K, M, B).
+
+        One batched ``np.matmul`` of every state's (M, 2D) weights with each
+        block's (2D, B) centred squares and offsets, then the constants.
+        """
+        shift = self.shift[rows]
+        d = shift.shape[1]
+        stacked = np.empty((len(shift), len(blocks), 2 * d, _BLOCK))
+        centred = np.subtract(
+            blocks.transpose(0, 2, 1), shift[:, None, :, None], out=stacked[:, :, d:]
+        )
+        np.multiply(centred, centred, out=stacked[:, :, :d])
+        out = np.matmul(self.weights[rows, None], stacked)
+        out += self.constant[rows, None, :, None]
+        return out
+
     def component_log_pdf(self, obs: np.ndarray) -> np.ndarray:
         """Component log densities of (T, D) frames under every state: (S, M, T)."""
-        centred = obs.T[None, :, :] - self.shift[:, :, None]
-        out = np.einsum("sdt,smd->smt", centred * centred, self.precision)
-        out += np.einsum("sdt,smd->smt", centred, self.linear)
-        out += self.constant[:, :, None]
-        return out
+        out = self.block_log_pdf(_blocked(obs)).transpose(0, 2, 1, 3)
+        return out.reshape(*out.shape[:2], -1)[..., : len(obs)]
 
 
 @dataclass
@@ -310,27 +352,59 @@ def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
     return total.squeeze(axis)
 
 
+def _blocked(frames: np.ndarray) -> np.ndarray:
+    """(F, D) frames padded to whole blocks of B with copies of the last: (K, B, D).
+
+    A padded frame thus costs no arithmetic that a real one does not, and
+    raises no floating-point warning of its own. Every kernel pass runs its
+    one finiteness check here, on all its frames.
+    """
+    padded = np.empty((-(-len(frames) // _BLOCK) * _BLOCK, frames.shape[1]))
+    padded[: len(frames)] = frames
+    padded[len(frames) :] = frames[-1]
+    if not np.isfinite(padded).all():
+        raise ModelError("non-finite values in observation sequence")
+    return padded.reshape(-1, _BLOCK, padded.shape[1])
+
+
+def _mixtures(comp_log: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Each state's mixture log density, (S, K * B), from component ones (S, K, M, B).
+
+    The exact maximum over M, then the M rows of exp(x - max) added into one
+    total one row at a time, in order, so a frame's sum does not depend on
+    where it sits or how many frames share the call. A lone component is its
+    own mixture: max + log(exp(0)) is the component's value bit for bit, so
+    it is returned as it is, a view. Otherwise ``out`` may be ``comp_log``
+    itself, which is then overwritten. Callers silence the divide warning of
+    a state whose components are all -inf.
+    """
+    m = comp_log.shape[2]
+    if m == 1:
+        return comp_log.reshape(len(comp_log), -1)
+    peak = _clamp_peak(comp_log.max(axis=2))
+    scaled = np.subtract(comp_log, peak[:, :, None], out=out)
+    np.exp(scaled, out=scaled)
+    total = np.add(scaled[:, :, 0], scaled[:, :, 1])
+    for row in range(2, m):
+        total += scaled[:, :, row]
+    np.log(total, out=total)
+    total += peak
+    return total.reshape(len(total), -1)
+
+
 def _emissions(
     terms: _StateTerms, states: tuple[int, ...], obs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Component log densities (S, M, T) and their per-state mixtures (T, *states).
+    """Component log densities (S, K, M, B) and their per-state mixtures (T, *states).
 
     ``states`` is (N,) for one model's S = N states and (V, N) for a
-    stack's S = V * N, model-major. The mixtures, log b, come back as a
-    transposed view. Their M rows are added in order, so a frame's sum does
-    not depend on how many frames share the call (see the module docstring).
+    stack's S = V * N, model-major. The frames are taken in padded blocks
+    of B (``_blocked``); the mixtures, log b, come back as a transposed view
+    of the real frames.
     """
-    comp_log = terms.component_log_pdf(obs)
-    peak = _clamp_peak(comp_log.max(axis=1))
-    scaled = np.subtract(comp_log, peak[:, None, :])
-    np.exp(scaled, out=scaled)
-    total = scaled[:, 0]
-    for row in range(1, terms.n_mixtures):
-        total += scaled[:, row]
-    with np.errstate(divide="ignore"):
-        np.log(total, out=total)
-    total += peak
-    return comp_log, total.T.reshape(len(obs), *states)
+    comp_log = terms.block_log_pdf(_blocked(obs))
+    log_b = _mixtures(comp_log)[:, : len(obs)]
+    return comp_log, log_b.T.reshape(len(obs), *states)
 
 
 def _layout(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -352,37 +426,48 @@ def _padded_emissions(
     """Emissions of U concatenated sequences: log b padded to (T, N, V, U).
 
     ``states`` is the stack's (N, V) and ``layout`` is ``_layout(lengths)``.
-    T is the longest length; padded frames hold 0 and no recursion reads them
-    as data. The table is states-major with the sequences innermost, the
-    layout of the recursions (see the module docstring): each frame's
-    (N, V) block is scattered to its (position, sequence) column. Densities
-    are taken over the concatenated frames in slices of at most
-    ``_SLICE_ELEMENTS`` elements of each (states, D, frames) and
-    (states, M, frames) temporary. Given ``out``, (N * V, M, F), the
-    component log densities of the F real frames are written into it, in
-    concatenation order.
+    T is the longest length; padded frames hold 0 and no recursion reads
+    them as data. The table is states-major with the sequences innermost,
+    the layout of the recursions (see the module docstring): each frame's
+    (N, V) block is scattered to its (position, sequence) column, straight
+    from the kernel's block layout. The kernel runs over slices of whole
+    blocks (``_blocked``) and, where one block under every state would
+    exceed ``_SLICE_ELEMENTS``, of whole models. Given ``out``,
+    (N * V, M, K * B), the component log densities of the blocked frames
+    are written into it, in concatenation order.
     """
     owner, position = layout
     n, v = states
+    blocks = _blocked(frames)
     log_b = np.zeros((lengths.max(), n, v, len(lengths)))
-    step = max(1, _SLICE_ELEMENTS // (terms.n_states * max(terms.dim, terms.n_mixtures)))
-    for lo in range(0, len(frames), step):
-        part = slice(lo, lo + step)
-        comp_part, b_part = _emissions(terms, (v, n), frames[part])
-        log_b[position[part], ..., owner[part]] = b_part.swapaxes(1, 2)
-        if out is not None:
-            out[..., part] = comp_part
+    model_cells = n * _BLOCK * max(2 * terms.dim, terms.n_mixtures)
+    models = max(1, min(v, _SLICE_ELEMENTS // model_cells))
+    step = max(1, _SLICE_ELEMENTS // (models * model_cells))
+    for first in range(0, v, models):
+        group = slice(first, first + models)
+        rows = slice(first * n, (first + models) * n)
+        for lo in range(0, len(blocks), step):
+            comp_log = terms.block_log_pdf(blocks[lo : lo + step], rows)
+            part = slice(lo * _BLOCK, (lo + step) * _BLOCK)
+            if out is not None:
+                target = out[rows, :, part].reshape(*comp_log.shape[::2], -1, _BLOCK)
+                target[...] = comp_log.transpose(0, 2, 1, 3)
+            real = min(part.stop, len(frames)) - part.start
+            b = _mixtures(comp_log, out=comp_log)[:, :real]
+            log_b[position[part], :, group, owner[part]] = b.T.reshape(real, -1, n).swapaxes(1, 2)
     return log_b
 
 
-def _check_obs(model: HmmModel, obs: np.ndarray) -> np.ndarray:
+def _check_obs(obs: np.ndarray, dim: int) -> np.ndarray:
+    """The sequence as a (T, D) float array; an empty one or one of another dim is rejected.
+
+    Its values are checked once per pass, on all the pass's frames (``_blocked``).
+    """
     obs = np.atleast_2d(np.asarray(obs, dtype=np.float64))
     if obs.shape[0] == 0:
         raise ModelError("empty observation sequence")
-    if obs.shape[1] != model.dim:
-        raise ModelError(f"observation dim {obs.shape[1]} != model dim {model.dim}")
-    if not np.isfinite(obs).all():
-        raise ModelError("non-finite values in observation sequence")
+    if obs.shape[1] != dim:
+        raise ModelError(f"observation dim {obs.shape[1]} != model dim {dim}")
     return obs
 
 
@@ -405,10 +490,9 @@ def _forward(
     log_alpha = np.empty_like(log_b) if out is None else out
     log_alpha[0] = log_pi + log_b[0]
     terms = np.empty((log_b.shape[1], *log_b.shape[1:]))
-    with np.errstate(divide="ignore"):
-        for t in range(1, len(log_b)):
-            np.add(log_alpha[t - 1][:, None], log_a, out=terms)
-            np.add(_logsumexp(terms, axis=0), log_b[t], out=log_alpha[t])
+    for t in range(1, len(log_b)):
+        np.add(log_alpha[t - 1][:, None], log_a, out=terms)
+        np.add(_logsumexp(terms, axis=0), log_b[t], out=log_alpha[t])
     return log_alpha
 
 
@@ -420,8 +504,7 @@ def _termination(log_alpha: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     contiguous axis, pairwise at 8 or more states (see the module docstring).
     """
     last = log_alpha.transpose(3, 0, 2, 1)[np.arange(len(lengths)), lengths - 1]
-    with np.errstate(divide="ignore"):
-        return _logsumexp(last.copy(), axis=-1)
+    return _logsumexp(last.copy(), axis=-1)
 
 
 def _backward(log_a: np.ndarray, log_b: np.ndarray, lengths) -> np.ndarray:
@@ -441,20 +524,23 @@ def _backward(log_a: np.ndarray, log_b: np.ndarray, lengths) -> np.ndarray:
     next_last = np.moveaxis(log_a, 1, -1)  # (N, ..., N): from-state first, next state last
     states_last = (*range(1, log_b.ndim - 1), 0)  # a frame's (N, ...) as (..., N)
     terms = np.empty((log_b.shape[1], *log_b.shape[2:], log_b.shape[1]))
-    with np.errstate(divide="ignore"):
-        for t in range(len(log_b) - 2, -1, -1):
-            np.add(next_last, (log_b[t + 1] + log_beta[t + 1]).transpose(states_last), out=terms)
-            log_beta[t] = np.where(t < last, _logsumexp(terms, axis=-1), 0.0)
+    for t in range(len(log_b) - 2, -1, -1):
+        np.add(next_last, (log_b[t + 1] + log_beta[t + 1]).transpose(states_last), out=terms)
+        log_beta[t] = np.where(t < last, _logsumexp(terms, axis=-1), 0.0)
     return log_beta
 
 
 def log_forward(model: HmmModel, obs: np.ndarray) -> tuple[float, np.ndarray]:
     """Forward recursion. Returns (log P(obs | model), log alpha matrix (T, N))."""
-    obs = _check_obs(model, obs)
+    obs = _check_obs(obs, model.dim)
     stack = HmmStack([model])
-    _, log_b = _emissions(stack.emissions, (model.n_states,), obs)
-    log_alpha = _forward(stack.log_pi[..., None], stack.log_a[..., None], log_b[..., None, None])
-    return float(_termination(log_alpha, np.array([len(obs)]))[0, 0]), log_alpha[:, :, 0, 0]
+    with np.errstate(divide="ignore"):
+        _, log_b = _emissions(stack.emissions, (model.n_states,), obs)
+        log_alpha = _forward(
+            stack.log_pi[..., None], stack.log_a[..., None], log_b[..., None, None]
+        )
+        log_p = _termination(log_alpha, np.array([len(obs)]))[0, 0]
+    return float(log_p), log_alpha[:, :, 0, 0]
 
 
 def log_forward_table(stack: HmmStack, sequences: list[np.ndarray]) -> np.ndarray:
@@ -467,13 +553,15 @@ def log_forward_table(stack: HmmStack, sequences: list[np.ndarray]) -> np.ndarra
     with U * max length * V * N, one table that holds the emissions and then
     alpha; callers bound it by grouping the sequences (``batch_groups``).
     """
-    seqs = [_check_obs(stack[0], s) for s in sequences]
+    dim = stack.emissions.dim
+    seqs = [_check_obs(s, dim) for s in sequences]
     lengths = np.array([len(s) for s in seqs])
-    log_b = _padded_emissions(
-        stack.emissions, stack.shape, np.concatenate(seqs), lengths, _layout(lengths)
-    )
-    log_alpha = _forward(stack.log_pi[..., None], stack.log_a[..., None], log_b, out=log_b)
-    return _termination(log_alpha, lengths)
+    with np.errstate(divide="ignore"):
+        log_b = _padded_emissions(
+            stack.emissions, stack.shape, np.concatenate(seqs), lengths, _layout(lengths)
+        )
+        log_alpha = _forward(stack.log_pi[..., None], stack.log_a[..., None], log_b, out=log_b)
+        return _termination(log_alpha, lengths)
 
 
 def log_likelihood(model: HmmModel, obs: np.ndarray) -> float:
@@ -679,11 +767,13 @@ def baum_welch_train(
 
     The responsibilities (N, M, F) and transition posteriors (F - S, N, N)
     of every group are views of two working buffers, each sized for its
-    largest group. A group's frames and layout are rebuilt in each iteration,
-    so that EM's peak memory does not grow with the number of sequences.
+    largest group (the responsibilities' in whole blocks of the emission
+    kernel). A group's frames and layout are rebuilt in each iteration, so
+    that EM's peak memory does not grow with the number of sequences, and
+    its frames are checked for finiteness there, once per batched pass.
     """
     model.validate()
-    obs_list = [_check_obs(model, s) for s in sequences]
+    obs_list = [_check_obs(s, model.dim) for s in sequences]
     if not obs_list:
         raise TrainingError("no training sequences")
 
@@ -692,7 +782,7 @@ def baum_welch_train(
     # its emission, forward and backward cells; d counts the frame itself
     groups = list(batch_groups(obs_list, lambda obs: (len(obs),), (n * (m + n) + d,)))
     group_frames = [sum(map(len, group)) for group in groups]
-    resp_buffer = np.empty(n * m * max(group_frames))
+    resp_buffer = np.empty(n * m * -(-max(group_frames) // _BLOCK) * _BLOCK)
     xi_buffer = np.empty(n * n * max(f - len(g) for f, g in zip(group_frames, groups)))
     history: list[float] = []
     converged = False
@@ -710,48 +800,50 @@ def baum_welch_train(
         total_ll = 0.0
 
         first = 0  # index of the group's first sequence
-        for group, n_frames in zip(groups, group_frames):
-            lengths = np.array([len(obs) for obs in group])
-            frames = np.concatenate(group)
-            owner, position = _layout(lengths)
-            comp_log = resp_buffer[: n * m * n_frames].reshape(n, m, n_frames)
-            log_b = _padded_emissions(
-                stack.emissions, stack.shape, frames, lengths, (owner, position), out=comp_log
-            )
-            log_alpha = _forward(pi_table, a_table, log_b)
-            lls = _termination(log_alpha, lengths)[:, 0]
-            bad = np.flatnonzero(~np.isfinite(lls))
-            if len(bad):
-                k = bad[0]
-                raise TrainingError(
-                    f"sequence {first + k}: non-finite log-likelihood {float(lls[k])} "
-                    f"(length {lengths[k]}) at iteration {iteration}"
+        with np.errstate(divide="ignore"):
+            for group, n_frames in zip(groups, group_frames):
+                lengths = np.array([len(obs) for obs in group])
+                frames = np.concatenate(group)
+                owner, position = _layout(lengths)
+                padded = resp_buffer[: n * m * -(-n_frames // _BLOCK) * _BLOCK].reshape(n, m, -1)
+                log_b = _padded_emissions(
+                    stack.emissions, stack.shape, frames, lengths, (owner, position), out=padded
                 )
-            # the same left-to-right sum as adding one sequence at a time
-            total_ll = float(np.add.accumulate(np.concatenate(([total_ll], lls)))[-1])
-            log_beta = _backward(a_table, log_b, lengths)
+                comp_log = padded[..., :n_frames]
+                log_alpha = _forward(pi_table, a_table, log_b)
+                lls = _termination(log_alpha, lengths)[:, 0]
+                bad = np.flatnonzero(~np.isfinite(lls))
+                if len(bad):
+                    k = bad[0]
+                    raise TrainingError(
+                        f"sequence {first + k}: non-finite log-likelihood {float(lls[k])} "
+                        f"(length {lengths[k]}) at iteration {iteration}"
+                    )
+                # the same left-to-right sum as adding one sequence at a time
+                total_ll = float(np.add.accumulate(np.concatenate(([total_ll], lls)))[-1])
+                log_beta = _backward(a_table, log_b, lengths)
 
-            # from here on only real frames, in concatenation order
-            log_alpha, log_beta, log_b = (
-                x[position, :, 0, owner] for x in (log_alpha, log_beta, log_b)
-            )
-            frame_ll = lls[owner, None]
-            log_gamma = log_alpha + log_beta - frame_ll               # (F, N)
-            pi_acc += np.exp(log_gamma[position == 0]).sum(axis=0)
-            src = np.flatnonzero(position[1:])     # frames whose successor is in their sequence
-            xi = xi_buffer[: len(src) * n * n].reshape(len(src), n, n)
-            np.add(log_alpha[src, :, None], log_a, out=xi)
-            xi += (log_b + log_beta)[src + 1, None, :]
-            xi -= frame_ll[src, :, None]
-            xi_acc += np.exp(xi, out=xi).sum(axis=0)
-            comp_log += log_gamma.T[:, None, :]                     # responsibilities, in place
-            comp_log -= log_b.T[:, None, :]
-            resp = np.exp(comp_log, out=comp_log)                   # (N, M, F)
-            comp_acc += resp.sum(axis=2)
-            resp = resp.reshape(n * m, n_frames)
-            mean_acc += (resp @ frames).reshape(n, m, d)
-            sq_acc += (resp @ (frames * frames)).reshape(n, m, d)
-            first += len(group)
+                # from here on only real frames, in concatenation order
+                log_alpha, log_beta, log_b = (
+                    x[position, :, 0, owner] for x in (log_alpha, log_beta, log_b)
+                )
+                frame_ll = lls[owner, None]
+                log_gamma = log_alpha + log_beta - frame_ll               # (F, N)
+                pi_acc += np.exp(log_gamma[position == 0]).sum(axis=0)
+                src = np.flatnonzero(position[1:])     # frames whose successor is in their sequence
+                xi = xi_buffer[: len(src) * n * n].reshape(len(src), n, n)
+                np.add(log_alpha[src, :, None], log_a, out=xi)
+                xi += (log_b + log_beta)[src + 1, None, :]
+                xi -= frame_ll[src, :, None]
+                xi_acc += np.exp(xi, out=xi).sum(axis=0)
+                comp_log += log_gamma.T[:, None, :]                     # responsibilities, in place
+                comp_log -= log_b.T[:, None, :]
+                resp = np.exp(comp_log, out=comp_log)                   # (N, M, F)
+                comp_acc += resp.sum(axis=2)
+                resp = resp.reshape(n * m, n_frames)
+                mean_acc += (resp @ frames).reshape(n, m, d)
+                sq_acc += (resp @ (frames * frames)).reshape(n, m, d)
+                first += len(group)
 
         history.append(total_ll)
         if on_iteration is not None:

@@ -446,6 +446,41 @@ class TestErrors:
         assert "speaker id(s) enrolled more than once: spk01" in capsys.readouterr().err
         assert not (tmp_path / "run" / "reports").exists()
 
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            ("model-not-utf8", "spk02.model: not valid UTF-8 at byte 40"),
+            ("model-is-directory", "spk02.model: cannot read (Is a directory)"),
+            ("population-not-utf8", "population.txt: not valid UTF-8 at byte 6"),
+        ],
+        ids=["model-not-utf8", "model-is-directory", "population-not-utf8"],
+    )
+    def test_unreadable_model_file_exits_1(self, pipeline, tmp_path, capsys, damage, message):
+        trained = pipeline["out"] / "models" / "unbiased"
+        models = tmp_path / "run" / "models" / "unbiased"
+        models.mkdir(parents=True)
+        for name in ("spk01.model", "spk02.model", "population.txt"):
+            (models / name).write_bytes((trained / name).read_bytes())
+        if damage == "model-not-utf8":
+            text = (models / "spk02.model").read_bytes()
+            (models / "spk02.model").write_bytes(text[:40] + b"\xff" + text[41:])
+        elif damage == "model-is-directory":
+            (models / "spk02.model").unlink()
+            (models / "spk02.model").mkdir()
+        else:
+            (models / "population.txt").write_bytes(b"spk01\n\xe9spk02\n")
+        code = run(
+            [
+                "evaluate",
+                "--manifest", str(pipeline["manifest"]),
+                "--out", str(tmp_path / "run"),
+                *TINY_FLAGS,
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{models}/{message}" in err and "internal error" not in err
+
     def test_duplicate_emotion_in_compare_report_exits_1(self, pipeline, tmp_path, capsys):
         # a second row for an emotion would silently replace the first
         baseline = tmp_path / "baseline_performance.csv"

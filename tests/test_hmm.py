@@ -217,6 +217,72 @@ class TestEmissions:
                         assert np.array_equal(one, stacked[v, j, :, t : t + 1].T)
 
 
+KERNEL_SHAPES = pytest.mark.parametrize(
+    "n, m, d",
+    [(9, 10, 16), (3, 2, 4), (2, 2, 16), (2, 1, 4)],
+    ids=["paper-acoustic", "paper-prosodic", "small-acoustic", "small-prosodic"],
+)
+
+
+class TestKernelInvariance:
+    """The emission kernel gives a frame and a state the same values wherever they sit.
+
+    Every BLAS product of the kernel has one shape, a state's (M, 2D) weights
+    times a block of B frames. These tests hold on a BLAS build that computes
+    each column of a product at that shape by the same arithmetic in every
+    call, as OpenBLAS's fixed register-tile micro-kernels do; they fail on a
+    build that does not. The shapes are the paper's streams (9x10 over 16
+    LFPC bands, 3x2 over 4 prosodic values) and the small WAV workload's
+    (2x2 and 2x1).
+    """
+
+    @staticmethod
+    def scores(terms, obs):
+        """Component (S, M, T) and mixture (T, S) log densities of frames under ``terms``."""
+        return terms.component_log_pdf(obs), hmm._emissions(terms, (terms.n_states,), obs)[1]
+
+    @KERNEL_SHAPES
+    def test_frame_alone_equals_it_at_every_block_position(self, n, m, d):
+        rng = np.random.default_rng(39)
+        terms = HmmStack([random_model(rng, n, m, d) for _ in range(2)]).emissions
+        block = hmm._BLOCK
+        for _ in range(3):
+            frame = rng.normal(0.0, 2.0, (1, d))
+            comp_alone, b_alone = self.scores(terms, frame)
+            # every position of the first block, then either side of the next two boundaries
+            for t in [*range(block), block, 2 * block - 1, 2 * block]:
+                obs = rng.normal(0.0, 2.0, (2 * block + 1 + int(rng.integers(block)), d))
+                obs[t] = frame[0]
+                comp, log_b = self.scores(terms, obs)
+                assert np.array_equal(comp[:, :, t], comp_alone[:, :, 0])
+                assert np.array_equal(log_b[t], b_alone[0])
+
+    @KERNEL_SHAPES
+    def test_state_alone_equals_it_in_a_stack_and_across_model_slices(
+        self, n, m, d, monkeypatch
+    ):
+        rng = np.random.default_rng(40)
+        models = [random_model(rng, n, m, d) for _ in range(10)]
+        sequences = [rng.normal(0.0, 2.0, (int(t), d)) for t in rng.integers(1, 40, size=5)]
+        frames = np.concatenate(sequences)
+        lengths = np.array([len(seq) for seq in sequences])
+        layout = hmm._layout(lengths)
+        stack = HmmStack(models)
+        stacked = stack.emissions.component_log_pdf(frames).reshape(10, n, m, len(frames))
+        default = hmm._padded_emissions(stack.emissions, stack.shape, frames, lengths, layout)
+        # three models and one block per kernel call: slices start at models 3, 6 and 9
+        monkeypatch.setattr(hmm, "_SLICE_ELEMENTS", 3 * n * hmm._BLOCK * max(2 * d, m))
+        sliced = hmm._padded_emissions(stack.emissions, stack.shape, frames, lengths, layout)
+        for v, model in enumerate(models):
+            alone = hmm._padded_emissions(
+                HmmStack([model]).emissions, (n, 1), frames, lengths, layout
+            )
+            assert np.array_equal(default[:, :, v], alone[:, :, 0])
+            assert np.array_equal(sliced[:, :, v], alone[:, :, 0])
+            for j, state in enumerate(model.states):
+                assert np.array_equal(state.component_log_pdf(frames), stacked[v, j].T)
+
+
 def masked_logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
     """The log-sum-exp that zeroed every non-finite peak, which ``_logsumexp`` replaced."""
     peak = x.max(axis=axis, keepdims=True)

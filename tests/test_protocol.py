@@ -184,6 +184,36 @@ class TestIdentify:
         with pytest.raises(ModelError, match="non-finite"):
             identify(Population(models), DualObservation(acoustic, prosodic), 0.5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "entry", ["log_forward", "log_forward_table", "fused_log_scores", "identify",
+                  "baum_welch_train"]
+    )
+    def test_non_finite_frame_rejected_at_every_entry_point(self, entry, bad):
+        # each pass checks its frames once, on all of them together; a bad value
+        # in the last frame of the last sequence sits next to the block padding
+        models = self.make_population(58)
+        rng = np.random.default_rng(59)
+        acoustic = [rng.standard_normal((int(t), 3)) for t in (5, 17, 3)]
+        prosodic = [rng.standard_normal((3, 2)) for _ in acoustic]
+        acoustic[-1][-1, 1] = bad
+        population = Population(models)
+        calls = {
+            "log_forward": lambda: log_forward(models[0].acoustic, acoustic[-1]),
+            "log_forward_table": lambda: hmm.log_forward_table(population.acoustic, acoustic),
+            "fused_log_scores": lambda: sphmm.fused_log_scores(
+                population, [DualObservation(*pair) for pair in zip(acoustic, prosodic)], 0.5
+            ),
+            "identify": lambda: identify(
+                population, DualObservation(acoustic[-1], prosodic[0]), 0.5
+            ),
+            "baum_welch_train": lambda: hmm.baum_welch_train(
+                models[0].acoustic, acoustic, max_iterations=1
+            ),
+        }
+        with pytest.raises(ModelError, match="non-finite values in observation sequence"):
+            calls[entry]()
+
     @pytest.mark.parametrize("stream", ["acoustic", "prosodic"])
     def test_mixed_shape_population_rejected(self, stream):
         # a population is scored as one stacked mixture, so it shares one topology
