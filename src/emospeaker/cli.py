@@ -27,11 +27,12 @@ from .corpus import (
     bias_file_token,
     load_manifest,
     normalize_plan,
+    read_utf8,
     validate_protocol_counts,
 )
 from .dsp import HOP_MS, WINDOW_MS, DspError
 from .features import extract_corpus, make_loader, read_observation
-from .hmm import ModelError, TrainingError
+from .hmm import ModelError, ModelFormatError, TrainingError
 from .protocol import (
     SessionResult,
     cross_validate,
@@ -39,7 +40,7 @@ from .protocol import (
     run_session,
     train_population,
 )
-from .sphmm import Population, load_speaker_model, read_model_text, save_speaker_model
+from .sphmm import Population, load_speaker_model, save_speaker_model
 from .stats import (
     StatsError,
     cohen_kappa,
@@ -131,7 +132,7 @@ def load_population(directory: Path) -> Population:
     if not index.exists():
         raise ModelError(f"no trained population at {directory} (missing population.txt)")
     models = []
-    for speaker_id in read_model_text(index).split():
+    for speaker_id in read_utf8(index, ModelFormatError).split():
         model = load_speaker_model(directory / f"{speaker_id}.model")
         if model.speaker_id != speaker_id:
             raise ModelError(
@@ -246,10 +247,13 @@ def write_performance_csv(result: SessionResult, path: Path) -> None:
 
 
 def read_performance_csv(path: Path) -> dict[str, float]:
-    """Emotion -> Average(%) mapping from a performance report; each emotion once."""
+    """Emotion -> Average(%) mapping from a performance report; each emotion once.
+
+    Every fault, an unreadable or non-UTF-8 file included, raises ``CorpusError``.
+    """
     if not path.exists():
         raise CorpusError(f"performance report not found: {path}")
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = read_utf8(path, CorpusError).splitlines()
     if not lines or lines[0] != "Emotion,Males(%),Females(%),Average(%)":
         raise CorpusError(f"{path}: not a performance report")
     averages = {}

@@ -11,6 +11,7 @@ import typing
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from .corpus import read_utf8
 from .features import FrontEnd
 from .sphmm import Topology
 
@@ -165,12 +166,15 @@ def parse_value(key: str, raw: str):
 
 
 def load_config_file(path: str | Path) -> dict:
-    """Read ``key = value`` lines; ``#`` starts a comment, blank lines ignored."""
+    """Read ``key = value`` lines; ``#`` starts a comment, blank lines ignored.
+
+    Every fault, an unreadable or non-UTF-8 file included, raises ``ConfigError``.
+    """
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     values = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(read_utf8(path, ConfigError).splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue

@@ -18,7 +18,10 @@ feature files (see :func:`write_feature_file`).
 """
 
 import csv
+import errno
 import hashlib
+import io
+import os
 import struct
 import wave
 from dataclasses import dataclass, field, replace
@@ -143,11 +146,28 @@ class CorpusManifest:
     def speakers(self) -> list[str]:
         return sorted({r.speaker_id for r in self.records})
 
-    def resolve(self, record: UtteranceRecord) -> Path:
-        """Absolute path of a record's source, relative paths anchored at root."""
+    def source_path(self, record: UtteranceRecord) -> str:
+        """A record's source path as a string: the one source-path rule.
+
+        ``os.path.join(root, source)``, so a relative source is anchored at
+        the root and an absolute one replaces it, at the cost of one string
+        join and no ``Path``. A source ending in a separator or ``.`` takes
+        the ``Path`` form instead, whose normalization drops that ending.
+        """
+        source = record.source
         if self.root is None:
-            return Path(record.source)
-        return self.root / record.source  # an absolute source replaces root
+            return source
+        if source.endswith(_NORMALIZED_ENDINGS):
+            return os.fspath(self.root / source)
+        return os.path.join(self.root, source)
+
+    def resolve(self, record: UtteranceRecord) -> Path:
+        """The ``Path`` of :meth:`source_path`."""
+        return Path(self.source_path(record))
+
+
+# a source with one of these endings resolves through Path, which drops it
+_NORMALIZED_ENDINGS = tuple({"/", os.sep, "."})
 
 
 def load_manifest(path: str | Path) -> CorpusManifest:
@@ -160,35 +180,36 @@ def load_manifest(path: str | Path) -> CorpusManifest:
     key_lines: dict[str, int] = {}
     header_line = None
     rows: list[tuple[int, list[str]]] = []
-    with path.open(encoding="utf-8", newline="") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.rstrip("\n").rstrip("\r")
-            if not stripped:
-                continue
-            if stripped.startswith("#"):
-                if header_line is not None:
-                    raise ManifestError(f"{path}:{lineno}: comment after header")
-                key, is_pair, value = stripped[1:].strip().partition("=")
-                if not is_pair:
-                    continue  # a free-text comment
-                key = key.strip()
-                if key in key_lines:
-                    raise ManifestError(
-                        f"{path}:{lineno}: metadata key {key!r} already set on line {key_lines[key]}"
-                    )
-                key_lines[key] = lineno
-                metadata[key] = value.strip()
-                continue
-            if header_line is None:
-                header_line = lineno
-                fields = next(csv.reader([stripped]))
-                if tuple(fields) != MANIFEST_COLUMNS:
-                    raise ManifestError(
-                        f"{path}:{lineno}: bad header {fields!r}, expected"
-                        f" {','.join(MANIFEST_COLUMNS)}"
-                    )
-                continue
-            rows.append((lineno, next(csv.reader([stripped]))))
+    # lines end at \n, \r or \r\n, as in a file opened with newline=""
+    lines = io.StringIO(read_utf8(path, ManifestError), newline="")
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.rstrip("\n").rstrip("\r")
+        if not stripped:
+            continue
+        if stripped.startswith("#"):
+            if header_line is not None:
+                raise ManifestError(f"{path}:{lineno}: comment after header")
+            key, is_pair, value = stripped[1:].strip().partition("=")
+            if not is_pair:
+                continue  # a free-text comment
+            key = key.strip()
+            if key in key_lines:
+                raise ManifestError(
+                    f"{path}:{lineno}: metadata key {key!r} already set on line {key_lines[key]}"
+                )
+            key_lines[key] = lineno
+            metadata[key] = value.strip()
+            continue
+        if header_line is None:
+            header_line = lineno
+            fields = next(csv.reader([stripped]))
+            if tuple(fields) != MANIFEST_COLUMNS:
+                raise ManifestError(
+                    f"{path}:{lineno}: bad header {fields!r}, expected"
+                    f" {','.join(MANIFEST_COLUMNS)}"
+                )
+            continue
+        rows.append((lineno, next(csv.reader([stripped]))))
 
     if header_line is None:
         raise ManifestError(f"{path}: no header row found")
@@ -406,13 +427,22 @@ class AudioSignal:
 
 
 def read_audio(path: str | Path) -> AudioSignal:
-    """Decode a mono 16-bit PCM WAV file exactly."""
+    """Decode a mono 16-bit PCM WAV file exactly.
+
+    The file is read whole (:func:`read_bytes`) and parsed in memory, so a
+    header that claims more data than the file holds reads only what is
+    there. Every fault raises ``AudioFormatError`` naming the path.
+    """
     if not isinstance(path, Path):
         path = Path(path)
-    if not path.exists():
-        raise AudioFormatError(f"audio file not found: {path}")
     try:
-        with wave.open(str(path), "rb") as wav:
+        blob = read_bytes(path)
+    except OSError as exc:
+        if exc.errno in MISSING_ERRNOS:
+            raise AudioFormatError(f"audio file not found: {path}") from None
+        raise AudioFormatError(f"{path}: cannot read ({exc.strerror})") from None
+    try:
+        with wave.open(io.BytesIO(blob), "rb") as wav:
             n_channels = wav.getnchannels()
             sample_width = wav.getsampwidth()
             rate = wav.getframerate()
@@ -420,8 +450,9 @@ def read_audio(path: str | Path) -> AudioSignal:
             raw = wav.readframes(n_frames)
     except (wave.Error, EOFError) as exc:
         raise AudioFormatError(f"{path}: unsupported encoding ({exc})") from exc
-    except OSError as exc:
-        raise AudioFormatError(f"{path}: cannot read ({exc.strerror})") from None
+    except RuntimeError:  # wave's bare error for a chunk that overruns the RIFF chunk
+        message = "unsupported encoding (chunk overruns the RIFF chunk)"
+        raise AudioFormatError(f"{path}: {message}") from None
     if n_channels != 1:
         raise AudioFormatError(f"{path}: expected mono, got {n_channels} channels")
     if sample_width != 2:
@@ -442,6 +473,48 @@ def write_audio(signal: AudioSignal, path: str | Path) -> None:
         wav.writeframes(samples.tobytes())
 
 
+# --- raw file I/O -------------------------------------------------------------------
+
+# errno values for which Path.exists() reports a path as missing
+MISSING_ERRNOS = frozenset((errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP))
+
+_BINARY = getattr(os, "O_BINARY", 0)  # no newline translation where the OS has it
+_READ_CHUNK = 1 << 16
+
+
+def read_bytes(path: str | Path) -> bytes:
+    """A file's bytes at system-call cost: one ``open``, ``read`` until end of
+    file (two calls for a file under 64 KiB) and one ``close``.
+
+    A failure raises the ``OSError`` of the failing call; a directory opens
+    and fails at its first read (``Is a directory``).
+    """
+    fd = os.open(path, os.O_RDONLY | _BINARY)
+    try:
+        parts = [os.read(fd, _READ_CHUNK)]
+        while parts[-1]:
+            parts.append(os.read(fd, _READ_CHUNK))
+    finally:
+        os.close(fd)
+    return parts[0] if len(parts) <= 2 else b"".join(parts)
+
+
+def read_utf8(path: Path, error: type[Exception]) -> str:
+    """The UTF-8 text of a file, read by :func:`read_bytes`.
+
+    A file that cannot be read (a directory, say) or is not valid UTF-8
+    raises ``error`` naming the path, and for a decode error the byte offset.
+    """
+    try:
+        data = read_bytes(path)
+    except OSError as exc:
+        raise error(f"{path}: cannot read ({exc.strerror})") from None
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not valid UTF-8 at byte {exc.start}") from None
+
+
 # --- feature files ----------------------------------------------------------------
 
 FEATURE_MAGIC = b"EMSPFEAT"
@@ -450,24 +523,35 @@ _FEATURE_HEADER = struct.Struct("<8sIII")
 
 
 def write_feature_file(array: np.ndarray, path: str | Path) -> None:
-    """Write a (frames, coefficients) float array: magic, version, shape, raw f64 LE."""
+    """Write a (frames, coefficients) float array: magic, version, shape, raw f64 LE.
+
+    System-call cost: one ``open`` (create or truncate, mode 0o666 less the
+    umask), one ``write`` for all the bytes (repeated only if the OS writes
+    part of them) and one ``close``. An ``OSError`` propagates as raised.
+    """
     array = np.ascontiguousarray(array, dtype="<f8")
     if array.ndim != 2:
         raise FeatureFileError("feature array must be 2-D (frames x coefficients)")
     header = _FEATURE_HEADER.pack(FEATURE_MAGIC, FEATURE_VERSION, array.shape[0], array.shape[1])
-    with open(path, "wb") as fh:
-        fh.write(header + array.tobytes())
+    data = memoryview(header + array.tobytes())
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | _BINARY, 0o666)
+    try:
+        while data:
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
 
 
 def read_feature_file(path: str | Path) -> np.ndarray:
-    """The (frames, coefficients) array of a feature file, read whole in one unbuffered read.
+    """The (frames, coefficients) array of a feature file: a writable, C-contiguous
+    float64 copy.
 
-    Every fault, an unreadable file included, raises ``FeatureFileError``
-    naming the path.
+    System-call cost is :func:`read_bytes`'s: one ``open``, two ``read``
+    calls for a file under 64 KiB, one ``close``. Every fault, an unreadable
+    file included, raises ``FeatureFileError`` naming the path.
     """
     try:
-        with open(path, "rb", buffering=0) as fh:
-            blob = fh.readall()
+        blob = read_bytes(path)
     except FileNotFoundError:
         raise FeatureFileError(f"feature file not found: {Path(path)}") from None
     except OSError as exc:

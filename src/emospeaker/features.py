@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .corpus import (
+    MISSING_ERRNOS,
     CorpusError,
     CorpusManifest,
     UtteranceRecord,
@@ -112,8 +113,9 @@ def read_observation(path: str | Path, front_end: FrontEnd, sample_rate: int) ->
 def load_observation(
     manifest: CorpusManifest, record: UtteranceRecord, front_end: FrontEnd = FrontEnd()
 ) -> DualObservation:
-    """Read or compute both feature streams for one record."""
-    return read_observation(manifest.resolve(record), front_end, manifest.sample_rate)
+    """Read or compute both feature streams for one record, found by its
+    string source path (:meth:`CorpusManifest.source_path`)."""
+    return read_observation(manifest.source_path(record), front_end, manifest.sample_rate)
 
 
 def make_loader(manifest: CorpusManifest, front_end: FrontEnd = FrontEnd()):
@@ -136,9 +138,16 @@ def extract_corpus(
     """Materialize features for every record into ``out_dir``.
 
     WAV sources are analyzed; feature sources are copied through, so the
-    output directory stands alone. Existing outputs newer than their input are
-    reused unless ``force``. Writes ``features.csv`` (a manifest whose sources
-    point at the new files) and returns it.
+    output directory stands alone. A record's outputs are reused when both
+    are at least as new as its source, or when its source is missing and
+    both exist, unless ``force``. Writes ``features.csv`` (a manifest whose
+    sources point at the new files) and returns it.
+
+    The up-to-date check works on strings and costs at most one ``stat`` per
+    output and one for the source: three per record on an up-to-date corpus.
+    A stale record's source is copied only when it is not the output itself,
+    as ``Path`` comparison decides, so extracting a feature corpus over its
+    own directory copies nothing.
 
     With ``failures`` (a list), a record whose extraction fails is skipped and
     ``(record, exception)`` appended instead of aborting the whole run.
@@ -149,20 +158,21 @@ def extract_corpus(
 
     new_records = []
     for record in manifest.records:
-        src = manifest.resolve(record)
-        ac_out = feat_dir / f"{record.key}{ACOUSTIC_SUFFIX}"
-        pr_out = feat_dir / f"{record.key}{PROSODIC_SUFFIX}"
-        if force or _stale(ac_out, src) or _stale(pr_out, src):
+        src = manifest.source_path(record)
+        name = f"{record.key}{ACOUSTIC_SUFFIX}"
+        ac_out = os.path.join(feat_dir, name)
+        pr_out = prosodic_sibling(ac_out)
+        if force or _stale(src, ac_out, pr_out):
             try:
                 if record.source.endswith(".wav"):
                     obs = load_observation(manifest, record, front_end)
                     write_feature_file(obs.acoustic, ac_out)
                     write_feature_file(obs.prosodic, pr_out)
                 elif record.source.endswith(ACOUSTIC_SUFFIX):
-                    pr_src = prosodic_sibling(src)
-                    if src != ac_out:
-                        shutil.copyfile(src, ac_out)
-                        shutil.copyfile(pr_src, pr_out)
+                    src_path, ac_path = Path(src), Path(ac_out)
+                    if src_path != ac_path:
+                        shutil.copyfile(src_path, ac_path)
+                        shutil.copyfile(prosodic_sibling(src_path), prosodic_sibling(ac_path))
                 else:
                     raise CorpusError(f"unsupported source type: {record.source!r}")
             except Exception as exc:
@@ -170,7 +180,7 @@ def extract_corpus(
                     raise
                 failures.append((record, exc))
                 continue
-        new_records.append(replace(record, source=f"features/{ac_out.name}"))
+        new_records.append(replace(record, source=f"features/{name}"))
 
     extracted = CorpusManifest(
         records=new_records,
@@ -182,9 +192,32 @@ def extract_corpus(
     return extracted
 
 
-def _stale(target: Path, source: Path) -> bool:
-    if not target.exists():
+def _stale(source: str, acoustic: str, prosodic: str) -> bool:
+    """Whether either output is missing or older than the source.
+
+    One ``stat`` per path, the acoustic output first, and none after the
+    answer is known. A missing source makes only a missing output stale.
+    "Missing" is what ``Path.exists()`` calls missing.
+    """
+    ac_stat = _stat(acoustic)
+    if ac_stat is None:
         return True
-    if not source.exists():
-        return False
-    return target.stat().st_mtime < source.stat().st_mtime
+    src_stat = _stat(source)
+    if src_stat is None:
+        return _stat(prosodic) is None
+    if ac_stat.st_mtime < src_stat.st_mtime:
+        return True
+    pr_stat = _stat(prosodic)
+    return pr_stat is None or pr_stat.st_mtime < src_stat.st_mtime
+
+
+def _stat(path: str) -> os.stat_result | None:
+    """``os.stat(path)``, or None where ``Path.exists()`` is False."""
+    try:
+        return os.stat(path)
+    except OSError as exc:
+        if exc.errno in MISSING_ERRNOS:
+            return None
+        raise
+    except ValueError:  # an embedded null byte
+        return None

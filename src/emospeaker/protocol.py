@@ -262,11 +262,12 @@ def score_session(
 
     trials = []
     for group in batch_groups(map(loader, records), rows, row_cells):
-        scores = fused_log_scores(population, group, alpha)
+        best = np.argmax(fused_log_scores(population, group, alpha), axis=1)  # first maximum wins
         done = len(trials)
-        for record, row in zip(records[done:done + len(group)], scores):
-            predicted = population[int(np.argmax(row))].speaker_id
-            trials.append(Trial(record=record, predicted=predicted))
+        trials.extend(
+            Trial(record=record, predicted=speakers[i])
+            for record, i in zip(records[done:done + len(group)], best.tolist())
+        )
     return SessionResult(
         plan=plan,
         alpha=alpha,

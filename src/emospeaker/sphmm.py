@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import derive_seed
+from .corpus import derive_seed, read_utf8
 from .hmm import (
     HmmModel,
     HmmStack,
@@ -286,24 +286,8 @@ def save_speaker_model(model: SpeakerModel, path: str | Path) -> None:
     Path(path).write_text(speaker_model_to_text(model), encoding="utf-8")
 
 
-def read_model_text(path: Path) -> str:
-    """The UTF-8 text of a model file or population index.
-
-    A file that cannot be read (a directory, say) or is not valid UTF-8 is a
-    ``ModelFormatError`` naming the path, and for a decode error the byte offset.
-    """
-    try:
-        data = path.read_bytes()
-    except OSError as exc:
-        raise ModelFormatError(f"{path}: cannot read ({exc.strerror})") from None
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ModelFormatError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
-
-
 def load_speaker_model(path: str | Path) -> SpeakerModel:
     path = Path(path)
     if not path.exists():
         raise ModelFormatError(f"speaker model file not found: {path}")
-    return speaker_model_from_text(read_model_text(path))
+    return speaker_model_from_text(read_utf8(path, ModelFormatError))

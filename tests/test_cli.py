@@ -481,6 +481,40 @@ class TestErrors:
         err = capsys.readouterr().err
         assert f"{models}/{message}" in err and "internal error" not in err
 
+    @pytest.mark.parametrize("damage", ["manifest", "config", "baseline", "wav-header"])
+    def test_damaged_input_exits_1(self, pipeline, tmp_path, capsys, damage):
+        # each reader names the file, and a decode error its byte offset
+        def bad_byte(source: bytes, at: int) -> tuple[bytes, str]:
+            return source[:at] + b"\xff" + source[at:], f"not valid UTF-8 at byte {at}"
+
+        manifest, extra = str(pipeline["manifest"]), []
+        if damage == "manifest":
+            path = tmp_path / "manifest.csv"
+            blob, message = bad_byte(pipeline["manifest"].read_bytes(), 30)
+            manifest = str(path)
+        elif damage == "config":
+            path = tmp_path / "run.cfg"
+            blob, message = bad_byte(b"alpha = 0.5\n# a note\n", 16)
+            extra = ["--config", str(path)]
+        elif damage == "baseline":
+            path = tmp_path / "performance.csv"
+            blob, message = bad_byte(b"Emotion,Males(%),Females(%),Average(%)\nneutral,1,2,3\n", 41)
+            extra = ["--compare", str(path)]
+        else:
+            path = tmp_path / "damaged.wav"
+            write_audio(AudioSignal(samples=np.zeros(800, dtype=np.int16), sample_rate=16000), path)
+            wav = path.read_bytes()
+            blob = wav[:16] + (2**31).to_bytes(4, "little") + wav[20:]  # fmt chunk past the RIFF end
+            message = "unsupported encoding ("
+        path.write_bytes(blob)
+        if damage == "wav-header":
+            argv = ["identify", "--out", str(pipeline["out"]), "--input", str(path)]
+        else:
+            argv = ["evaluate", "--manifest", manifest, "--out", str(pipeline["out"]), *extra]
+        code = run([*argv, *TINY_FLAGS])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
+
     def test_duplicate_emotion_in_compare_report_exits_1(self, pipeline, tmp_path, capsys):
         # a second row for an emotion would silently replace the first
         baseline = tmp_path / "baseline_performance.csv"

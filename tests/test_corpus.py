@@ -252,6 +252,50 @@ class TestManifestIo:
         with pytest.raises(ManifestError, match="sample_rate.*not a positive integer"):
             load_manifest(path)
 
+    def test_source_path_rule(self, tmp_path):
+        # relative sources join the root; an absolute one replaces it
+        manifest = CorpusManifest(records=[], root=tmp_path / "corpus")
+        relative = make_record(source="features/x.lfpc.feat")
+        absolute = make_record(source=str(tmp_path / "elsewhere" / "y.lfpc.feat"))
+        assert manifest.source_path(relative) == f"{tmp_path}/corpus/features/x.lfpc.feat"
+        assert manifest.source_path(absolute) == absolute.source
+        for record in (relative, absolute, make_record(source="./features/../x.wav")):
+            assert manifest.resolve(record) == manifest.root / record.source
+            assert isinstance(manifest.resolve(record), Path)
+        assert CorpusManifest(records=[]).source_path(relative) == relative.source
+
+    @pytest.mark.parametrize("source", ["features/x.lfpc.feat/", "features/x.lfpc.feat/.", "."])
+    def test_source_path_normalizes_a_trailing_separator(self, tmp_path, source):
+        # Path drops a trailing "/" or "/.", so such a source keeps its Path form
+        manifest = CorpusManifest(records=[], root=tmp_path)
+        record = make_record(source=source)
+        assert manifest.source_path(record) == str(tmp_path / source)
+
+    def test_non_utf8_manifest_names_the_byte(self, tmp_path):
+        path = tmp_path / "m.csv"
+        write_manifest(full_manifest(), path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:200] + b"\xc3(" + blob[200:])
+        with pytest.raises(ManifestError) as info:
+            load_manifest(path)
+        assert str(info.value) == f"{path}: not valid UTF-8 at byte 200"
+        assert info.value.__cause__ is None
+
+    def test_unreadable_manifest(self, tmp_path):
+        with pytest.raises(ManifestError) as info:
+            load_manifest(tmp_path)
+        assert str(info.value) == f"{tmp_path}: cannot read (Is a directory)"
+
+    def test_line_endings_as_in_text_mode(self, tmp_path):
+        # \r\n, \r and \n all end a line; other Unicode breaks do not
+        path = tmp_path / "m.csv"
+        header = ",".join(corpus.MANIFEST_COLUMNS)
+        row = "spk01,male,angry,2,unbiased,train,3,features/x\u2028y.lfpc.feat"
+        path.write_bytes(f"# sample_rate=8000\r{header}\r\n{row}\n".encode())
+        loaded = load_manifest(path)
+        assert loaded.sample_rate == 8000
+        assert [r.source for r in loaded.records] == ["features/x\u2028y.lfpc.feat"]
+
     def test_select_and_speakers(self):
         manifest = full_manifest()
         assert manifest.speakers == ["spk01", "spk02"]
@@ -323,6 +367,35 @@ class TestAudioIo:
             read_audio(target)
         assert str(info.value).startswith(f"{target}: cannot read (")
         assert info.value.__cause__ is None
+
+    def test_missing_path_component_is_not_found(self, tmp_path):
+        # what Path.exists() calls missing keeps the not-found message
+        (tmp_path / "file").write_bytes(b"")
+        for target in (tmp_path / "ghost.wav", tmp_path / "file" / "x.wav"):
+            with pytest.raises(AudioFormatError) as info:
+                read_audio(target)
+            assert str(info.value) == f"audio file not found: {target}"
+
+    def test_chunk_past_the_riff_end_rejected(self, tmp_path):
+        # wave raises a bare RuntimeError when a chunk overruns the RIFF chunk
+        path = tmp_path / "x.wav"
+        write_audio(AudioSignal(samples=np.zeros(50, dtype=np.int16), sample_rate=16000), path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:16] + struct.pack("<I", 2**31) + blob[20:])
+        with pytest.raises(AudioFormatError) as info:
+            read_audio(path)
+        assert str(info.value) == f"{path}: unsupported encoding (chunk overruns the RIFF chunk)"
+
+    def test_data_size_beyond_the_file_reads_what_is_there(self, tmp_path):
+        path = tmp_path / "x.wav"
+        write_audio(AudioSignal(samples=np.ones(50, dtype=np.int16), sample_rate=16000), path)
+        blob = bytearray(path.read_bytes())
+        blob[4:8] = struct.pack("<I", 2**32 - 1)  # RIFF and data sizes near 4 GiB
+        blob[40:44] = struct.pack("<I", 2**32 - 2)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(AudioFormatError) as info:
+            read_audio(path)
+        assert str(info.value) == f"{path}: truncated file (100 bytes for 2147483647 frames)"
 
     def test_stereo_rejected(self, tmp_path):
         path = tmp_path / "stereo.wav"
@@ -460,6 +533,81 @@ class TestFeatureFiles:
                 read_feature_file(target)
             assert str(info.value) == message.format(target)
             assert info.value.__cause__ is None
+
+
+class TestFeatureFileIo:
+    """The raw-descriptor reader and writer, against the format's definition."""
+
+    @staticmethod
+    def layout(array) -> bytes:
+        array = np.asarray(array, dtype="<f8")
+        return struct.pack("<8sIII", b"EMSPFEAT", 1, *array.shape) + array.tobytes()
+
+    @pytest.mark.parametrize("shape", [(0, 4), (1, 1), (9, 16), (600, 16)])
+    def test_read_is_a_writable_contiguous_float64_copy(self, tmp_path, shape):
+        # (600, 16) is 76,820 bytes: more than one 64 KiB read
+        array = np.random.default_rng(5).normal(size=shape)
+        path = tmp_path / "x.feat"
+        path.write_bytes(self.layout(array))
+        loaded = read_feature_file(str(path))
+        assert loaded.tobytes() == array.tobytes() and loaded.shape == shape
+        assert loaded.dtype == np.float64 and loaded.flags.writeable and loaded.flags.c_contiguous
+        assert loaded.flags.owndata
+
+    def test_every_fault_message_exact(self, tmp_path):
+        good = self.layout(np.zeros((2, 3)))
+        bad = np.zeros((2, 3))
+        bad[0, 1] = np.nan
+        directory = tmp_path / "dir.feat"
+        directory.mkdir()
+        cases = [
+            ("feature file not found: {}", tmp_path / "ghost.feat", None),
+            ("{}: cannot read (Is a directory)", directory, None),
+            ("{}: truncated header", tmp_path / "empty.feat", b""),
+            ("{}: truncated header", tmp_path / "cut.feat", good[:12]),
+            ("{}: size 20 != expected 68", tmp_path / "short.feat", good[:20]),
+            ("{}: size 77 != expected 68", tmp_path / "long.feat", good + b"trailing!"),
+            ("{}: non-finite values", tmp_path / "nan.feat", self.layout(bad)),
+        ]
+        for message, target, blob in cases:
+            if blob is not None:
+                target.write_bytes(blob)
+            with pytest.raises(FeatureFileError) as info:
+                read_feature_file(target)
+            assert str(info.value) == message.format(target)
+            assert info.value.__cause__ is None
+
+    def test_write_is_the_format_byte_for_byte(self, tmp_path):
+        array = np.random.default_rng(6).normal(size=(7, 5)).astype(np.float32)
+        path = tmp_path / "x.feat"
+        path.write_bytes(b"x" * 10_000)  # a longer file is truncated, not overlaid
+        write_feature_file(array, str(path))
+        assert path.read_bytes() == self.layout(array.astype(np.float64))
+        assert np.array_equal(read_feature_file(path), array)
+        reference = tmp_path / "ref"
+        open(reference, "wb").close()  # the mode a plain open() gives
+        assert path.stat().st_mode == reference.stat().st_mode
+
+    def test_write_finishes_a_partial_write(self, tmp_path, monkeypatch):
+        # os.write may write fewer bytes than asked; the writer goes on
+        real_write = corpus.os.write
+        calls = []
+
+        def short_write(fd, data):
+            calls.append(len(data))
+            return real_write(fd, bytes(data[:7]))
+
+        monkeypatch.setattr(corpus.os, "write", short_write)
+        array = np.arange(12.0).reshape(3, 4)
+        write_feature_file(array, tmp_path / "x.feat")
+        monkeypatch.undo()
+        assert (tmp_path / "x.feat").read_bytes() == self.layout(array)
+        assert len(calls) == -(-len(self.layout(array)) // 7)
+
+    def test_write_error_propagates(self, tmp_path):
+        with pytest.raises(FileNotFoundError) as info:
+            write_feature_file(np.zeros((1, 1)), tmp_path / "missing" / "x.feat")
+        assert info.value.filename == str(tmp_path / "missing" / "x.feat")
 
 
 class TestSeedDerivation:

@@ -1,3 +1,7 @@
+import os
+import shutil
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,6 +10,7 @@ from emospeaker.corpus import (
     CorpusError,
     CorpusManifest,
     UtteranceRecord,
+    generate_synthetic_corpus,
     write_audio,
 )
 from emospeaker.features import (
@@ -168,3 +173,107 @@ class TestExtractCorpus:
         (wav_manifest.root / "a.wav").write_bytes(b"not audio at all")
         with pytest.raises(CorpusError):
             extract_corpus(wav_manifest, tmp_path / "out")
+
+
+@pytest.fixture
+def feature_corpus(tmp_path):
+    """A small feature corpus extracted over its own directory: every output up to date."""
+    source = generate_synthetic_corpus(
+        seed=2, n_speakers=2, emotions=("neutral",), separation=2.0,
+        out_dir=tmp_path / "corpus", frames_range=(3, 4),
+    )
+    return source, extract_corpus(source, source.root)
+
+
+def touch_ns(path, ns):
+    os.utime(path, ns=(ns, ns))
+
+
+class TestExtractUpToDate:
+    """The up-to-date check: both outputs at least as new as the source."""
+
+    def test_three_stats_per_record_when_up_to_date(self, feature_corpus, monkeypatch):
+        source, _ = feature_corpus
+        real_stat = os.stat
+        stats = []
+
+        def counting_stat(path, *args, **kwargs):
+            stats.append(os.fspath(path))
+            return real_stat(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "stat", counting_stat)
+        extract_corpus(source, source.root)
+        monkeypatch.undo()
+        per_file = [p for p in stats if p.endswith((ACOUSTIC_SUFFIX, PROSODIC_SUFFIX))]
+        assert len(per_file) == 3 * len(source.records)
+        assert len(per_file) == len(set(per_file)) + len(source.records)  # the source is its output
+
+    def test_missing_output_is_stale(self, wav_manifest, tmp_path):
+        out = tmp_path / "out"
+        extracted = extract_corpus(wav_manifest, out)
+        prosodic = out / prosodic_sibling(extracted.records[1].source)
+        prosodic.unlink()
+        extract_corpus(wav_manifest, out)
+        assert prosodic.exists()
+
+    def test_older_prosodic_output_is_stale(self, wav_manifest, tmp_path):
+        out = tmp_path / "out"
+        extracted = extract_corpus(wav_manifest, out)
+        acoustic = out / extracted.records[0].source
+        prosodic = out / prosodic_sibling(extracted.records[0].source)
+        source_ns = (wav_manifest.root / "a.wav").stat().st_mtime_ns + 10**9
+        touch_ns(wav_manifest.root / "a.wav", source_ns)
+        touch_ns(acoustic, source_ns)  # as new as the source: not stale by itself
+        touch_ns(prosodic, source_ns - 10**9)
+        extract_corpus(wav_manifest, out)
+        assert prosodic.stat().st_mtime_ns > source_ns - 10**9
+        assert acoustic.stat().st_mtime_ns != source_ns  # the record was redone whole
+
+    def test_outputs_as_new_as_the_source_are_reused(self, wav_manifest, tmp_path):
+        out = tmp_path / "out"
+        extracted = extract_corpus(wav_manifest, out)
+        acoustic = out / extracted.records[0].source
+        prosodic = out / prosodic_sibling(extracted.records[0].source)
+        same = acoustic.stat().st_mtime_ns
+        for path in (wav_manifest.root / "a.wav", acoustic, prosodic):
+            touch_ns(path, same)
+        extract_corpus(wav_manifest, out)
+        assert acoustic.stat().st_mtime_ns == same and prosodic.stat().st_mtime_ns == same
+
+    def test_missing_source_keeps_the_outputs(self, wav_manifest, tmp_path):
+        out = tmp_path / "out"
+        extracted = extract_corpus(wav_manifest, out)
+        acoustic = out / extracted.records[0].source
+        before = acoustic.read_bytes()
+        (wav_manifest.root / "a.wav").unlink()
+        failures = []
+        again = extract_corpus(wav_manifest, out, failures=failures)
+        assert failures == [] and again.records == extracted.records
+        assert acoustic.read_bytes() == before
+
+    def test_missing_source_and_output_fails(self, wav_manifest, tmp_path):
+        out = tmp_path / "out"
+        extracted = extract_corpus(wav_manifest, out)
+        (wav_manifest.root / "a.wav").unlink()
+        (out / prosodic_sibling(extracted.records[0].source)).unlink()
+        failures = []
+        extract_corpus(wav_manifest, out, failures=failures)
+        assert [(r.source, str(e)) for r, e in failures] == [
+            ("a.wav", f"audio file not found: {wav_manifest.root / 'a.wav'}")
+        ]
+
+    @pytest.mark.parametrize("prefix", ["", "./"])
+    def test_extract_over_its_own_directory_copies_nothing(self, feature_corpus, monkeypatch, prefix):
+        source, extracted = feature_corpus
+        manifest = replace(
+            source, records=[replace(r, source=prefix + r.source) for r in source.records]
+        )
+        before = {p.name: p.read_bytes() for p in (source.root / "features").iterdir()}
+
+        def no_copy(src, dst):
+            raise AssertionError(f"copied {src} to {dst}")
+
+        monkeypatch.setattr(shutil, "copyfile", no_copy)
+        again = extract_corpus(manifest, source.root, force=True)
+        assert again.records == extracted.records
+        assert {p.name: p.read_bytes() for p in (source.root / "features").iterdir()} == before

@@ -1,9 +1,13 @@
 """tools/digest_artifacts.py lists exactly the models, population indexes and reports of a
-run; tools/model_drift.py measures how far two runs' model parameters moved."""
+run; tools/model_drift.py measures how far two runs' model parameters moved;
+tools/ab_inprocess.py times two trees' packages in one process."""
 
 import copy
 import hashlib
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -104,3 +108,25 @@ def test_runs_that_differ_in_files_or_shapes_exit_1(tmp_path, capsys):
     assert "models/unbiased/spk02.model: " in capsys.readouterr().err
     assert tool.main([str(tmp_path / "base"), str(tmp_path / "missing")]) == 1
     assert tool.main([str(tmp_path / "base")]) == 1
+
+
+def test_ab_inprocess_runs_a_tree_against_itself(tmp_path):
+    # a subprocess, so that the bench module's BLAS setting and imports stay out of this one
+    src = str(ROOT / "src")
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab_inprocess.py"), src, src, "--rounds", "2"],
+        capture_output=True, text=True, check=False, cwd=tmp_path,
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert (report["workload"], report["predictions_agree"]) == ("enroll_paper", True)
+    assert list(report["phases"]) == ["extract", "enroll", "identify", "sweep"]
+    for phase in report["phases"].values():
+        assert phase["old_s"] > 0 and phase["new_s"] > 0 and phase["rounds"] == 2
+        assert phase["ratio"] == phase["new_s"] / phase["old_s"]
+        assert 0 <= phase["new_lower"] <= 2
+    missing = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab_inprocess.py"), src, str(tmp_path)],
+        capture_output=True, text=True, check=False,
+    )
+    assert missing.returncode == 1 and "no emospeaker package under" in missing.stderr
