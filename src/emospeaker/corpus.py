@@ -151,14 +151,15 @@ class CorpusManifest:
 
         ``os.path.join(root, source)``, so a relative source is anchored at
         the root and an absolute one replaces it, at the cost of one string
-        join and no ``Path``. A source ending in a separator or ``.`` takes
-        the ``Path`` form instead, whose normalization drops that ending.
+        join and no ``Path``. An empty source, or one ending in a separator
+        or ``.``, takes the ``Path`` form instead, whose normalization reads
+        ``""`` as ``"."`` and drops such an ending.
         """
         source = record.source
+        if not source or source.endswith(_NORMALIZED_ENDINGS):
+            return os.fspath(Path(source) if self.root is None else self.root / source)
         if self.root is None:
             return source
-        if source.endswith(_NORMALIZED_ENDINGS):
-            return os.fspath(self.root / source)
         return os.path.join(self.root, source)
 
     def resolve(self, record: UtteranceRecord) -> Path:
@@ -525,21 +526,15 @@ _FEATURE_HEADER = struct.Struct("<8sIII")
 def write_feature_file(array: np.ndarray, path: str | Path) -> None:
     """Write a (frames, coefficients) float array: magic, version, shape, raw f64 LE.
 
-    System-call cost: one ``open`` (create or truncate, mode 0o666 less the
-    umask), one ``write`` for all the bytes (repeated only if the OS writes
-    part of them) and one ``close``. An ``OSError`` propagates as raised.
+    System-call cost: one ``open`` (create or truncate), one ``write`` of all
+    the bytes and one ``close``. An ``OSError`` propagates as raised.
     """
     array = np.ascontiguousarray(array, dtype="<f8")
     if array.ndim != 2:
         raise FeatureFileError("feature array must be 2-D (frames x coefficients)")
     header = _FEATURE_HEADER.pack(FEATURE_MAGIC, FEATURE_VERSION, array.shape[0], array.shape[1])
-    data = memoryview(header + array.tobytes())
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | _BINARY, 0o666)
-    try:
-        while data:
-            data = data[os.write(fd, data):]
-    finally:
-        os.close(fd)
+    with open(path, "wb") as fh:
+        fh.write(header + array.tobytes())
 
 
 def read_feature_file(path: str | Path) -> np.ndarray:

@@ -264,12 +264,13 @@ class TestManifestIo:
             assert isinstance(manifest.resolve(record), Path)
         assert CorpusManifest(records=[]).source_path(relative) == relative.source
 
-    @pytest.mark.parametrize("source", ["features/x.lfpc.feat/", "features/x.lfpc.feat/.", "."])
+    @pytest.mark.parametrize("source", ["features/x.lfpc.feat/", "features/x.lfpc.feat/.", ".", ""])
     def test_source_path_normalizes_a_trailing_separator(self, tmp_path, source):
-        # Path drops a trailing "/" or "/.", so such a source keeps its Path form
+        # Path drops a trailing "/" or "/." and reads "" as ".", so such a source keeps its Path form
         manifest = CorpusManifest(records=[], root=tmp_path)
         record = make_record(source=source)
         assert manifest.source_path(record) == str(tmp_path / source)
+        assert CorpusManifest(records=[]).source_path(record) == str(Path(source))
 
     def test_non_utf8_manifest_names_the_byte(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -587,22 +588,6 @@ class TestFeatureFileIo:
         reference = tmp_path / "ref"
         open(reference, "wb").close()  # the mode a plain open() gives
         assert path.stat().st_mode == reference.stat().st_mode
-
-    def test_write_finishes_a_partial_write(self, tmp_path, monkeypatch):
-        # os.write may write fewer bytes than asked; the writer goes on
-        real_write = corpus.os.write
-        calls = []
-
-        def short_write(fd, data):
-            calls.append(len(data))
-            return real_write(fd, bytes(data[:7]))
-
-        monkeypatch.setattr(corpus.os, "write", short_write)
-        array = np.arange(12.0).reshape(3, 4)
-        write_feature_file(array, tmp_path / "x.feat")
-        monkeypatch.undo()
-        assert (tmp_path / "x.feat").read_bytes() == self.layout(array)
-        assert len(calls) == -(-len(self.layout(array)) // 7)
 
     def test_write_error_propagates(self, tmp_path):
         with pytest.raises(FileNotFoundError) as info:

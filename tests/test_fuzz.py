@@ -125,7 +125,7 @@ def mutants(blob: bytes, seed: int, pairs: int):
             yield f"{name} at {at}", edit(blob, kind, at)
     for i in range(pairs):
         data = blob
-        for kind, at in rng.integers(0, (3, len(blob)), size=(2, 2)):
+        for kind, at in rng.integers(0, (4, len(blob)), size=(2, 2)):
             data = edit(data, int(kind), int(at))
         yield f"pair {i}", data
 

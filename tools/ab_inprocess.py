@@ -1,12 +1,12 @@
 """Time two source trees' packages against each other in one process.
 
-    python3 tools/ab_inprocess.py OLD_SRC NEW_SRC [--workload enroll_paper] [--seed 1] [--rounds 20]
+    python3 tools/ab_inprocess.py OLD_SRC NEW_SRC [--workload enroll_paper] [--rounds 20]
 
 Each SRC is a directory holding an ``emospeaker`` package, such as a
 checkout's ``src``. Both packages are imported into this process under
-different names. Each generates the workload's corpus in a temporary
-directory and extracts it once. The workloads and the fusion weights are
-those of ``bench/run.py``, read from it as it stands. Every round then times
+different names. Each generates the workload's corpus (seed 1) in a
+temporary directory and extracts it once. The workloads and the fusion
+weights are those of ``bench/run.py``, read from it as it stands. Every round then times
 each phase once per side, and the side that goes first alternates from round
 to round:
 
@@ -35,6 +35,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
 PHASES = ("extract", "enroll", "identify", "sweep")
+SEED = 1
 
 
 def load_module(name: str, path: Path, search: list[str] | None = None):
@@ -64,11 +65,11 @@ def load_package(src: Path, alias: str) -> dict:
 class Side:
     """One tree's package, corpus and models, and its phases as calls."""
 
-    def __init__(self, pkg: dict, bench, workload, seed: int, directory: Path):
-        self.pkg, self.bench, self.workload, self.seed = pkg, bench, workload, seed
+    def __init__(self, pkg: dict, bench, workload, directory: Path):
+        self.pkg, self.bench, self.workload = pkg, bench, workload
         corpus, features, protocol = pkg["corpus"], pkg["features"], pkg["protocol"]
         self.source = corpus.generate_synthetic_corpus(
-            seed=seed, out_dir=directory, **workload.corpus
+            seed=SEED, out_dir=directory, **workload.corpus
         )
         self.manifest = features.extract_corpus(self.source, self.source.root)
         self.loader = features.make_loader(self.manifest)
@@ -84,7 +85,7 @@ class Side:
     def enroll(self):
         self.models = self.pkg["protocol"].train_population(
             self.manifest, self.loader, self.workload.plan, self.topology,
-            seed=self.seed, max_iterations=self.workload.max_iterations,
+            seed=SEED, max_iterations=self.workload.max_iterations,
         )
 
     def identify(self):
@@ -130,7 +131,6 @@ def main(argv=None) -> int:
     parser.add_argument("old_src", type=Path)
     parser.add_argument("new_src", type=Path)
     parser.add_argument("--workload", default="enroll_paper")
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--rounds", type=int, default=20)
     args = parser.parse_args(argv)
 
@@ -145,11 +145,11 @@ def main(argv=None) -> int:
         print(f"ab_inprocess: {exc}", file=sys.stderr)
         return 1
     with tempfile.TemporaryDirectory() as tmp:
-        old = Side(old_pkg, bench, workload, args.seed, Path(tmp) / "old")
-        new = Side(new_pkg, bench, workload, args.seed, Path(tmp) / "new")
+        old = Side(old_pkg, bench, workload, Path(tmp) / "old")
+        new = Side(new_pkg, bench, workload, Path(tmp) / "new")
         phases = compare(old, new, max(args.rounds, 1))
         agree = old.predictions() == new.predictions()
-    print(json.dumps({"workload": args.workload, "seed": args.seed, "phases": phases,
+    print(json.dumps({"workload": args.workload, "phases": phases,
                       "predictions_agree": agree}))
     return 0 if agree else 1
 
