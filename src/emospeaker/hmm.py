@@ -25,9 +25,12 @@ Two components at the floor far apart in one state would still cost about
 eps * (distance / 2)^2 / var each.
 
 The kernel takes the frames in blocks of exactly B = 16, the last one padded
-with copies of the last frame, and builds [(x - c_s)^2 | x - c_s] as
-(states, blocks, 2D, B), with the frames on the contiguous axis. One batched
-`np.matmul` multiplies each state's (M, 2D) weights
+with copies of the last frame, as one contiguous (blocks, D, B) array with
+the frames on the last axis. It centres them into a (states, blocks, D, B)
+array of their own, then squares that into one half of
+[(x - c_s)^2 | x - c_s], (states, blocks, 2D, B), and copies it into the
+other: a square written into the array it reads would make numpy copy its
+input first. One batched `np.matmul` multiplies each state's (M, 2D) weights
 [-1/(2 var) | (mu - c_s)/var] into every block, so every product has the one
 shape (M, 2D) @ (2D, B). A BLAS product runs a fixed micro-kernel over
 register tiles (Goto and van de Geijn, "Anatomy of high-performance matrix
@@ -40,21 +43,36 @@ the BLAS build, not a promise of numpy, and `tests/test_hmm.py` checks it
 with `==` at both streams' shapes. A kernel call takes whole blocks, and
 whole models when one block under all of a stack's states is too large
 (`_SLICE_ELEMENTS`); each state's products are independent, so slicing
-changes no value. The mixture log-sum-exp keeps the (states, blocks, M, B)
-layout: it takes the exact maximum over M, then adds the M rows of
-exp(x - max) into one (states, blocks, B) total one row at a time, in order,
-so a frame's sum does not depend on its neighbours either. EM copies the
-component densities out to its (states, M, frames) responsibilities. Every
-entry's arithmetic is thus independent of how many frames or states share a
-call: a state scores bit for bit the same alone as in a population's stack,
-and a frame the same alone as among others, which keeps `log_forward_table`
-equal to `log_forward`.
+changes no value.
+
+The products are written into a transposed view of one mixture-major
+(M, states, blocks, B) array, so the mixture log-sum-exp reduces a leading
+axis. It takes the exact maximum over M in one call, then sums the M rows of
+exp(x - max) into one (states, blocks, B) total in one call; numpy reduces a
+leading axis by adding whole rows one at a time, in order, so a frame's sum
+does not depend on its neighbours either. Before exp, every shifted term is
+raised to at least -700 (`_EXP_FLOOR`). exp(-700), about 9.9e-305, is a
+normal number, so exp never takes its slow path, which costs about a hundred
+times a normal lane where the result is subnormal and fifteen times where it
+is 0. The floor changes no total: a floored term and the one it replaces
+are both below 2^-1008, and every finite frame's terms include the exact 1.0
+of its maximum. Added to a partial sum of 2^-946 or more, either term leaves
+it as it is, and a smaller partial sum is rounded off when the 1.0 is added
+to it. `TestMixtures` checks this with `==` against the unfloored sum. A
+state whose components are all -inf sums floored terms too, so its -inf is
+restored by adding back the maximum as it was, -inf, where the shift raised
+it to the lowest float. EM copies the component densities out to its
+(states, M, frames) responsibilities. Every entry's arithmetic is thus
+independent of how many frames or states share a call: a state scores bit
+for bit the same alone as in a population's stack, and a frame the same
+alone as among others, which keeps `log_forward_table` equal to
+`log_forward`.
 
 Each pass checks the finiteness of its frames once, on all of them together
 (`_blocked`), and the public entry points, `log_forward`,
 `log_forward_table` and each EM iteration, silence the divide warning of
-log(0) once for the kernel and recursions beneath them: a state cut off by a
-zero probability scores exactly -inf.
+log(0) once for the recursions beneath them: a state cut off by a zero
+probability scores exactly -inf.
 
 The recursions' tables are states-major, (T, N, V, U): frames, states,
 models, sequences, with the sequences innermost. A forward step sums over its
@@ -100,6 +118,12 @@ import numpy as np
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _LOWEST = np.finfo(np.float64).min
+
+# The least shifted component log density a mixture exponentiates. exp(-700)
+# is about 9.9e-305, a normal number, so exp never takes its slow path for a
+# subnormal or zero result; beside the exact 1.0 of a frame's maximum, such a
+# term changes no sum (see the module docstring).
+_EXP_FLOOR = -700.0
 
 # Parameter floors of initialization and EM re-estimation: the least variance
 # per dimension, and the least start, transition and mixture-weight
@@ -180,9 +204,10 @@ class GaussianMixture:
     def component_log_pdf(self, obs: np.ndarray) -> np.ndarray:
         """log(w_m * N(x_t; mu_m, var_m)) for every frame/component: (T, M).
 
-        The one-state case of the emission kernel (``_StateTerms``). Only
-        tests score a lone state; the method stays because the benchmark's
-        ``hmm.emission`` layer traces it by name.
+        The one-state case of the emission kernel
+        (``_StateTerms.component_log_pdf``), transposed. Only tests score a
+        lone state; the method stays because the benchmark's ``hmm.emission``
+        layer traces it by name.
         """
         obs = np.atleast_2d(np.asarray(obs, dtype=np.float64))
         return _StateTerms.of([self]).component_log_pdf(obs)[0].T
@@ -237,25 +262,33 @@ class _StateTerms:
         return self.shift.shape[1]
 
     def block_log_pdf(self, blocks: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
-        """Component log densities of frame blocks (K, B, D) under states ``rows``: (S, K, M, B).
+        """Component log densities of frame blocks (K, D, B) under states ``rows``: (M, S, K, B).
 
+        The frames are centred into an (S, K, D, B) array of their own, which
+        is squared into one half of the stacked [(x - c_s)^2 | x - c_s] and
+        copied into the other, so no pass reads and writes the same array.
         One batched ``np.matmul`` of every state's (M, 2D) weights with each
-        block's (2D, B) centred squares and offsets, then the constants.
+        block's (2D, B) stack then writes into a transposed view of the
+        mixture-major result, and the constants are added.
         """
         shift = self.shift[rows]
-        d = shift.shape[1]
-        stacked = np.empty((len(shift), len(blocks), 2 * d, _BLOCK))
-        centred = np.subtract(
-            blocks.transpose(0, 2, 1), shift[:, None, :, None], out=stacked[:, :, d:]
-        )
+        s, d = shift.shape
+        centred = np.subtract(blocks, shift[:, None, :, None])
+        stacked = np.empty((s, len(blocks), 2 * d, _BLOCK))
         np.multiply(centred, centred, out=stacked[:, :, :d])
-        out = np.matmul(self.weights[rows, None], stacked)
-        out += self.constant[rows, None, :, None]
+        stacked[:, :, d:] = centred
+        out = np.empty((self.n_mixtures, s, len(blocks), _BLOCK))
+        np.matmul(self.weights[rows, None], stacked, out=out.transpose(1, 2, 0, 3))
+        out += self.constant[rows].T[:, :, None, None]
         return out
 
     def component_log_pdf(self, obs: np.ndarray) -> np.ndarray:
-        """Component log densities of (T, D) frames under every state: (S, M, T)."""
-        out = self.block_log_pdf(_blocked(obs)).transpose(0, 2, 1, 3)
+        """Component log densities of (T, D) frames under every state: (S, M, T).
+
+        The kernel's (M, S, K, B) result with its state and mixture axes
+        swapped, copied out for the real frames.
+        """
+        out = self.block_log_pdf(_blocked(obs)).transpose(1, 0, 2, 3)
         return out.reshape(*out.shape[:2], -1)[..., : len(obs)]
 
 
@@ -353,40 +386,45 @@ def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _blocked(frames: np.ndarray) -> np.ndarray:
-    """(F, D) frames padded to whole blocks of B with copies of the last: (K, B, D).
+    """(F, D) frames padded to whole blocks of B with copies of the last: (K, D, B).
 
     A padded frame thus costs no arithmetic that a real one does not, and
-    raises no floating-point warning of its own. Every kernel pass runs its
-    one finiteness check here, on all its frames.
+    raises no floating-point warning of its own. The blocks come back as one
+    contiguous array with the frames on the last axis, the layout the
+    kernel centres in. Every kernel pass runs its one finiteness check here,
+    on all its frames.
     """
     padded = np.empty((-(-len(frames) // _BLOCK) * _BLOCK, frames.shape[1]))
     padded[: len(frames)] = frames
     padded[len(frames) :] = frames[-1]
     if not np.isfinite(padded).all():
         raise ModelError("non-finite values in observation sequence")
-    return padded.reshape(-1, _BLOCK, padded.shape[1])
+    return np.ascontiguousarray(padded.reshape(-1, _BLOCK, padded.shape[1]).transpose(0, 2, 1))
 
 
 def _mixtures(comp_log: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Each state's mixture log density, (S, K * B), from component ones (S, K, M, B).
+    """Each state's mixture log density, (S, K * B), from component ones (M, S, K, B).
 
-    The exact maximum over M, then the M rows of exp(x - max) added into one
-    total one row at a time, in order, so a frame's sum does not depend on
-    where it sits or how many frames share the call. A lone component is its
-    own mixture: max + log(exp(0)) is the component's value bit for bit, so
-    it is returned as it is, a view. Otherwise ``out`` may be ``comp_log``
-    itself, which is then overwritten. Callers silence the divide warning of
-    a state whose components are all -inf.
+    The exact maximum over M, then the M rows of exp(x - max), with x - max
+    raised to at least ``_EXP_FLOOR``, added by one reduction over the
+    leading axis, which numpy takes one row at a time, in order: a frame's
+    sum does not depend on where it sits or how many frames share the call.
+    A lone component is its own mixture: max + log(exp(0)) is the
+    component's value bit for bit, so it is returned as it is, a view.
+    Otherwise ``out`` may be ``comp_log`` itself, which is then overwritten.
+
+    The floor keeps exp off its slow subnormal path and changes no total
+    (see the module docstring). The shift is the maximum with -inf raised to
+    the lowest float, and the unraised maximum is added back at the end, so
+    a state whose components are all -inf sums floored terms and still
+    gives exactly -inf.
     """
-    m = comp_log.shape[2]
-    if m == 1:
-        return comp_log.reshape(len(comp_log), -1)
-    peak = _clamp_peak(comp_log.max(axis=2))
-    scaled = np.subtract(comp_log, peak[:, :, None], out=out)
-    np.exp(scaled, out=scaled)
-    total = np.add(scaled[:, :, 0], scaled[:, :, 1])
-    for row in range(2, m):
-        total += scaled[:, :, row]
+    if len(comp_log) == 1:
+        return comp_log.reshape(comp_log.shape[1], -1)
+    peak = comp_log.max(axis=0)
+    scaled = np.subtract(comp_log, np.maximum(peak, _LOWEST), out=out)
+    np.maximum(scaled, _EXP_FLOOR, out=scaled)
+    total = np.exp(scaled, out=scaled).sum(axis=0)
     np.log(total, out=total)
     total += peak
     return total.reshape(len(total), -1)
@@ -395,7 +433,7 @@ def _mixtures(comp_log: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
 def _emissions(
     terms: _StateTerms, states: tuple[int, ...], obs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Component log densities (S, K, M, B) and their per-state mixtures (T, *states).
+    """Component log densities (M, S, K, B) and their per-state mixtures (T, *states).
 
     ``states`` is (N,) for one model's S = N states and (V, N) for a
     stack's S = V * N, model-major. The frames are taken in padded blocks
@@ -430,11 +468,12 @@ def _padded_emissions(
     them as data. The table is states-major with the sequences innermost,
     the layout of the recursions (see the module docstring): each frame's
     (N, V) block is scattered to its (position, sequence) column, straight
-    from the kernel's block layout. The kernel runs over slices of whole
-    blocks (``_blocked``) and, where one block under every state would
-    exceed ``_SLICE_ELEMENTS``, of whole models. Given ``out``,
+    from the (S, K * B) mixtures of the kernel's blocks. The kernel runs over
+    slices of whole blocks (``_blocked``) and, where one block under every
+    state would exceed ``_SLICE_ELEMENTS``, of whole models. Given ``out``,
     (N * V, M, K * B), the component log densities of the blocked frames
-    are written into it, in concatenation order.
+    are copied into it from the kernel's mixture-major (M, S, K, B), with
+    the state and mixture axes swapped, in concatenation order.
     """
     owner, position = layout
     n, v = states
@@ -450,8 +489,8 @@ def _padded_emissions(
             comp_log = terms.block_log_pdf(blocks[lo : lo + step], rows)
             part = slice(lo * _BLOCK, (lo + step) * _BLOCK)
             if out is not None:
-                target = out[rows, :, part].reshape(*comp_log.shape[::2], -1, _BLOCK)
-                target[...] = comp_log.transpose(0, 2, 1, 3)
+                target = out[rows, :, part].reshape(*comp_log.shape[1::-1], -1, _BLOCK)
+                target[...] = comp_log.transpose(1, 0, 2, 3)
             real = min(part.stop, len(frames)) - part.start
             b = _mixtures(comp_log, out=comp_log)[:, :real]
             log_b[position[part], :, group, owner[part]] = b.T.reshape(real, -1, n).swapaxes(1, 2)

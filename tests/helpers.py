@@ -58,6 +58,23 @@ def direct_component_log_pdf(state: GaussianMixture, obs) -> np.ndarray:
     return log_w[None, :] + log_norm[None, :] - 0.5 * quad
 
 
+def looped_mixtures(comp_log) -> np.ndarray:
+    """Mixture log densities (S, K * B) from component ones (S, K, M, B), with no exp floor.
+
+    The mixture arithmetic the package's floored, mixture-major form
+    replaces: the exact maximum over M with -inf raised to the lowest float,
+    exp of every shifted term as it is, subnormal or 0, and the M rows added
+    one at a time, in order.
+    """
+    comp_log = np.asarray(comp_log, dtype=np.float64)
+    peak = np.maximum(comp_log.max(axis=2), np.finfo(np.float64).min)
+    total = np.exp(comp_log[:, :, 0] - peak)
+    for row in range(1, comp_log.shape[2]):
+        total = total + np.exp(comp_log[:, :, row] - peak)
+    with np.errstate(divide="ignore"):
+        return (np.log(total) + peak).reshape(len(total), -1)
+
+
 def mixture_density(state: GaussianMixture, x) -> float:
     """Plain probability-domain diagonal-Gaussian mixture density."""
     return sum(component_densities(state, x))

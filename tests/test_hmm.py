@@ -38,6 +38,7 @@ from helpers import (
     looped_init_model,
     looped_reestimate,
     looped_kmeans,
+    looped_mixtures,
     mixture_density,
     per_sequence_baum_welch,
     random_model,
@@ -281,6 +282,64 @@ class TestKernelInvariance:
             assert np.array_equal(sliced[:, :, v], alone[:, :, 0])
             for j, state in enumerate(model.states):
                 assert np.array_equal(state.component_log_pdf(frames), stacked[v, j].T)
+
+
+class TestMixtures:
+    """The floored, mixture-major log-sum-exp equals the unfloored sum in order, bit for bit."""
+
+    @staticmethod
+    def table(rng, m: int) -> np.ndarray:
+        """Component log densities (S, K, M, B) that reach every path of exp.
+
+        Each frame has one component at a drawn maximum and the others below
+        it by one of six kinds of offset: 0 (a tie), up to 30 (normal terms),
+        700 to 708.4 (normal, just above log(tiny)), 708.4 to 745.2 (a
+        subnormal exp), 745.2 to 1e9 (an exp of 0) and inf (an exact -inf).
+        About one frame in ten and the whole first state are all -inf.
+        """
+        shape = (5, 3, m, hmm._BLOCK)
+        offsets = np.choose(rng.integers(0, 6, shape), [
+            np.zeros(shape),
+            rng.uniform(0.0, 30.0, shape),
+            rng.uniform(700.0, 708.4, shape),
+            rng.uniform(708.4, 745.2, shape),
+            10.0 ** rng.uniform(np.log10(745.2), 9.0, shape),
+            np.full(shape, np.inf),
+        ])
+        np.put_along_axis(offsets, rng.integers(0, m, (*shape[:2], 1, shape[3])), 0.0, axis=2)
+        table = rng.normal(0.0, 200.0, (*shape[:2], 1, shape[3])) - offsets
+        table[np.broadcast_to(rng.random((*shape[:2], 1, shape[3])) < 0.1, shape)] = -np.inf
+        table[0] = -np.inf
+        return table
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 8, 9, 10, 17])
+    def test_equals_the_unfloored_sum_in_order(self, m):
+        rng = np.random.default_rng(44 + m)
+        for _ in range(20):
+            table = self.table(rng, m)
+            if m > 1:
+                with np.errstate(invalid="ignore"):
+                    shifted = table - table.max(axis=2, keepdims=True)
+                assert np.any((shifted > -745.2) & (shifted < np.log(np.finfo(np.float64).tiny)))
+            want = looped_mixtures(table)
+            assert np.all(want[0] == -np.inf)
+            comp_log = np.ascontiguousarray(table.transpose(2, 0, 1, 3))
+            assert np.array_equal(hmm._mixtures(comp_log), want)
+            assert np.array_equal(hmm._mixtures(comp_log, out=comp_log), want)
+
+    @pytest.mark.parametrize("m", [2, 10])
+    def test_kernel_equals_the_oracle_on_far_apart_components(self, m):
+        # means 30 apart against unit variances put most shifted terms below log(tiny)
+        rng = np.random.default_rng(43)
+        models = [random_model(rng, 9, m, 16) for _ in range(2)]
+        for state in (s for model in models for s in model.states):
+            state.means *= 15.0
+        terms = HmmStack(models).emissions
+        obs = rng.normal(0.0, 30.0, (40, 16))
+        comp_log = terms.component_log_pdf(obs)  # (S, M, T)
+        log_b = hmm._emissions(terms, (2, 9), obs)[1]  # (T, V, N)
+        want = looped_mixtures(comp_log.transpose(0, 2, 1)[..., None])
+        assert np.array_equal(log_b.reshape(len(obs), -1).T, want)
 
 
 def masked_logsumexp(x: np.ndarray, axis: int) -> np.ndarray:

@@ -119,7 +119,8 @@ def test_ab_inprocess_runs_a_tree_against_itself(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout.splitlines()[-1])
-    assert (report["workload"], report["predictions_agree"]) == ("enroll_paper", True)
+    assert report["workload"] == "enroll_paper"
+    assert report["predictions_agree"] and report["scores_identical"] and report["models_identical"]
     assert list(report["phases"]) == ["extract", "enroll", "identify", "sweep"]
     for phase in report["phases"].values():
         assert phase["old_s"] > 0 and phase["new_s"] > 0 and phase["rounds"] == 2

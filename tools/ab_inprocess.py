@@ -20,7 +20,12 @@ from separate benchmark runs. Times are unscaled wall seconds. The last line
 of output is one JSON object: per phase, each side's median, the ratio
 new/old, and in how many rounds the new side was lower. ``predictions_agree``
 says whether the two sides identified every utterance alike in the sweep.
-Exits 1 when they did not or a tree holds no package.
+``scores_identical`` says whether their ``fused_log_scores`` tables of the
+loaded test observations are equal at every fusion weight, and
+``models_identical`` whether ``speaker_model_to_text`` gives the same text
+for every enrolled speaker. Exits 1 when the predictions differ or a tree
+holds no package; the two equalities are reported only, so that a change
+that moves trailing digits on purpose can still be timed.
 """
 
 import argparse
@@ -103,6 +108,20 @@ class Side:
     def predictions(self) -> list:
         return [[t.predicted for t in session.trials] for session in self.sessions]
 
+    def score_tables(self) -> list:
+        fused_log_scores = self.pkg["sphmm"].fused_log_scores
+        return [fused_log_scores(self.models, self.observations, alpha)
+                for alpha in self.bench.ALPHAS]
+
+    def model_texts(self) -> list[str]:
+        return [self.pkg["sphmm"].speaker_model_to_text(model) for model in self.models]
+
+
+def scores_identical(old: Side, new: Side) -> bool:
+    import numpy as np  # after load_bench, whose BLAS setting must precede numpy
+
+    return all(np.array_equal(a, b) for a, b in zip(old.score_tables(), new.score_tables()))
+
 
 def compare(old: Side, new: Side, rounds: int) -> dict:
     times = {phase: {"old": [], "new": []} for phase in PHASES}
@@ -150,7 +169,9 @@ def main(argv=None) -> int:
         phases = compare(old, new, max(args.rounds, 1))
         agree = old.predictions() == new.predictions()
     print(json.dumps({"workload": args.workload, "phases": phases,
-                      "predictions_agree": agree}))
+                      "predictions_agree": agree,
+                      "scores_identical": scores_identical(old, new),
+                      "models_identical": old.model_texts() == new.model_texts()}))
     return 0 if agree else 1
 
 
