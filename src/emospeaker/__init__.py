@@ -18,7 +18,7 @@ from .corpus import (
     write_manifest,
 )
 from .features import FrontEnd, extract_corpus, load_observation, make_loader
-from .hmm import GaussianMixture, HmmModel, baum_welch_train, init_model, log_forward
+from .hmm import HmmModel, baum_welch_train, init_model, log_forward
 from .protocol import (
     PerformanceTable,
     SessionResult,
@@ -45,7 +45,6 @@ __all__ = [
     "CorpusManifest",
     "DualObservation",
     "FrontEnd",
-    "GaussianMixture",
     "HmmModel",
     "ManifestError",
     "PerformanceTable",

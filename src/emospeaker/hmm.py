@@ -65,8 +65,7 @@ it to the lowest float. EM copies the component densities out to its
 (states, M, frames) responsibilities. Every entry's arithmetic is thus
 independent of how many frames or states share a call: a state scores bit
 for bit the same alone as in a population's stack, and a frame the same
-alone as among others, which keeps `log_forward_table` equal to
-`log_forward`.
+alone as among others.
 
 Each pass checks the finiteness of its frames once, on all of them together
 (`_blocked`), and the public entry points, `log_forward`,
@@ -84,17 +83,20 @@ pairwise, not in order, and the backward step's sum over next states and the
 termination's over final states are taken that way, each with its terms laid
 out states-last; EM's statistics and every score depend on those orders.
 
-`HmmStack` is the one path from models to kernel terms and log start and
-transition tables: it stacks V models that share a shape, once. A population
-is scored against its stack, and the one-model forms, `log_forward` and each
-EM iteration, build the V = 1 case of it.
+A model holds its parameters as arrays over all its states at once: start
+and transition probabilities, and (N, M) mixture weights and (N, M, D) means
+and variances. `HmmStack` is the one path from models to kernel terms and log
+start and transition tables: it concatenates the arrays of V models that
+share a shape, once. A population is scored against its stack, and the
+one-model forms, `log_forward` and each EM iteration, build the V = 1 case
+of it.
 
 Scoring and training also share one forward and one backward recursion, the
 only loops over frames; both take batch axes, and `_padded_emissions` lays
 ragged sequences out for them, padded to the longest. A population is scored
 in one batched pass (`log_forward_table`): a group of utterances runs against
-every model of the stack at once, each pair with the arithmetic of
-`log_forward`.
+every model of the stack at once, and `log_forward` is that pass for one
+pair, so every score reaches the kernel by one path.
 Training is multi-sequence expectation-maximization with parameter floors;
 each iteration runs every sequence through the recursions in one batched pass
 per group of whole sequences, and accumulates its statistics over the real
@@ -105,14 +107,14 @@ scoring form their groups by one rule (`batch_groups`), which keeps every
 batched pass within one budget of table cells. Initialization is a
 deterministic seeded k-means over pooled frames. Models serialize to a
 versioned text format whose floats round-trip exactly. Initialization,
-re-estimation and deserialization build every model with one constructor
-(`_model`) from stacked parameter arrays.
+re-estimation and deserialization build every model from its parameter
+arrays with one validating constructor (`_model`).
 """
 
 import math
 import operator
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -164,42 +166,19 @@ class TrainingError(RuntimeError):
     """Training could not proceed (empty data, non-finite likelihood, ...)."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class GaussianMixture:
-    """Diagonal-covariance Gaussian mixture emission density for one state."""
+    """One state's diagonal-covariance Gaussian mixture, as views of its model's arrays.
+
+    ``HmmModel.states`` makes these for the benchmark's referee and for
+    tests; no package code reads them. Frozen, so that rebinding a field of
+    a view raises rather than being lost; an element edited through a view
+    is edited in the model.
+    """
 
     weights: np.ndarray    # (M,)
     means: np.ndarray      # (M, D)
     variances: np.ndarray  # (M, D)
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.means = np.atleast_2d(np.asarray(self.means, dtype=np.float64))
-        self.variances = np.atleast_2d(np.asarray(self.variances, dtype=np.float64))
-
-    @property
-    def n_components(self) -> int:
-        return len(self.weights)
-
-    @property
-    def dim(self) -> int:
-        return self.means.shape[1]
-
-    def validate(self) -> None:
-        if self.weights.ndim != 1:
-            raise ModelError("mixture weights must be 1-D")
-        if self.means.shape != (self.n_components, self.dim):
-            raise ModelError("means shape mismatch")
-        if self.variances.shape != self.means.shape:
-            raise ModelError("variances shape mismatch")
-        if np.any(self.weights < 0) or not math.isclose(
-            self.weights.sum(), 1.0, rel_tol=0, abs_tol=1e-8
-        ):
-            raise ModelError(f"mixture weights must be a distribution, got sum {self.weights.sum()}")
-        if np.any(self.variances <= 0):
-            raise ModelError("variances must be positive")
-        if not (np.all(np.isfinite(self.means)) and np.all(np.isfinite(self.variances))):
-            raise ModelError("non-finite mixture parameters")
 
     def component_log_pdf(self, obs: np.ndarray) -> np.ndarray:
         """log(w_m * N(x_t; mu_m, var_m)) for every frame/component: (T, M).
@@ -210,7 +189,8 @@ class GaussianMixture:
         layer traces it by name.
         """
         obs = np.atleast_2d(np.asarray(obs, dtype=np.float64))
-        return _StateTerms.of([self]).component_log_pdf(obs)[0].T
+        terms = _StateTerms.of(self.weights[None], self.means[None], self.variances[None])
+        return terms.component_log_pdf(obs)[0].T
 
 
 @dataclass(frozen=True)
@@ -231,23 +211,24 @@ class _StateTerms:
     constant: np.ndarray  # (S, M): log w + log_norm - sum_d (mu - c_s)^2 / (2 var)
 
     @classmethod
-    def of(cls, states: list[GaussianMixture]) -> "_StateTerms":
-        """Terms of these states, in order; they must share (mixtures, dim)."""
-        means = np.stack([s.means for s in states])
-        variances = np.stack([s.variances for s in states])
+    def of(cls, weights: np.ndarray, means: np.ndarray, variances: np.ndarray) -> "_StateTerms":
+        """Terms of S states from their weights (S, M), means and variances (S, M, D).
+
+        Every term is a new array; the parameters are only read.
+        """
         with np.errstate(divide="ignore"):
-            log_w = np.log(np.stack([s.weights for s in states]))
+            log_w = np.log(weights)
         d = means.shape[2]
         log_norm = -0.5 * (d * _LOG_2PI + np.sum(np.log(variances), axis=2))
-        inverse = np.divide(1.0, variances, out=variances)
+        inverse = np.divide(1.0, variances)
         shift = np.sum(means * inverse, axis=1) / np.sum(inverse, axis=1)
-        offset = np.subtract(means, shift[:, None, :], out=means)
-        weights = np.empty((*offset.shape[:2], 2 * d))
-        linear = np.multiply(offset, inverse, out=weights[..., d:])
+        offset = np.subtract(means, shift[:, None, :])
+        forms = np.empty((*offset.shape[:2], 2 * d))
+        linear = np.multiply(offset, inverse, out=forms[..., d:])
         quad = np.multiply(offset, linear, out=offset)
-        np.multiply(inverse, -0.5, out=weights[..., :d])
+        np.multiply(inverse, -0.5, out=forms[..., :d])
         constant = log_w + log_norm - 0.5 * np.sum(quad, axis=2)
-        return cls(shift=shift, weights=weights, constant=constant)
+        return cls(shift=shift, weights=forms, constant=constant)
 
     @property
     def n_states(self) -> int:
@@ -294,15 +275,21 @@ class _StateTerms:
 
 @dataclass
 class HmmModel:
-    """Ergodic HMM: start distribution, dense transitions, one mixture per state."""
+    """Ergodic HMM: start distribution, dense transitions, one mixture per state.
+
+    Every state has M diagonal-covariance components of dimension D, held as
+    arrays over all the states at once.
+    """
 
     pi: np.ndarray           # (N,)
     transitions: np.ndarray  # (N, N)
-    states: list[GaussianMixture] = field(default_factory=list)
+    weights: np.ndarray      # (N, M)
+    means: np.ndarray        # (N, M, D)
+    variances: np.ndarray    # (N, M, D)
 
     def __post_init__(self):
-        self.pi = np.asarray(self.pi, dtype=np.float64)
-        self.transitions = np.atleast_2d(np.asarray(self.transitions, dtype=np.float64))
+        for name in ("pi", "transitions", "weights", "means", "variances"):
+            setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
 
     @property
     def n_states(self) -> int:
@@ -310,16 +297,26 @@ class HmmModel:
 
     @property
     def n_mixtures(self) -> int:
-        return self.states[0].n_components
+        return self.weights.shape[1]
 
     @property
     def dim(self) -> int:
-        return self.states[0].dim
+        return self.means.shape[2]
+
+    @property
+    def states(self) -> tuple[GaussianMixture, ...]:
+        """Each state's mixture as views of the arrays, for the benchmark's referee and tests."""
+        return tuple(map(GaussianMixture, self.weights, self.means, self.variances))
 
     def validate(self) -> None:
-        n = self.n_states
-        if n < 1 or len(self.states) != n:
-            raise ModelError(f"need one emission mixture per state ({len(self.states)} != {n})")
+        n, shape = self.n_states, self.means.shape
+        if n < 1 or len(shape) != 3 or shape[0] != n or (
+            (self.weights.shape, self.variances.shape) != (shape[:2], shape)
+        ):
+            raise ModelError(
+                f"need one emission mixture per state: weights {self.weights.shape}, means"
+                f" {shape} and variances {self.variances.shape} for {n} states"
+            )
         if self.transitions.shape != (n, n):
             raise ModelError("transition matrix must be (n_states, n_states)")
         if np.any(self.pi < 0) or not math.isclose(self.pi.sum(), 1.0, rel_tol=0, abs_tol=1e-8):
@@ -327,12 +324,13 @@ class HmmModel:
         row_sums = self.transitions.sum(axis=1)
         if np.any(self.transitions < 0) or not np.allclose(row_sums, 1.0, rtol=0, atol=1e-8):
             raise ModelError(f"transition rows must be distributions, got sums {row_sums}")
-        dims = {s.dim for s in self.states}
-        comps = {s.n_components for s in self.states}
-        if len(dims) != 1 or len(comps) != 1:
-            raise ModelError("all states must share dimension and component count")
-        for s in self.states:
-            s.validate()
+        weight_sums = self.weights.sum(axis=1)
+        if np.any(self.weights < 0) or not np.allclose(weight_sums, 1.0, rtol=0, atol=1e-8):
+            raise ModelError(f"mixture weights must be distributions, got sums {weight_sums}")
+        if np.any(self.variances <= 0):
+            raise ModelError("variances must be positive")
+        if not (np.all(np.isfinite(self.means)) and np.all(np.isfinite(self.variances))):
+            raise ModelError("non-finite mixture parameters")
 
 
 class HmmStack(Sequence):
@@ -351,7 +349,10 @@ class HmmStack(Sequence):
     def __init__(self, models: list[HmmModel]):
         self._models = tuple(models)
         self.shape = (self._models[0].n_states, len(self._models))
-        self.emissions = _StateTerms.of([s for model in self._models for s in model.states])
+        self.emissions = _StateTerms.of(*(
+            np.concatenate([getattr(model, name) for model in self._models])
+            for name in ("weights", "means", "variances")
+        ))
         with np.errstate(divide="ignore"):
             self.log_pi = np.log(np.stack([model.pi for model in self._models], axis=-1))
             self.log_a = np.log(np.stack([model.transitions for model in self._models], axis=-1))
@@ -428,21 +429,6 @@ def _mixtures(comp_log: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
     np.log(total, out=total)
     total += peak
     return total.reshape(len(total), -1)
-
-
-def _emissions(
-    terms: _StateTerms, states: tuple[int, ...], obs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Component log densities (M, S, K, B) and their per-state mixtures (T, *states).
-
-    ``states`` is (N,) for one model's S = N states and (V, N) for a
-    stack's S = V * N, model-major. The frames are taken in padded blocks
-    of B (``_blocked``); the mixtures, log b, come back as a transposed view
-    of the real frames.
-    """
-    comp_log = terms.block_log_pdf(_blocked(obs))
-    log_b = _mixtures(comp_log)[:, : len(obs)]
-    return comp_log, log_b.T.reshape(len(obs), *states)
 
 
 def _layout(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -569,42 +555,45 @@ def _backward(log_a: np.ndarray, log_b: np.ndarray, lengths) -> np.ndarray:
     return log_beta
 
 
+def _log_alpha(stack: HmmStack, sequences: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """log alpha (T, N, V, U) of every (sequence u, model v) pair, and the sequences' lengths.
+
+    The sequences, padded to the longest, run through the forward recursion
+    together, in one table that holds the emissions and then alpha. Callers
+    silence the divide warning of log(0).
+    """
+    dim = stack.emissions.dim
+    seqs = [_check_obs(s, dim) for s in sequences]
+    lengths = np.array([len(s) for s in seqs])
+    log_b = _padded_emissions(
+        stack.emissions, stack.shape, np.concatenate(seqs), lengths, _layout(lengths)
+    )
+    return _forward(stack.log_pi[..., None], stack.log_a[..., None], log_b, out=log_b), lengths
+
+
 def log_forward(model: HmmModel, obs: np.ndarray) -> tuple[float, np.ndarray]:
-    """Forward recursion. Returns (log P(obs | model), log alpha matrix (T, N))."""
-    obs = _check_obs(obs, model.dim)
-    stack = HmmStack([model])
+    """Forward recursion. Returns (log P(obs | model), log alpha matrix (T, N)).
+
+    The one-pair case of ``log_forward_table``'s pass.
+    """
     with np.errstate(divide="ignore"):
-        _, log_b = _emissions(stack.emissions, (model.n_states,), obs)
-        log_alpha = _forward(
-            stack.log_pi[..., None], stack.log_a[..., None], log_b[..., None, None]
-        )
-        log_p = _termination(log_alpha, np.array([len(obs)]))[0, 0]
+        log_alpha, lengths = _log_alpha(HmmStack([model]), [obs])
+        log_p = _termination(log_alpha, lengths)[0, 0]
     return float(log_p), log_alpha[:, :, 0, 0]
 
 
 def log_forward_table(stack: HmmStack, sequences: list[np.ndarray]) -> np.ndarray:
     """log P(sequence u | model v) for every pair: a (U, V) table.
 
-    One pass for the lot against the stacked models. The sequences, padded
-    to the longest, run through the forward recursion together, and each is
-    read at its own last frame. Every entry equals
+    One pass for the lot against the stacked models, each sequence read at
+    its own last frame. Every entry equals
     ``log_forward(stack[v], sequences[u])[0]`` bit for bit. Memory grows
     with U * max length * V * N, one table that holds the emissions and then
     alpha; callers bound it by grouping the sequences (``batch_groups``).
     """
-    dim = stack.emissions.dim
-    seqs = [_check_obs(s, dim) for s in sequences]
-    lengths = np.array([len(s) for s in seqs])
     with np.errstate(divide="ignore"):
-        log_b = _padded_emissions(
-            stack.emissions, stack.shape, np.concatenate(seqs), lengths, _layout(lengths)
-        )
-        log_alpha = _forward(stack.log_pi[..., None], stack.log_a[..., None], log_b, out=log_b)
+        log_alpha, lengths = _log_alpha(stack, sequences)
         return _termination(log_alpha, lengths)
-
-
-def log_likelihood(model: HmmModel, obs: np.ndarray) -> float:
-    return log_forward(model, obs)[0]
 
 
 # --- initialization ---------------------------------------------------------------
@@ -754,9 +743,8 @@ def init_model(
 
 
 def _model(pi, transitions, weights, means, variances) -> HmmModel:
-    """The validated model of weights (N, M), means and variances (N, M, D); states hold views."""
-    states = [GaussianMixture(*state) for state in zip(weights, means, variances)]
-    model = HmmModel(pi=pi, transitions=transitions, states=states)
+    """The validated model of weights (N, M), means and variances (N, M, D)."""
+    model = HmmModel(pi, transitions, weights, means, variances)
     model.validate()
     return model
 
@@ -936,13 +924,12 @@ def _reestimate(model, pi_acc, xi_acc, comp_acc, mean_acc, sq_acc, n_sequences) 
         weights = _floor_rows(comp_acc / comp_total, WEIGHT_FLOOR)
         means = mean_acc / occ
         variances = np.maximum(sq_acc / occ - means * means, VARIANCE_FLOOR)
-    states = model.states
     return _model(
         _floor_rows(pi_acc / n_sequences, TRANSITION_FLOOR),
         np.where(xi_total > 0, transitions, model.transitions),
-        np.where(comp_total > 0, weights, np.stack([s.weights for s in states])),
-        np.where(occ > 0, means, np.stack([s.means for s in states])),
-        np.where(occ > 0, variances, np.stack([s.variances for s in states])),
+        np.where(comp_total > 0, weights, model.weights),
+        np.where(occ > 0, means, model.means),
+        np.where(occ > 0, variances, model.variances),
     )
 
 
@@ -966,11 +953,11 @@ def model_to_text(model: HmmModel) -> str:
     ]
     for i in range(model.n_states):
         lines.append(f"A {i} {_fmt(model.transitions[i])}")
-    for j, s in enumerate(model.states):
-        lines.append(f"state {j} weights {_fmt(s.weights)}")
-        for k in range(s.n_components):
-            lines.append(f"state {j} mean {k} {_fmt(s.means[k])}")
-            lines.append(f"state {j} var {k} {_fmt(s.variances[k])}")
+    for j in range(model.n_states):
+        lines.append(f"state {j} weights {_fmt(model.weights[j])}")
+        for k in range(model.n_mixtures):
+            lines.append(f"state {j} mean {k} {_fmt(model.means[j, k])}")
+            lines.append(f"state {j} var {k} {_fmt(model.variances[j, k])}")
     return "\n".join(lines) + "\n"
 
 

@@ -2,10 +2,13 @@
 
 Everything here trades speed for obviousness: explicit loops, probability
 domain where it cannot underflow, scipy's log-sum-exp where it can, no shared
-code with the package internals. The exceptions are ``log_emissions`` and
-``log_backward``, the package's own kernel and backward recursion run on one
-model with no batch axes, and the one-sequence-at-a-time EM oracle, which
-builds on them and on ``log_forward``; the other oracles check all three.
+code with the package internals. The exceptions are ``log_emissions``, the
+package's emission kernel and mixture sum on one model's blocked frames,
+``log_backward``, its backward recursion with no batch axes, and the
+one-sequence-at-a-time EM oracle, which builds on them and on
+``log_forward``; the other oracles check all three. Models are built from
+their parameter arrays; the oracles read a state's mixture through
+``HmmModel.states``.
 """
 
 import itertools
@@ -22,7 +25,8 @@ from emospeaker.hmm import GaussianMixture, HmmModel, HmmStack, log_forward
 def log_emissions(model: HmmModel, obs) -> np.ndarray:
     """The package's state log densities of frames under one model: (T, N)."""
     obs = np.atleast_2d(np.asarray(obs, dtype=np.float64))
-    return hmm._emissions(HmmStack([model]).emissions, (model.n_states,), obs)[1]
+    terms = HmmStack([model]).emissions
+    return hmm._mixtures(terms.block_log_pdf(hmm._blocked(obs)))[:, : len(obs)].T
 
 
 def log_backward(model: HmmModel, obs) -> np.ndarray:
@@ -33,9 +37,9 @@ def log_backward(model: HmmModel, obs) -> np.ndarray:
 def component_densities(state: GaussianMixture, x) -> list[float]:
     """Plain probability-domain w_m * N(x; mu_m, var_m), one per component."""
     densities = []
-    for m in range(state.n_components):
+    for m in range(len(state.weights)):
         component = 1.0
-        for d in range(state.dim):
+        for d in range(len(x)):
             var = state.variances[m, d]
             diff = x[d] - state.means[m, d]
             component *= math.exp(-0.5 * diff * diff / var) / math.sqrt(2.0 * math.pi * var)
@@ -52,7 +56,7 @@ def direct_component_log_pdf(state: GaussianMixture, obs) -> np.ndarray:
     obs = np.atleast_2d(np.asarray(obs, dtype=np.float64))
     diff = obs[:, None, :] - state.means[None, :, :]
     quad = np.sum(diff * diff / state.variances[None, :, :], axis=2)
-    log_norm = -0.5 * (state.dim * math.log(2.0 * math.pi) + np.sum(np.log(state.variances), axis=1))
+    log_norm = -0.5 * (obs.shape[1] * math.log(2.0 * math.pi) + np.sum(np.log(state.variances), axis=1))
     with np.errstate(divide="ignore"):
         log_w = np.log(state.weights)
     return log_w[None, :] + log_norm[None, :] - 0.5 * quad
@@ -97,9 +101,9 @@ def brute_force_log_likelihood(model: HmmModel, obs) -> float:
 def log_mixture_density(state: GaussianMixture, x) -> float:
     """Log of :func:`mixture_density`, summed per component in the log domain."""
     components = []
-    for m in range(state.n_components):
+    for m in range(len(state.weights)):
         log_component = math.log(state.weights[m]) if state.weights[m] > 0 else -math.inf
-        for d in range(state.dim):
+        for d in range(len(x)):
             var = state.variances[m, d]
             diff = x[d] - state.means[m, d]
             log_component += -0.5 * (diff * diff / var + math.log(2.0 * math.pi * var))
@@ -197,19 +201,17 @@ def brute_force_em_step(
     for i in range(n):
         if xi_acc[i].sum() > 0:
             transitions[i] = _floored(xi_acc[i] / xi_acc[i].sum(), transition_floor)
-    states = []
-    for j, old in enumerate(model.states):
-        weights, means, variances = old.weights.copy(), old.means.copy(), old.variances.copy()
+    weights, means, variances = model.weights.copy(), model.means.copy(), model.variances.copy()
+    for j in range(n):
         if occ[j].sum() > 0:
-            weights = _floored(occ[j] / occ[j].sum(), weight_floor)
+            weights[j] = _floored(occ[j] / occ[j].sum(), weight_floor)
             for k in range(m):
                 if occ[j, k] > 0:
                     mu = first[j, k] / occ[j, k]
                     spread = sum(r[j, k] * (x - mu) ** 2 for x, r in frames) / occ[j, k]
-                    means[k] = mu
-                    variances[k] = np.maximum(spread, variance_floor)
-        states.append(GaussianMixture(weights=weights, means=means, variances=variances))
-    return HmmModel(pi=pi, transitions=transitions, states=states)
+                    means[j, k] = mu
+                    variances[j, k] = np.maximum(spread, variance_floor)
+    return HmmModel(pi, transitions, weights, means, variances)
 
 
 def per_sequence_baum_welch(
@@ -273,19 +275,17 @@ def looped_reestimate(
     for i in range(n):
         if xi_acc[i].sum() > 0:
             transitions[i] = _floored(xi_acc[i] / xi_acc[i].sum(), transition_floor)
-    states = []
-    for j, old in enumerate(model.states):
-        weights, means, variances = old.weights.copy(), old.means.copy(), old.variances.copy()
+    weights, means, variances = model.weights.copy(), model.means.copy(), model.variances.copy()
+    for j in range(n):
         if occ[j].sum() > 0:
-            weights = _floored(occ[j] / occ[j].sum(), weight_floor)
+            weights[j] = _floored(occ[j] / occ[j].sum(), weight_floor)
             for k in range(m):
                 if occ[j, k] > 0:
-                    means[k] = first[j, k] / occ[j, k]
-                    variances[k] = np.maximum(
-                        second[j, k] / occ[j, k] - means[k] * means[k], variance_floor
+                    means[j, k] = first[j, k] / occ[j, k]
+                    variances[j, k] = np.maximum(
+                        second[j, k] / occ[j, k] - means[j, k] * means[j, k], variance_floor
                     )
-        states.append(GaussianMixture(weights=weights, means=means, variances=variances))
-    return HmmModel(pi=pi, transitions=transitions, states=states)
+    return HmmModel(pi, transitions, weights, means, variances)
 
 
 def _sq_dist(points, centroids):
@@ -347,28 +347,27 @@ def looped_init_model(sequences, n_states: int, n_mixtures: int, seed: int = 0) 
     centroids, assign = looped_kmeans(points, n_states * n_mixtures, np.random.default_rng(seed))
     order = np.argsort(centroids.sum(axis=1), kind="stable")
     global_var = np.maximum(points.var(axis=0), hmm.VARIANCE_FLOOR)
-    states = []
+    weights = np.empty((n_states, n_mixtures))
+    variances = np.empty((n_states, n_mixtures, points.shape[1]))
     for j in range(n_states):
         cluster_ids = order[j * n_mixtures : (j + 1) * n_mixtures]
         counts = np.array([(assign == c).sum() for c in cluster_ids], dtype=float)
         if counts.sum() > 0:
-            weights = _floored(counts / counts.sum(), hmm.WEIGHT_FLOOR)
+            weights[j] = _floored(counts / counts.sum(), hmm.WEIGHT_FLOOR)
         else:
-            weights = np.full(n_mixtures, 1.0 / n_mixtures)
-        variances = []
-        for c in cluster_ids:
+            weights[j] = np.full(n_mixtures, 1.0 / n_mixtures)
+        for k, c in enumerate(cluster_ids):
             mask = assign == c
             if mask.sum() >= 2:
-                variances.append(np.maximum(points[mask].var(axis=0), hmm.VARIANCE_FLOOR))
+                variances[j, k] = np.maximum(points[mask].var(axis=0), hmm.VARIANCE_FLOOR)
             else:
-                variances.append(global_var)
-        states.append(
-            GaussianMixture(weights=weights, means=centroids[cluster_ids], variances=variances)
-        )
+                variances[j, k] = global_var
     return HmmModel(
         pi=np.full(n_states, 1.0 / n_states),
         transitions=np.full((n_states, n_states), 1.0 / n_states),
-        states=states,
+        weights=weights,
+        means=centroids[order].reshape(n_states, n_mixtures, -1),
+        variances=variances,
     )
 
 
@@ -385,19 +384,19 @@ def traced_peak(fn) -> int:
 
 def random_model(rng: np.random.Generator, n_states: int, n_mixtures: int, dim: int) -> HmmModel:
     """Fully random valid model: Dirichlet distributions, spread-out means."""
-    states = []
-    for _ in range(n_states):
-        states.append(
-            GaussianMixture(
-                weights=rng.dirichlet(np.ones(n_mixtures)),
-                means=rng.normal(0.0, 2.0, (n_mixtures, dim)),
-                variances=rng.uniform(0.2, 2.0, (n_mixtures, dim)),
-            )
-        )
+    weights = np.empty((n_states, n_mixtures))
+    means = np.empty((n_states, n_mixtures, dim))
+    variances = np.empty((n_states, n_mixtures, dim))
+    for j in range(n_states):  # each state's draws in turn
+        weights[j] = rng.dirichlet(np.ones(n_mixtures))
+        means[j] = rng.normal(0.0, 2.0, (n_mixtures, dim))
+        variances[j] = rng.uniform(0.2, 2.0, (n_mixtures, dim))
     model = HmmModel(
         pi=rng.dirichlet(np.ones(n_states)),
         transitions=np.stack([rng.dirichlet(np.ones(n_states)) for _ in range(n_states)]),
-        states=states,
+        weights=weights,
+        means=means,
+        variances=variances,
     )
     model.validate()
     return model

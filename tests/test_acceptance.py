@@ -29,7 +29,6 @@ from emospeaker.hmm import (
     baum_welch_train,
     init_model,
     log_forward,
-    log_likelihood,
     model_from_text,
     model_to_text,
 )
@@ -516,6 +515,4 @@ def test_determinism_and_round_trips(tmp_path):
     write_feature_file(obs.acoustic, path)
     again = read_feature_file(path)
     assert np.array_equal(again, obs.acoustic)
-    assert log_likelihood(model.acoustic, again) == log_likelihood(
-        model.acoustic, obs.acoustic
-    )
+    assert log_forward(model.acoustic, again)[0] == log_forward(model.acoustic, obs.acoustic)[0]

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -10,7 +11,6 @@ from scipy.special import logsumexp
 import emospeaker
 from emospeaker import hmm
 from emospeaker.hmm import (
-    GaussianMixture,
     HmmModel,
     HmmStack,
     ModelError,
@@ -22,7 +22,6 @@ from emospeaker.hmm import (
     init_model,
     log_forward,
     log_forward_table,
-    log_likelihood,
     model_from_text,
     model_to_text,
 )
@@ -75,18 +74,14 @@ class TestValidation:
         model.validate()
 
     def test_weights_must_sum_to_one(self):
-        state = GaussianMixture(
-            weights=[0.5, 0.4], means=np.zeros((2, 1)), variances=np.ones((2, 1))
-        )
+        model = HmmModel([1.0], [[1.0]], [[0.5, 0.4]], np.zeros((1, 2, 1)), np.ones((1, 2, 1)))
         with pytest.raises(ModelError, match="distribution"):
-            state.validate()
+            model.validate()
 
     def test_nonpositive_variance_rejected(self):
-        state = GaussianMixture(
-            weights=[1.0], means=np.zeros((1, 2)), variances=[[1.0, 0.0]]
-        )
+        model = HmmModel([1.0], [[1.0]], [[1.0]], np.zeros((1, 1, 2)), [[[1.0, 0.0]]])
         with pytest.raises(ModelError, match="positive"):
-            state.validate()
+            model.validate()
 
     def test_transition_rows_are_distributions(self):
         model = random_model(np.random.default_rng(1), 2, 1, 1)
@@ -96,7 +91,9 @@ class TestValidation:
 
     def test_state_count_mismatch(self):
         model = random_model(np.random.default_rng(2), 2, 1, 1)
-        model.states = model.states[:1]
+        model.weights, model.means, model.variances = (
+            x[:1] for x in (model.weights, model.means, model.variances)
+        )
         with pytest.raises(ModelError):
             model.validate()
 
@@ -118,6 +115,36 @@ class TestValidation:
             log_forward_table(HmmStack([model]), [obs[:3], obs])
         with pytest.raises(ModelError, match="non-finite"):
             baum_welch_train(model, [obs[:3], obs], max_iterations=1)
+
+
+class TestArrayModel:
+    """A model's five arrays are its only parameters; ``states`` views them."""
+
+    @staticmethod
+    def arrays(model: HmmModel) -> list[np.ndarray]:
+        return [model.pi, model.transitions, model.weights, model.means, model.variances]
+
+    def test_kernel_terms_leave_the_arrays_as_they_were(self):
+        rng = np.random.default_rng(45)
+        models = [random_model(rng, 3, 2, 4) for _ in range(2)]
+        before = [[x.copy() for x in self.arrays(model)] for model in models]
+        HmmStack(models)
+        HmmStack(models[:1])
+        for state in models[0].states:
+            state.component_log_pdf(rng.normal(0.0, 2.0, (5, 4)))
+        for model, copies in zip(models, before):
+            for got, want in zip(self.arrays(model), copies):
+                assert got.tobytes() == want.tobytes()
+
+    def test_states_are_frozen_views(self):
+        model = random_model(np.random.default_rng(46), 3, 2, 4)
+        state = model.states[1]
+        for name in ("weights", "means", "variances"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(state, name, getattr(state, name).copy())
+        state.means[0, 2] = 7.5
+        assert model.means[1, 0, 2] == 7.5
+        assert [len(model.states), *model.states[0].means.shape] == [3, 2, 4]
 
 
 class TestEmissions:
@@ -150,18 +177,18 @@ class TestEmissions:
         """3x2 over (mean f0, f0 range, log energy, voiced fraction) as trained on
         synthetic WAV speech: f0 near 115 Hz, range 0 and voicing 1 constant, so
         those variances sit at the 1e-6 floor."""
-        states = []
-        for _ in range(3):
-            means = np.empty((2, 4))
-            means[:, 0] = 115.3 + rng.normal(0.0, 1e-3, 2)
-            means[:, 1] = 0.0
-            means[:, 2] = rng.uniform(72.0, 74.0, 2)
-            means[:, 3] = 1.0
-            variances = np.full((2, 4), 1e-6)
-            variances[:, 2] = rng.uniform(0.17, 0.49, 2)
-            states.append(GaussianMixture(rng.dirichlet(np.ones(2)), means, variances))
+        weights = np.empty((3, 2))
+        means = np.empty((3, 2, 4))
+        variances = np.full((3, 2, 4), 1e-6)
+        for j in range(3):
+            means[j, :, 0] = 115.3 + rng.normal(0.0, 1e-3, 2)
+            means[j, :, 1] = 0.0
+            means[j, :, 2] = rng.uniform(72.0, 74.0, 2)
+            means[j, :, 3] = 1.0
+            variances[j, :, 2] = rng.uniform(0.17, 0.49, 2)
+            weights[j] = rng.dirichlet(np.ones(2))
         transitions = np.stack([rng.dirichlet(np.ones(3)) for _ in range(3)])
-        model = HmmModel(rng.dirichlet(np.ones(3)), transitions, states)
+        model = HmmModel(rng.dirichlet(np.ones(3)), transitions, weights, means, variances)
         model.validate()
         return model
 
@@ -185,14 +212,16 @@ class TestEmissions:
         # other the voiced ones near 115 Hz; scored on two clipped blocks. Shifted
         # by the plain mean of its means (95 Hz), its log-likelihood was off by
         # 1e-8 relative; the precision-weighted shift sits at the clipped mean.
-        state = GaussianMixture(
-            weights=[0.85929233, 0.14070767],
-            means=[[75.0, 55.69730978, -20.24296955, 0.45069946],
-                   [114.86418833, 43.39402019, -25.75191681, 0.62612365]],
-            variances=[[1e-6, 2.6335868, 1.10690701, 1.40896705e-3],
-                       [1.31231124, 0.864164517, 0.502285281, 1.40944766e-3]],
+        model = HmmModel(
+            pi=[1.0],
+            transitions=[[1.0]],
+            weights=[[0.85929233, 0.14070767]],
+            means=[[[75.0, 55.69730978, -20.24296955, 0.45069946],
+                    [114.86418833, 43.39402019, -25.75191681, 0.62612365]]],
+            variances=[[[1e-6, 2.6335868, 1.10690701, 1.40896705e-3],
+                        [1.31231124, 0.864164517, 0.502285281, 1.40944766e-3]]],
         )
-        model = HmmModel([1.0], [[1.0]], [state])
+        state = model.states[0]
         obs = np.array([[75.0, 53.35580345, -21.36630989, 0.4117448],
                         [75.0, 54.91713625, -19.1654557, 0.42523499]])
         self.assert_close(state.component_log_pdf(obs), direct_component_log_pdf(state, obs), 1e-12)
@@ -240,7 +269,8 @@ class TestKernelInvariance:
     @staticmethod
     def scores(terms, obs):
         """Component (S, M, T) and mixture (T, S) log densities of frames under ``terms``."""
-        return terms.component_log_pdf(obs), hmm._emissions(terms, (terms.n_states,), obs)[1]
+        log_b = hmm._mixtures(terms.block_log_pdf(hmm._blocked(obs)))[:, : len(obs)].T
+        return terms.component_log_pdf(obs), log_b
 
     @KERNEL_SHAPES
     def test_frame_alone_equals_it_at_every_block_position(self, n, m, d):
@@ -332,14 +362,14 @@ class TestMixtures:
         # means 30 apart against unit variances put most shifted terms below log(tiny)
         rng = np.random.default_rng(43)
         models = [random_model(rng, 9, m, 16) for _ in range(2)]
-        for state in (s for model in models for s in model.states):
-            state.means *= 15.0
+        for model in models:
+            model.means *= 15.0
         terms = HmmStack(models).emissions
         obs = rng.normal(0.0, 30.0, (40, 16))
         comp_log = terms.component_log_pdf(obs)  # (S, M, T)
-        log_b = hmm._emissions(terms, (2, 9), obs)[1]  # (T, V, N)
+        log_b = hmm._mixtures(terms.block_log_pdf(hmm._blocked(obs)))[:, : len(obs)]  # (S, T)
         want = looped_mixtures(comp_log.transpose(0, 2, 1)[..., None])
-        assert np.array_equal(log_b.reshape(len(obs), -1).T, want)
+        assert np.array_equal(log_b, want)
 
 
 def masked_logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
@@ -392,7 +422,7 @@ class TestForward:
         model = random_model(rng, 3, 2, 2)
         x = rng.standard_normal((1, 2))
         expected = logsumexp(np.log(model.pi) + log_emissions(model, x)[0])
-        assert log_likelihood(model, x) == pytest.approx(float(expected), rel=1e-12)
+        assert log_forward(model, x)[0] == pytest.approx(float(expected), rel=1e-12)
 
     def test_table_equals_per_pair_forward(self):
         # one batched pass over ragged sequences, 1-frame ones included, and
@@ -424,9 +454,9 @@ class TestForward:
         # mixture sum reaches its last bits.
         rng = np.random.default_rng(36)
         models = [random_model(rng, n, m, d) for _ in range(2)]
-        for state in (s for model in models for s in model.states):
-            state.means *= 0.15
-            state.variances *= 0.1
+        for model in models:
+            model.means *= 0.15
+            model.variances *= 0.1
         stack = HmmStack(models)
         for _ in range(10):
             sequences = [rng.normal(0.0, 0.3, (int(t), d)) for t in rng.choice([1, 2, 9], 8)]
@@ -523,12 +553,13 @@ class TestLogDomainOracle:
     def test_left_right_with_zero_transitions(self, variance):
         # emissions at 1e-6 differ by ~2e6 nats, far past exp underflow, while
         # the zero transitions leave some states unreachable (-inf)
-        states = [
-            GaussianMixture(weights=[1.0], means=[[mean]], variances=[[variance]])
-            for mean in (0.0, 1.0, 2.0)
-        ]
-        transitions = [[0.9, 0.1, 0.0], [0.0, 0.9, 0.1], [0.0, 0.0, 1.0]]
-        model = HmmModel(pi=[1.0, 0.0, 0.0], transitions=transitions, states=states)
+        model = HmmModel(
+            pi=[1.0, 0.0, 0.0],
+            transitions=[[0.9, 0.1, 0.0], [0.0, 0.9, 0.1], [0.0, 0.0, 1.0]],
+            weights=np.ones((3, 1)),
+            means=np.array([0.0, 1.0, 2.0])[:, None, None],
+            variances=np.full((3, 1, 1), variance),
+        )
         obs = np.array([0, 0, 1, 1, 1, 2, 2, 0], dtype=float)[:, None]
         ll = assert_matches_log_domain_oracle(model, obs)
         if variance == 1e-3:
@@ -537,8 +568,7 @@ class TestLogDomainOracle:
     def test_floor_variances_far_from_means(self):
         rng = np.random.default_rng(25)
         model = random_model(rng, 3, 2, 3)
-        for state in model.states:
-            state.variances = np.full_like(state.variances, 1e-6)
+        model.variances = np.full_like(model.variances, 1e-6)
         obs = rng.normal(0.0, 3.0, (30, 3))
         assert assert_matches_log_domain_oracle(model, obs) < -1e6
 
@@ -688,7 +718,7 @@ class TestBaumWelch:
         result = baum_welch_train(model, seqs, max_iterations=3, tolerance=0.0)
         assert result.converged is False
         assert len(result.log_likelihoods) == 3
-        returned = sum(log_likelihood(result.model, s) for s in seqs)
+        returned = sum(log_forward(result.model, s)[0] for s in seqs)
         assert returned > result.log_likelihoods[-1]
 
     def test_model_stays_valid_each_iteration(self):
@@ -841,8 +871,8 @@ class TestBaumWelch:
         test = two_state_sequences(rng, n_sequences=5)
         init = init_model(train, 2, 2, seed=7)
         trained = baum_welch_train(init, train, max_iterations=15).model
-        before = sum(log_likelihood(init, s) for s in test)
-        after = sum(log_likelihood(trained, s) for s in test)
+        before = sum(log_forward(init, s)[0] for s in test)
+        after = sum(log_forward(trained, s)[0] for s in test)
         assert after > before
 
 
@@ -943,7 +973,7 @@ class TestSerialization:
         model = random_model(rng, 3, 2, 4)
         obs = rng.standard_normal((30, 4))
         restored = model_from_text(model_to_text(model))
-        assert log_likelihood(restored, obs) == log_likelihood(model, obs)
+        assert log_forward(restored, obs)[0] == log_forward(model, obs)[0]
 
     def test_file_round_trip(self, tmp_path):
         model = random_model(np.random.default_rng(22), 2, 2, 3)

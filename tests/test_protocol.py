@@ -15,7 +15,7 @@ from emospeaker.corpus import (
     validate_protocol_counts,
 )
 from emospeaker import hmm, protocol, sphmm
-from emospeaker.hmm import GaussianMixture, HmmModel, ModelError, log_forward
+from emospeaker.hmm import HmmModel, ModelError, log_forward
 from emospeaker.protocol import (
     PerformanceTable,
     ProtocolError,
@@ -259,19 +259,15 @@ def left_right_population() -> list[SpeakerModel]:
     at variance 1e-6, means shifted per speaker, and a 1-D prosodic model."""
     models = []
     for i in range(3):
-        states = [
-            GaussianMixture(weights=[1.0], means=[[mean + i]], variances=[[1e-6]])
-            for mean in (0.0, 1.0, 2.0)
-        ]
         acoustic = HmmModel(
             pi=[1.0, 0.0, 0.0],
             transitions=[[0.9, 0.1, 0.0], [0.0, 0.9, 0.1], [0.0, 0.0, 1.0]],
-            states=states,
+            weights=np.ones((3, 1)),
+            means=np.array([0.0, 1.0, 2.0])[:, None, None] + i,
+            variances=np.full((3, 1, 1), 1e-6),
         )
         prosodic = HmmModel(
-            pi=[1.0],
-            transitions=[[1.0]],
-            states=[GaussianMixture(weights=[1.0], means=[[float(i)]], variances=[[1.0]])],
+            pi=[1.0], transitions=[[1.0]], weights=[[1.0]], means=[[[float(i)]]], variances=[[[1.0]]]
         )
         models.append(SpeakerModel(f"spk{i + 1:02d}", acoustic, prosodic, math.log(1 / 3)))
     return models

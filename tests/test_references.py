@@ -6,16 +6,22 @@ test_demos.py). Here the scripts and the README's ```python blocks are
 parsed, not run: every
 name imported from ``emospeaker``, every ``<emospeaker module>.<name>`` read,
 and every ``("emospeaker.<module>", "<attribute path>")`` string pair (the
-benchmark's tracing targets) must resolve.
+benchmark's tracing targets) must resolve. The benchmark's referee,
+``bench/reference.py``, reads a model's attributes rather than naming them,
+so it is run here on package-trained models.
 """
 
 import ast
 import importlib
+import importlib.util
 import re
 import types
 from pathlib import Path
 
 import pytest
+
+from emospeaker.hmm import log_forward
+from emospeaker.protocol import session_test_records
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
@@ -121,3 +127,18 @@ def test_checker_sees_every_kind_of_reference():
         "emospeaker.hmm.gone_name",
         "emospeaker.sphmm.also_gone",
     ]
+
+
+@pytest.mark.parametrize("stream", ["acoustic", "prosodic"])
+def test_bench_referee_scores_package_models(stream, tiny_models, tiny_corpus, tiny_loader):
+    # bench/run.py checks log_forward against this recursion, which reads each
+    # state's mixture through ``states``, within its LL_RTOL of 1e-9
+    spec = importlib.util.spec_from_file_location("bench_reference", ROOT / "bench" / "reference.py")
+    reference = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reference)
+    for record in session_test_records(tiny_corpus, "unbiased")[:3]:
+        obs = getattr(tiny_loader(record), stream)
+        for speaker in tiny_models:
+            model = getattr(speaker, stream)
+            ours = reference.forward_log_likelihood(model, obs)
+            assert abs(ours - log_forward(model, obs)[0]) <= 1e-9 * max(1.0, abs(ours))
