@@ -74,14 +74,17 @@ log(0) once for the recursions beneath them: a state cut off by a zero
 probability scores exactly -inf.
 
 The recursions' tables are states-major, (T, N, V, U): frames, states,
-models, sequences, with the sequences innermost. A forward step sums over its
-leading source-state axis, so its inner loops add whole contiguous (N, V, U)
-blocks, one source state at a time in order, which is also the order of one
-lone sequence's sum: every alpha is the same bit for bit however many pairs
-share the step. Numpy adds a contiguous last axis of 8 or more terms
-pairwise, not in order, and the backward step's sum over next states and the
-termination's over final states are taken that way, each with its terms laid
-out states-last; EM's statistics and every score depend on those orders.
+models, sequences, with the sequences innermost. Each step fills an
+(N, N, V, U) table whose leading axis is the state it sums over, so every
+call adds, exponentiates or compares whole contiguous (N, V, U) blocks. A
+forward step adds its source states one block at a time, in order, which is
+also the order of one lone sequence's sum: every alpha is the same bit for bit
+however many pairs share the step. Numpy adds a contiguous last axis of 8 or
+more terms pairwise, not in order, and the backward step's sum over next
+states keeps that order, reproduced block by block (`_pairwise_sum`); the
+termination's sum over final states is taken on a contiguous last axis. EM's
+statistics and every score depend on those orders. Both recursions write
+every step into buffers made once per call.
 
 A model holds its parameters as arrays over all its states at once: start
 and transition probabilities, and (N, M) mixture weights and (N, M, D) means
@@ -319,17 +322,19 @@ class HmmModel:
             )
         if self.transitions.shape != (n, n):
             raise ModelError("transition matrix must be (n_states, n_states)")
-        if np.any(self.pi < 0) or not math.isclose(self.pi.sum(), 1.0, rel_tol=0, abs_tol=1e-8):
-            raise ModelError(f"start probabilities must be a distribution, got sum {self.pi.sum()}")
+        # |sum - 1| <= 1e-8 is false for a NaN or infinite sum too
+        pi_sum = self.pi.sum()
+        if (self.pi < 0).any() or not abs(pi_sum - 1.0) <= 1e-8:
+            raise ModelError(f"start probabilities must be a distribution, got sum {pi_sum}")
         row_sums = self.transitions.sum(axis=1)
-        if np.any(self.transitions < 0) or not np.allclose(row_sums, 1.0, rtol=0, atol=1e-8):
+        if (self.transitions < 0).any() or not (np.abs(row_sums - 1.0) <= 1e-8).all():
             raise ModelError(f"transition rows must be distributions, got sums {row_sums}")
         weight_sums = self.weights.sum(axis=1)
-        if np.any(self.weights < 0) or not np.allclose(weight_sums, 1.0, rtol=0, atol=1e-8):
+        if (self.weights < 0).any() or not (np.abs(weight_sums - 1.0) <= 1e-8).all():
             raise ModelError(f"mixture weights must be distributions, got sums {weight_sums}")
-        if np.any(self.variances <= 0):
+        if (self.variances <= 0).any():
             raise ModelError("variances must be positive")
-        if not (np.all(np.isfinite(self.means)) and np.all(np.isfinite(self.variances))):
+        if not (np.isfinite(self.means).all() and np.isfinite(self.variances).all()):
             raise ModelError("non-finite mixture parameters")
 
 
@@ -364,21 +369,14 @@ class HmmStack(Sequence):
         return len(self._models)
 
 
-def _clamp_peak(peak: np.ndarray) -> np.ndarray:
-    """A log-sum-exp's maximum with -inf raised, in place, to the lowest float.
-
-    An all -inf slice then still sums exp(-inf) = 0 and gives -inf, and NaN
-    stays NaN.
-    """
-    return np.maximum(peak, _LOWEST, out=peak)
-
-
 def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
     """log(sum(exp(x))) along ``axis``, shifted by the maximum; -inf where all are -inf.
 
-    Callers silence the divide warning that log(0) gives for an all -inf slice.
+    The maximum starts from the lowest float, so an all -inf slice still
+    sums exp(-inf) = 0, and NaN stays NaN. Callers silence the divide
+    warning that log(0) gives for an all -inf slice.
     """
-    peak = _clamp_peak(x.max(axis=axis, keepdims=True))
+    peak = np.maximum.reduce(x, axis=axis, keepdims=True, initial=_LOWEST)
     scaled = np.subtract(x, peak)
     total = np.exp(scaled, out=scaled).sum(axis=axis, keepdims=True)
     np.log(total, out=total)
@@ -496,6 +494,49 @@ def _check_obs(obs: np.ndarray, dim: int) -> np.ndarray:
     return obs
 
 
+def _exp_shifted(terms: np.ndarray, peak: np.ndarray) -> np.ndarray:
+    """``terms`` (K, ...) overwritten by exp(terms - peak), their maximum over K into ``peak``.
+
+    The maximum starts from the lowest float, so an all -inf slice is
+    shifted by that and sums exp(-inf) = 0, and NaN stays NaN. Callers add
+    the rows, take the log and add ``peak`` back.
+    """
+    np.maximum.reduce(terms, axis=0, initial=_LOWEST, out=peak)
+    np.subtract(terms, peak, out=terms)
+    return np.exp(terms, out=terms)
+
+
+def _pairwise_sum(rows: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """The sum of ``rows`` (K, ...) over K, into ``out``, in numpy's pairwise order.
+
+    That is the order in which numpy adds a contiguous last axis of K terms
+    (``pairwise_sum`` in its loops), reproduced with whole-row adds over a
+    leading axis. Fewer than 8 rows are added in order. Up to 128, eight
+    accumulators take every eighth row in order, combine as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), and the rows left
+    over are added in order. More than 128 rows split at the half rounded
+    down to a multiple of 8, and each part is summed so. ``scratch`` is a
+    (12, ...) buffer that the rows may not share.
+    """
+    n = len(rows)
+    if n < 8:
+        return np.add.reduce(rows, axis=0, out=out)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        second = _pairwise_sum(rows[half:], np.empty_like(out), scratch)
+        return np.add(_pairwise_sum(rows[:half], out, scratch), second, out=out)
+    whole = n - n % 8
+    acc = rows[:8]
+    if whole > 8:
+        acc = np.add.reduce(rows[:whole].reshape(-1, 8, *rows.shape[1:]), axis=0, out=scratch[:8])
+    pairs = np.add(acc[0::2], acc[1::2], out=scratch[8:])
+    quads = np.add(pairs[0::2], pairs[1::2], out=scratch[:2])
+    np.add(quads[0], quads[1], out=out)
+    for row in rows[whole:]:
+        out += row
+    return out
+
+
 def _forward(
     log_pi: np.ndarray, log_a: np.ndarray, log_b: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
@@ -508,16 +549,21 @@ def _forward(
     state i. Numpy reduces a leading axis by adding whole contiguous
     (N, ...) blocks, one source state after another in order, which is the
     order of a lone pair's sum too: each pair's arithmetic is the same as
-    unbatched. ``out`` may be ``log_b`` itself, whose frame t is read before
+    unbatched. Every step writes into the same three buffers, in eight
+    calls. ``out`` may be ``log_b`` itself, whose frame t is read before
     frame t of alpha is written, for a caller that needs no emissions
     afterwards.
     """
     log_alpha = np.empty_like(log_b) if out is None else out
-    log_alpha[0] = log_pi + log_b[0]
+    np.add(log_pi, log_b[0], out=log_alpha[0])
     terms = np.empty((log_b.shape[1], *log_b.shape[1:]))
+    peak, total = np.empty(log_b.shape[1:]), np.empty(log_b.shape[1:])
     for t in range(1, len(log_b)):
         np.add(log_alpha[t - 1][:, None], log_a, out=terms)
-        np.add(_logsumexp(terms, axis=0), log_b[t], out=log_alpha[t])
+        np.add.reduce(_exp_shifted(terms, peak), axis=0, out=total)
+        np.log(total, out=total)
+        total += peak
+        np.add(total, log_b[t], out=log_alpha[t])
     return log_alpha
 
 
@@ -539,19 +585,28 @@ def _backward(log_a: np.ndarray, log_b: np.ndarray, lengths) -> np.ndarray:
     ``lengths`` broadcasts against the batch axes (the last, the sequences,
     in a padded table) and gives each sequence's length: its beta is held at
     exactly 0 from its last frame onward, so the padding after it never
-    enters. A step fills one (N, ..., N) table of log a_ij + log b_j +
-    beta_j with the next state j on the last, contiguous axis, and reduces
-    it there: numpy adds a contiguous last axis of 8 or more terms pairwise,
-    and EM's statistics at 8 or more states depend on that order.
+    enters. A step fills one (N, N, ...) table of log a_ij + log b_j +
+    beta_j with the next state j leading and reduces it over j in the
+    pairwise order of a contiguous last axis (``_pairwise_sum``): EM's
+    statistics at 8 or more states depend on that order. Every step writes
+    into buffers made once, and zeroes the ended sequences' beta only on the
+    steps where some sequence has ended.
     """
     log_beta = np.zeros_like(log_b)
     last = np.asarray(lengths) - 1
-    next_last = np.moveaxis(log_a, 1, -1)  # (N, ..., N): from-state first, next state last
-    states_last = (*range(1, log_b.ndim - 1), 0)  # a frame's (N, ...) as (..., N)
-    terms = np.empty((log_b.shape[1], *log_b.shape[2:], log_b.shape[1]))
+    first_end = last.min()  # from this frame on, some sequence's beta is held at 0
+    to_first = np.swapaxes(log_a, 0, 1)  # (N, N, ...): next state first, from-state second
+    n, batch = log_b.shape[1], log_b.shape[1:]
+    terms, scratch = np.empty((n, *batch)), np.empty((12, *batch))
+    ahead, peak = np.empty(batch), np.empty(batch)
     for t in range(len(log_b) - 2, -1, -1):
-        np.add(next_last, (log_b[t + 1] + log_beta[t + 1]).transpose(states_last), out=terms)
-        log_beta[t] = np.where(t < last, _logsumexp(terms, axis=-1), 0.0)
+        np.add(log_b[t + 1], log_beta[t + 1], out=ahead)
+        np.add(to_first, ahead[:, None], out=terms)
+        beta = _pairwise_sum(_exp_shifted(terms, peak), log_beta[t], scratch)
+        np.log(beta, out=beta)
+        beta += peak
+        if t >= first_end:
+            np.copyto(beta, 0.0, where=t >= last)
     return log_beta
 
 
@@ -645,6 +700,18 @@ def _kmeans_pp_seed(
     return centroids
 
 
+def _cluster_sums(assign: np.ndarray, values: np.ndarray, k: int) -> np.ndarray:
+    """Each of k clusters' rows of ``values`` (n, D) summed: (k, D).
+
+    A cluster's rows are added in input order, one column at a time: the
+    order in which ``.mean`` and ``.var`` add a cluster's (members, D) slice
+    when D is 2 or more. A lone column (D = 1) they add pairwise.
+    """
+    return np.stack(
+        [np.bincount(assign, weights=column, minlength=k) for column in values.T], axis=1
+    )
+
+
 def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator, n_iter: int = 10):
     """Seeded Lloyd iterations; empty clusters reseed to the worst-fit point.
 
@@ -668,10 +735,7 @@ def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator, n_iter: int = 
     for _ in range(n_iter):
         assign = np.argmin(_pairwise_sq_dist(norms, doubled, centroids, d2), axis=1)
         counts = np.bincount(assign, minlength=k)
-        # each cluster's points summed in input order, as .mean does
-        sums = np.stack(
-            [np.bincount(assign, weights=column, minlength=k) for column in points.T], axis=1
-        )
+        sums = _cluster_sums(assign, points, k)
         filled = counts > 0
         new_centroids = np.empty_like(centroids)
         new_centroids[filled] = sums[filled] / counts[filled, None]
@@ -695,10 +759,11 @@ def init_model(
     Pooled frames are clustered into n_states * n_mixtures groups (k-means++
     seeding from ``seed``, whose picks are ``Generator.choice``'s own draw for
     draw; the k-means holds one (n, k) distance table per call). Clusters are
-    ordered by centroid coordinate sum and assigned to states contiguously;
-    a cluster's members are read as one slice of the frames sorted stably by
-    cluster, in their pooled order. Start and transition distributions begin
-    uniform (fully ergodic).
+    ordered by centroid coordinate sum and assigned to states contiguously.
+    A cluster of two or more frames takes their variances, the rest those of
+    all frames; every cluster's are taken at once, in the arithmetic of
+    ``.var`` on its members in their pooled order (``_cluster_sums``). Start
+    and transition distributions begin uniform (fully ergodic).
     """
     if not sequences:
         raise TrainingError("no training sequences")
@@ -717,17 +782,14 @@ def init_model(
     order = np.argsort(centroids.sum(axis=1), kind="stable")
     global_var = np.maximum(points.var(axis=0), VARIANCE_FLOOR)
     sizes = np.bincount(assign, minlength=k)
-    starts = np.cumsum(sizes) - sizes
-    grouped = points[np.argsort(assign, kind="stable")]  # cluster by cluster, in pooled order
-
-    # one cluster at a time, so that each keeps the two-pass arithmetic of .var
-    variances = np.empty_like(centroids)
-    for row, c in enumerate(order):
-        if sizes[c] >= 2:
-            members = grouped[starts[c] : starts[c] + sizes[c]]
-            variances[row] = np.maximum(members.var(axis=0), VARIANCE_FLOOR)
-        else:
-            variances[row] = global_var
+    # the two passes of .var, every cluster at once: its mean, then its
+    # squared deviations from it, each summed and divided by its size
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cluster_means = _cluster_sums(assign, points, k) / sizes[:, None]
+        deviations = np.subtract(points, cluster_means[assign])
+        spread = _cluster_sums(assign, np.multiply(deviations, deviations, out=deviations), k)
+        spread /= sizes[:, None]
+    variances = np.where(sizes[:, None] >= 2, np.maximum(spread, VARIANCE_FLOOR), global_var)[order]
 
     counts = sizes[order].reshape(n_states, n_mixtures).astype(np.float64)
     totals = counts.sum(axis=1, keepdims=True)

@@ -4,9 +4,9 @@ Everything here trades speed for obviousness: explicit loops, probability
 domain where it cannot underflow, scipy's log-sum-exp where it can, no shared
 code with the package internals. The exceptions are ``log_emissions``, the
 package's emission kernel and mixture sum on one model's blocked frames,
-``log_backward``, its backward recursion with no batch axes, and the
+which ``log_backward`` takes its emissions from, and the
 one-sequence-at-a-time EM oracle, which builds on them and on
-``log_forward``; the other oracles check all three. Models are built from
+``log_forward``; the other oracles check all of these. Models are built from
 their parameter arrays; the oracles read a state's mixture through
 ``HmmModel.states``.
 """
@@ -29,9 +29,34 @@ def log_emissions(model: HmmModel, obs) -> np.ndarray:
     return hmm._mixtures(terms.block_log_pdf(hmm._blocked(obs)))[:, : len(obs)].T
 
 
+def states_last_backward(log_a, log_b, lengths) -> np.ndarray:
+    """log beta (T, N, ...) with each step's next states summed on a contiguous last axis.
+
+    The layout the package's next-state-leading backward step replaces:
+    log_a (N, N, ...) and log_b (T, N, ...) as ``hmm._backward`` takes them,
+    and each step's (N, ..., N) table of log a_ij + log b_j + beta_j copied
+    C-contiguous, so that numpy adds its next states j in its own order for
+    a contiguous axis, pairwise at 8 or more. Each sequence's beta is 0 from
+    its last frame (``lengths`` broadcast against the batch axes) onward.
+    """
+    log_beta = np.zeros_like(log_b)
+    last = np.asarray(lengths) - 1
+    states_last = (*range(1, log_b.ndim - 1), 0)  # a frame's (N, ...) as (..., N)
+    for t in range(len(log_b) - 2, -1, -1):
+        ahead = (log_b[t + 1] + log_beta[t + 1]).transpose(states_last)
+        terms = np.ascontiguousarray(np.moveaxis(log_a, 1, -1) + ahead)
+        peak = np.maximum(terms.max(axis=-1, keepdims=True), np.finfo(np.float64).min)
+        with np.errstate(divide="ignore"):
+            total = np.log(np.exp(terms - peak).sum(axis=-1)) + peak[..., 0]
+        log_beta[t] = np.where(t < last, total, 0.0)
+    return log_beta
+
+
 def log_backward(model: HmmModel, obs) -> np.ndarray:
-    """The package's backward recursion on one sequence, no batch axes: log beta (T, N)."""
-    return hmm._backward(HmmStack([model]).log_a[..., 0], log_emissions(model, obs), len(obs))
+    """The states-last backward recursion on one sequence, no batch axes: log beta (T, N)."""
+    with np.errstate(divide="ignore"):
+        log_a = np.log(model.transitions)
+    return states_last_backward(log_a, log_emissions(model, obs), len(obs))
 
 
 def component_densities(state: GaussianMixture, x) -> list[float]:

@@ -41,6 +41,7 @@ from helpers import (
     mixture_density,
     per_sequence_baum_welch,
     random_model,
+    states_last_backward,
     traced_peak,
 )
 
@@ -87,6 +88,19 @@ class TestValidation:
         model = random_model(np.random.default_rng(1), 2, 1, 1)
         model.transitions = np.array([[0.9, 0.2], [0.5, 0.5]])
         with pytest.raises(ModelError, match="transition"):
+            model.validate()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name, message", [
+        ("pi", "start probabilities must be a distribution"),
+        ("transitions", "transition rows must be distributions"),
+        ("weights", "mixture weights must be distributions"),
+    ])
+    def test_non_finite_sums_are_not_distributions(self, name, message, bad):
+        # no entry is negative, and a NaN or infinite sum is not within 1e-8 of 1
+        model = random_model(np.random.default_rng(46), 3, 2, 2)
+        getattr(model, name)[..., 0] = bad
+        with pytest.raises(ModelError, match=message):
             model.validate()
 
     def test_state_count_mismatch(self):
@@ -510,6 +524,7 @@ class TestForward:
             terms = log_a + (log_b[t + 1] + want[t + 1])[None, :]
             peak = terms.max(axis=1, keepdims=True)
             want[t] = np.log(np.exp(terms - peak).sum(axis=1)) + peak[:, 0]
+        assert np.array_equal(hmm._backward(log_a, log_b, len(obs)), want)
         assert np.array_equal(log_backward(model, obs), want)
 
     def test_long_sequence_stays_finite(self):
@@ -529,6 +544,39 @@ class TestForward:
         # P(O) recoverable at every time slice
         for t in (0, 13, 39):
             assert logsumexp(log_alpha[t] + log_beta[t]) == pytest.approx(ll, rel=1e-12)
+
+
+class TestBackwardOrder:
+    """The next-state-leading backward step adds in the states-last order, bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 15, 16, 17, 129])
+    def test_equals_the_states_last_oracle(self, n):
+        # batched (two models, ragged sequences with 1-frame ones) and
+        # unbatched tables; the second model cuts one transition to exactly 0
+        rng = np.random.default_rng(47 + n)
+        log_a = np.log(rng.dirichlet(np.ones(n), size=(n, 2)).transpose(0, 2, 1))
+        if n > 1:
+            log_a[0, n // 2, 1] = -np.inf
+        lengths = rng.choice([1, 2, 5, 9], 6)
+        log_b = rng.normal(-20.0, 15.0, (lengths.max(), n, 2, 6))
+        with np.errstate(divide="ignore"):
+            got = hmm._backward(log_a[..., None], log_b, lengths)
+            assert np.array_equal(got, states_last_backward(log_a[..., None], log_b, lengths))
+            for v, u in [(0, 0), (1, int(np.argmax(lengths)))]:
+                alone = log_b[: lengths[u], :, v, u]
+                got = hmm._backward(log_a[..., v], alone, lengths[u])
+                assert np.array_equal(got, states_last_backward(log_a[..., v], alone, lengths[u]))
+
+    def test_pairwise_sum_is_numpys_contiguous_sum(self):
+        # a canary: _pairwise_sum repeats numpy's own order for a contiguous
+        # last axis. If a numpy upgrade changes that order, this fails; do
+        # not loosen it, but reproduce the new order, or EM's models move.
+        rng = np.random.default_rng(48)
+        for n in range(1, 301):
+            rows = np.exp(rng.normal(0.0, 3.0, (n, 4, 3)))
+            want = np.ascontiguousarray(np.moveaxis(rows, 0, -1)).sum(axis=-1)
+            got = hmm._pairwise_sum(rows, np.empty((4, 3)), np.empty((12, 4, 3)))
+            assert np.array_equal(got, want), n
 
 
 def assert_matches_log_domain_oracle(model, obs) -> float:
