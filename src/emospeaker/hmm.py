@@ -191,7 +191,7 @@ class GaussianMixture:
         lone state; the method stays because the benchmark's ``hmm.emission``
         layer traces it by name.
         """
-        obs = np.atleast_2d(np.asarray(obs, dtype=np.float64))
+        obs = as_frames(obs)
         terms = _StateTerms.of(self.weights[None], self.means[None], self.variances[None])
         return terms.component_log_pdf(obs)[0].T
 
@@ -376,9 +376,10 @@ def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
     sums exp(-inf) = 0, and NaN stays NaN. Callers silence the divide
     warning that log(0) gives for an all -inf slice.
     """
-    peak = np.maximum.reduce(x, axis=axis, keepdims=True, initial=_LOWEST)
+    # the reductions' arguments positionally: (array, axis, dtype, out, keepdims[, initial])
+    peak = np.maximum.reduce(x, axis, None, None, True, _LOWEST)
     scaled = np.subtract(x, peak)
-    total = np.exp(scaled, out=scaled).sum(axis=axis, keepdims=True)
+    total = np.add.reduce(np.exp(scaled, out=scaled), axis, None, None, True)
     np.log(total, out=total)
     total += peak
     return total.squeeze(axis)
@@ -432,8 +433,8 @@ def _mixtures(comp_log: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
 def _layout(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each frame's (sequence, position in it) once sequences of these lengths are concatenated."""
     ends = np.cumsum(lengths)
-    owner = np.repeat(np.arange(len(lengths)), lengths)
-    position = np.arange(ends[-1]) - np.repeat(ends - lengths, lengths)
+    owner = np.arange(len(lengths)).repeat(lengths)
+    position = np.arange(ends[-1]) - (ends - lengths).repeat(lengths)
     return owner, position
 
 
@@ -481,12 +482,28 @@ def _padded_emissions(
     return log_b
 
 
-def _check_obs(obs: np.ndarray, dim: int) -> np.ndarray:
-    """The sequence as a (T, D) float array; an empty one or one of another dim is rejected.
+def as_frames(obs) -> np.ndarray:
+    """``obs`` as a float64 array of at least two axes, frames first.
 
-    Its values are checked once per pass, on all the pass's frames (``_blocked``).
+    The value of ``np.atleast_2d(np.asarray(obs, dtype=np.float64))``: a 1-D
+    sequence is one frame, and a float64 array of two axes is returned as
+    itself, not copied. ``np.atleast_2d`` is called only where the array has
+    not two axes, since on one that has it only returns its input, at the
+    cost of a Python-level call per sequence.
     """
-    obs = np.atleast_2d(np.asarray(obs, dtype=np.float64))
+    obs = np.asarray(obs, dtype=np.float64)
+    return obs if obs.ndim == 2 else np.atleast_2d(obs)
+
+
+def _check_obs(obs: np.ndarray, dim: int) -> np.ndarray:
+    """The sequence as a (T, D) float array (``as_frames``); an empty one or one
+    of another dim is rejected.
+
+    A float64 (T, D) array is returned as itself, so a pass that checks each
+    sequence of each stream copies none of them. Its values are checked once
+    per pass, on all the pass's frames (``_blocked``).
+    """
+    obs = as_frames(obs)
     if obs.shape[0] == 0:
         raise ModelError("empty observation sequence")
     if obs.shape[1] != dim:
@@ -619,7 +636,7 @@ def _log_alpha(stack: HmmStack, sequences: list[np.ndarray]) -> tuple[np.ndarray
     """
     dim = stack.emissions.dim
     seqs = [_check_obs(s, dim) for s in sequences]
-    lengths = np.array([len(s) for s in seqs])
+    lengths = np.fromiter(map(len, seqs), np.intp, len(seqs))
     log_b = _padded_emissions(
         stack.emissions, stack.shape, np.concatenate(seqs), lengths, _layout(lengths)
     )
@@ -767,7 +784,7 @@ def init_model(
     """
     if not sequences:
         raise TrainingError("no training sequences")
-    arrays = [np.atleast_2d(np.asarray(s, dtype=np.float64)) for s in sequences]
+    arrays = [as_frames(s) for s in sequences]
     dims = {a.shape[1] for a in arrays}
     if len(dims) != 1:
         raise TrainingError(f"sequences disagree on dimension: {sorted(dims)}")
@@ -891,7 +908,7 @@ def baum_welch_train(
         first = 0  # index of the group's first sequence
         with np.errstate(divide="ignore"):
             for group, n_frames in zip(groups, group_frames):
-                lengths = np.array([len(obs) for obs in group])
+                lengths = np.fromiter(map(len, group), np.intp, len(group))
                 frames = np.concatenate(group)
                 owner, position = _layout(lengths)
                 padded = resp_buffer[: n * m * -(-n_frames // _BLOCK) * _BLOCK].reshape(n, m, -1)
@@ -958,17 +975,20 @@ def batch_groups(
     run's longest, so a run of U items costs
     U * max_k(longest rows in stream k * row_cells[k]). An item that alone
     exceeds the budget is a run of its own. ``items`` is read one run at a
-    time, so a lazy iterable is never held whole.
+    time, so a lazy iterable is never held whole. An item's padded cost is
+    recomputed only when the run's longest rows grow.
     """
-    run, longest = [], ()
+    run, longest, cost = [], (), 0  # cost: one item's cells, padded to the run's longest
     for item in items:
         size = rows(item)
         grown = tuple(map(max, longest, size)) if run else size
-        if run and (len(run) + 1) * max(map(operator.mul, grown, row_cells)) > _GROUP_CELLS:
+        padded = cost if grown == longest else max(map(operator.mul, grown, row_cells))
+        if run and (len(run) + 1) * padded > _GROUP_CELLS:
             yield run
             run, grown = [], size
+            padded = max(map(operator.mul, size, row_cells))
         run.append(item)
-        longest = grown
+        longest, cost = grown, padded
     if run:
         yield run
 

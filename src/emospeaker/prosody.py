@@ -54,7 +54,10 @@ def _autocorrelation_scores(frames: np.ndarray, lags: np.ndarray) -> np.ndarray:
 
     r(k) = sum_t x_t x_{t+k} for every lag at once from the power spectrum
     (Wiener-Khinchin): irfft(|rfft(x, n_fft)|^2) with n_fft >= n + the
-    largest lag, so that no lag wraps around. Each r(k) is divided by
+    largest lag, so that no lag wraps around. n_fft is the smaller of the
+    least 2^k and the least 3 * 2^(k-2) at or above that: 768, not 1024, for
+    480-sample frames, where pocketfft's 2^a * 3 length costs less than the
+    longer power of two. Each r(k) is divided by
     sqrt(e_head(k) * e_tail(k)), the energies of the two overlapping
     segments, which keeps the score in [-1, 1]; lags where either segment is
     silent score 0. A frame whose samples are all equal is set to exact
@@ -65,7 +68,10 @@ def _autocorrelation_scores(frames: np.ndarray, lags: np.ndarray) -> np.ndarray:
     frames = frames - frames.mean(axis=1, keepdims=True)
     frames[flat] = 0.0
     n = frames.shape[1]
-    n_fft = 1 << int(n + lags[-1] - 1).bit_length()
+    need = int(n + lags[-1])
+    n_fft = 1 << (need - 1).bit_length()
+    if 3 * n_fft >= 4 * need:
+        n_fft = 3 * n_fft // 4
     spectrum = np.fft.rfft(frames, n=n_fft, axis=1)
     power = spectrum.real * spectrum.real + spectrum.imag * spectrum.imag
     corr = np.fft.irfft(power, n=n_fft, axis=1)[:, lags]

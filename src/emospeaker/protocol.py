@@ -41,17 +41,20 @@ from .corpus import (
     session_part,
 )
 from .hmm import batch_groups
-from .sphmm import STREAMS, Population, Topology, fused_log_scores, train_speaker_model
+from .sphmm import Population, Topology, fused_log_scores, train_speaker_model
 
 
 class ProtocolError(CorpusError):
     """A manifest cannot support the requested session."""
 
 
+_EMOTION_RANK = {emotion: rank for rank, emotion in enumerate(EMOTIONS)}
+
+
 def _trial_order(record: UtteranceRecord) -> tuple:
     """Sort key of a session's trials: (speaker, emotion, sentence, repetition)."""
     return (
-        record.speaker_id, EMOTIONS.index(record.emotion), record.sentence_id, record.repetition
+        record.speaker_id, _EMOTION_RANK[record.emotion], record.sentence_id, record.repetition
     )
 
 
@@ -175,9 +178,11 @@ class PerformanceTable:
     @classmethod
     def from_trials(cls, trials: list[Trial]) -> "PerformanceTable":
         table = cls()
+        cells = table.cells
         for trial in trials:
-            cell = table.cells.setdefault((trial.record.emotion, trial.record.gender), [0, 0])
-            cell[0] += int(trial.correct)
+            record = trial.record
+            cell = cells.setdefault((record.emotion, record.gender), [0, 0])
+            cell[0] += trial.predicted == record.speaker_id  # Trial.correct
             cell[1] += 1
         return table
 
@@ -249,25 +254,27 @@ def score_session(
     and forward tables, the frames themselves and the recursion's per-frame
     step (``hmm.batch_groups``). A record of a speaker the population does
     not enroll raises ``ProtocolError`` before anything is loaded or scored.
+
+    Per utterance the session does only its load, its two row counts and its
+    share of each group's argmax: the predicted speaker ids are collected
+    group by group, and the trials are built once, at the end.
     """
     speakers = [m.speaker_id for m in population]
     unknown = sorted({r.speaker_id for r in records}.difference(speakers))
     if unknown:
         raise ProtocolError(f"test speaker(s) not enrolled: {', '.join(unknown)}")
-    streams = [(s, getattr(population, s)) for s in STREAMS]
-    row_cells = tuple(stack.emissions.n_states + stack.emissions.dim for _, stack in streams)
+    acoustic, prosodic = population.acoustic, population.prosodic
+    row_cells = tuple(s.emissions.n_states + s.emissions.dim for s in (acoustic, prosodic))
+    acoustic_states, prosodic_states = acoustic.shape[0], prosodic.shape[0]
 
-    def rows(obs) -> tuple[int, ...]:
-        return tuple(max(len(getattr(obs, s)), stack.shape[0]) for s, stack in streams)
+    def rows(obs) -> tuple[int, int]:
+        return max(len(obs.acoustic), acoustic_states), max(len(obs.prosodic), prosodic_states)
 
-    trials = []
+    predicted = []
     for group in batch_groups(map(loader, records), rows, row_cells):
         best = np.argmax(fused_log_scores(population, group, alpha), axis=1)  # first maximum wins
-        done = len(trials)
-        trials.extend(
-            Trial(record=record, predicted=speakers[i])
-            for record, i in zip(records[done:done + len(group)], best.tolist())
-        )
+        predicted.extend(map(speakers.__getitem__, best.tolist()))
+    trials = list(map(Trial, records, predicted))
     return SessionResult(
         plan=plan,
         alpha=alpha,

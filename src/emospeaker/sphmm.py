@@ -36,6 +36,7 @@ from .hmm import (
     ModelError,
     ModelFormatError,
     TrainingResult,
+    as_frames,
     baum_welch_train,
     init_model,
     log_forward_table,
@@ -69,14 +70,19 @@ class Topology:
 
 @dataclass
 class DualObservation:
-    """One utterance as seen by the classifier: both feature streams."""
+    """One utterance as seen by the classifier: both feature streams.
+
+    Each stream is normalised once, here, by ``hmm.as_frames``: a 1-D stream
+    is one frame, other input becomes a float64 array, and a float64 2-D
+    array, such as a loaded feature file, is kept as the same object.
+    """
 
     acoustic: np.ndarray  # (T, acoustic_dim)
     prosodic: np.ndarray  # (B, prosodic_dim)
 
     def __post_init__(self):
-        self.acoustic = np.atleast_2d(np.asarray(self.acoustic, dtype=np.float64))
-        self.prosodic = np.atleast_2d(np.asarray(self.prosodic, dtype=np.float64))
+        self.acoustic = as_frames(self.acoustic)
+        self.prosodic = as_frames(self.prosodic)
 
 
 @dataclass

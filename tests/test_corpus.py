@@ -578,6 +578,27 @@ class TestFeatureFileIo:
             assert str(info.value) == message.format(target)
             assert info.value.__cause__ is None
 
+    def test_finite_values_whose_sum_overflows_load_as_written(self, tmp_path):
+        # a column of 1e308 sums past the largest float; its values are finite
+        array = np.random.default_rng(7).normal(size=(6, 3))
+        array[:, 1] = 1e308
+        path = tmp_path / "big.feat"
+        path.write_bytes(self.layout(array))
+        loaded = read_feature_file(path)
+        assert loaded.tobytes() == array.tobytes() and loaded.shape == array.shape
+
+    @pytest.mark.parametrize("values", [[np.nan], [np.inf], [-np.inf], [np.inf, -np.inf]],
+                             ids=["nan", "inf", "-inf", "inf-and-minus-inf"])
+    def test_any_non_finite_value_is_a_fault(self, tmp_path, values):
+        # RuntimeWarnings are errors here, so a check that warned would fail too
+        array = np.ones((4, 3))
+        array[2, : len(values)] = values
+        path = tmp_path / "bad.feat"
+        path.write_bytes(self.layout(array))
+        with pytest.raises(FeatureFileError) as info:
+            read_feature_file(path)
+        assert str(info.value) == f"{path}: non-finite values"
+
     def test_write_is_the_format_byte_for_byte(self, tmp_path):
         array = np.random.default_rng(6).normal(size=(7, 5)).astype(np.float32)
         path = tmp_path / "x.feat"

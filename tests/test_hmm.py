@@ -924,6 +924,77 @@ class TestBaumWelch:
         assert after > before
 
 
+def normalised(obs) -> np.ndarray:
+    """The reference normalisation of a sequence, which ``hmm.as_frames`` must equal."""
+    return np.atleast_2d(np.asarray(obs, dtype=np.float64))
+
+
+OBSERVATION_KINDS = {
+    "1-d frame": [0.5, -1.0, 2.0],
+    "nested list": [[0.5, -1.0, 2.0], [1.5, 0.0, -2.5], [0.0, 0.25, 1.0]],
+    "int array": np.arange(15).reshape(5, 3) % 4 - 1,
+    "float32 array": np.random.default_rng(88).normal(size=(6, 3)).astype(np.float32),
+}
+
+
+class TestObservationNormalisation:
+    """Every entry point reads a sequence as np.atleast_2d(np.asarray(x, float64)),
+    calling atleast_2d only off two axes, and keeps a float64 2-D array as itself."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return random_model(np.random.default_rng(89), 2, 2, 3)
+
+    @pytest.mark.parametrize("kind", OBSERVATION_KINDS)
+    def test_as_frames_is_the_reference_normalisation(self, kind):
+        obs = OBSERVATION_KINDS[kind]
+        got, want = hmm.as_frames(obs), normalised(obs)
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", OBSERVATION_KINDS)
+    def test_scores_as_the_normalised_array(self, model, kind):
+        obs = OBSERVATION_KINDS[kind]
+        log_p, log_alpha = log_forward(model, obs)
+        want_p, want_alpha = log_forward(model, normalised(obs))
+        assert log_p == want_p and np.array_equal(log_alpha, want_alpha)
+        stack = HmmStack([model, model])
+        table = log_forward_table(stack, [obs, normalised(obs)])
+        assert np.array_equal(table[0], table[1]) and table[0, 0] == want_p
+
+    @pytest.mark.parametrize("kind", OBSERVATION_KINDS)
+    def test_trains_as_the_normalised_array(self, model, kind):
+        obs = OBSERVATION_KINDS[kind]
+        base = list(np.random.default_rng(90).normal(size=(4, 8, 3)))
+        got = baum_welch_train(model, [obs, *base], max_iterations=2)
+        want = baum_welch_train(model, [normalised(obs), *base], max_iterations=2)
+        assert got.log_likelihoods == want.log_likelihoods
+        assert model_to_text(got.model) == model_to_text(want.model)
+
+    def test_float64_two_axis_array_is_kept(self):
+        obs = np.random.default_rng(91).normal(size=(7, 3))
+        assert hmm.as_frames(obs) is obs
+        assert hmm._check_obs(obs, 3) is obs
+        strided = np.asfortranarray(obs)
+        assert hmm.as_frames(strided) is strided
+
+    @pytest.mark.parametrize("obs, message", [
+        (np.empty((0, 3)), "empty observation sequence"),
+        ([], "observation dim 0 != model dim 3"),
+        ([1.0, 2.0], "observation dim 2 != model dim 3"),
+        (np.zeros((4, 5), dtype=np.float32), "observation dim 5 != model dim 3"),
+    ], ids=["no-frames", "empty-list", "short-frame", "wide-float32"])
+    def test_rejects_empty_and_wrong_dimension(self, model, obs, message):
+        for call in (
+            lambda: log_forward(model, obs),
+            lambda: log_forward_table(HmmStack([model]), [obs]),
+            lambda: baum_welch_train(model, [obs], max_iterations=1),
+        ):
+            with pytest.raises(ModelError) as info:
+                call()
+            assert str(info.value) == message
+
+
 class TestBatchGroups:
     """Training and scoring group whole items into runs by one rule: U items
     cost U * max over streams of (longest rows * cells per row), within
@@ -959,6 +1030,30 @@ class TestBatchGroups:
         runs = list(batch_groups([10, 300_000, 10, 10], lambda t: (t,), (1,)))
         assert runs == [[10], [300_000], [10, 10]]
         assert list(batch_groups([], lambda t: (t,), (1,))) == []
+
+    def test_runs_match_a_cost_recomputed_for_every_item(self):
+        # the cost of a run is recomputed only when its longest rows grow;
+        # the runs are those of recomputing it from the whole run every time
+        def recomputed(items, row_cells):
+            runs = [[]]
+            for item in items:
+                grown = runs[-1] + [item]
+                longest = [max(column) for column in zip(*grown)]
+                cost = max(rows * cells for rows, cells in zip(longest, row_cells))
+                if runs[-1] and len(grown) * cost > hmm._GROUP_CELLS:
+                    runs.append([item])
+                else:
+                    runs[-1] = grown
+            return [run for run in runs if run]
+
+        rng = np.random.default_rng(92)
+        for row_cells in [(1,), (40, 7), (3, 900, 12)]:
+            for _ in range(20):
+                n = int(rng.integers(1, 60))
+                items = [tuple(int(rows) for rows in rng.integers(1, 20_000, len(row_cells)))
+                         for _ in range(n)]
+                got = list(batch_groups(items, lambda item: item, row_cells))
+                assert got == recomputed(items, row_cells)
 
     def test_items_are_read_one_run_at_a_time(self):
         read = []

@@ -42,6 +42,28 @@ def speaker_fixture():
     return model, obs
 
 
+class TestDualObservation:
+    """Both streams are normalised once, as np.atleast_2d(np.asarray(x, float64))."""
+
+    @pytest.mark.parametrize("stream", [
+        [0.5, -1.0, 2.0],
+        [[0.5, -1.0], [2.0, 3.0]],
+        np.arange(6).reshape(3, 2),
+        np.linspace(-1.0, 1.0, 8, dtype=np.float32).reshape(4, 2),
+    ], ids=["1-d frame", "nested list", "int array", "float32 array"])
+    def test_each_stream_is_the_normalised_array(self, stream):
+        obs = DualObservation(stream, stream)
+        want = np.atleast_2d(np.asarray(stream, dtype=np.float64))
+        for got in (obs.acoustic, obs.prosodic):
+            assert got.dtype == np.float64 and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_float64_two_axis_streams_are_kept(self):
+        acoustic, prosodic = np.zeros((5, 4)), np.ones((2, 3))
+        obs = DualObservation(acoustic, prosodic)
+        assert obs.acoustic is acoustic and obs.prosodic is prosodic
+
+
 class TestTopology:
     def test_defaults(self):
         topo = Topology()

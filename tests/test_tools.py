@@ -1,11 +1,13 @@
 """tools/digest_artifacts.py lists exactly the models, population indexes and reports of a
 run; tools/model_drift.py measures how far two runs' model parameters moved;
-tools/ab_inprocess.py times two trees' packages in one process."""
+tools/ab_inprocess.py times two trees' packages in one process; tools/cli_ab.py checks
+that two trees' command lines write the same outputs."""
 
 import copy
 import hashlib
 import importlib.util
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -131,3 +133,42 @@ def test_ab_inprocess_runs_a_tree_against_itself(tmp_path):
         capture_output=True, text=True, check=False,
     )
     assert missing.returncode == 1 and "no emospeaker package under" in missing.stderr
+
+
+def run_cli_ab(*argv) -> tuple[int, dict]:
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "cli_ab.py"), *map(str, argv)],
+        capture_output=True, text=True, check=False,
+    )
+    return done.returncode, json.loads(done.stdout.splitlines()[-1]) if done.stdout else {}
+
+
+def test_cli_ab_reads_a_tree_against_itself_as_identical_and_a_changed_digit_as_different(
+    tmp_path,
+):
+    src = ROOT / "src"
+    code, report = run_cli_ab(src, src, "--script", "tiny")
+    assert code == 0, report
+    assert report["verdict"] == "identical" and report["differences"] == []
+    assert report["commands"] == 6 and report["exit_codes"] == [0, 0, 0, 0, 1, 1]
+    assert report["files_digested"] > 300  # the corpus, the models and the reports
+
+    # a copy whose speaker files write the log prior one ulp lower: one model digit
+    changed = tmp_path / "src"
+    shutil.copytree(src, changed, ignore=shutil.ignore_patterns("__pycache__"))
+    sphmm = changed / "emospeaker" / "sphmm.py"
+    text = sphmm.read_text()
+    line = 'f"log_prior {repr(float(model.log_prior))}"'
+    assert line in text
+    sphmm.write_text(text.replace(
+        line, 'f"log_prior {repr(math.nextafter(float(model.log_prior), -math.inf))}"'
+    ))
+    code, report = run_cli_ab(src, changed, "--script", "tiny")
+    assert code == 1 and report["verdict"] == "different"
+    train = next(d for d in report["differences"] if d["command"].startswith("train"))
+    assert train["field"] == "files"
+    assert train["paths"] == ["feat/run/models/unbiased/spk01.model",
+                              "feat/run/models/unbiased/spk02.model"]
+
+    code, _ = run_cli_ab(src, tmp_path / "nowhere", "--script", "tiny")
+    assert code == 1
