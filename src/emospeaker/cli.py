@@ -14,14 +14,13 @@ reruns of the same configuration.
 """
 
 import argparse
-import functools
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import corpus as corpus_mod
-from .config import ConfigError, RunConfig, build_config, config_keys, parse_value
+from .config import ConfigError, RunConfig, build_config, config_keys, value_parser
 from .corpus import (
     CorpusError,
     bias_file_token,
@@ -79,7 +78,7 @@ def build_parser() -> CliParser:
             p.add_argument(
                 f"--{key}",
                 dest=f"cfg_{key}",
-                type=functools.partial(parse_value, key),
+                type=value_parser(key),
                 default=None,
                 help=argparse.SUPPRESS,
                 metavar=key.upper(),
@@ -386,8 +385,8 @@ def cmd_xval(args) -> int:
     reports = _reports_dir(config)
     reports.mkdir(parents=True, exist_ok=True)
     lines = ["fold,accuracy(%)"]
-    for fold in result.folds:
-        lines.append(f"{fold.fold},{100.0 * fold.accuracy:.2f}")
+    for index, fold in enumerate(result.folds):
+        lines.append(f"{index},{100.0 * fold.accuracy:.2f}")
     lines.append(f"mean,{100.0 * result.mean_accuracy:.2f}")
     lines.append(f"sd,{100.0 * result.sd_accuracy:.2f}")
     (reports / "xval.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -165,6 +165,19 @@ def parse_value(key: str, raw: str):
         raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from exc
 
 
+def value_parser(key: str):
+    """``parse_value`` for one key, as a callable named after the key's type.
+
+    argparse names a flag's type by its ``__name__`` in a usage error, so a
+    bad ``--alpha`` reads ``invalid float value: 'x'``.
+    """
+    def parse(raw: str):
+        return parse_value(key, raw)
+
+    parse.__name__ = _FIELD_TYPES[key].__name__
+    return parse
+
+
 def load_config_file(path: str | Path) -> dict:
     """Read ``key = value`` lines; ``#`` starts a comment, blank lines ignored.
 

@@ -74,17 +74,17 @@ log(0) once for the recursions beneath them: a state cut off by a zero
 probability scores exactly -inf.
 
 The recursions' tables are states-major, (T, N, V, U): frames, states,
-models, sequences, with the sequences innermost. Each step fills an
-(N, N, V, U) table whose leading axis is the state it sums over, so every
-call adds, exponentiates or compares whole contiguous (N, V, U) blocks. A
-forward step adds its source states one block at a time, in order, which is
-also the order of one lone sequence's sum: every alpha is the same bit for bit
-however many pairs share the step. Numpy adds a contiguous last axis of 8 or
-more terms pairwise, not in order, and the backward step's sum over next
-states keeps that order, reproduced block by block (`_pairwise_sum`); the
-termination's sum over final states is taken on a contiguous last axis. EM's
-statistics and every score depend on those orders. Both recursions write
-every step into buffers made once per call.
+models, sequences, with the sequences innermost. The forward and the backward
+recursion take one step function (`_step`): it fills an (N, N, V, U) table
+whose leading axis is the state it sums over, the source state forward and
+the next state backward, so every call adds, exponentiates or compares whole
+contiguous (N, V, U) blocks. Numpy reduces a leading axis by adding whole
+blocks one at a time, in order, which is also the order of one lone
+sequence's sum: every alpha and beta is the same bit for bit however many
+pairs share the step. The termination's sum over final states is taken on a
+contiguous last axis, which numpy adds pairwise at 8 or more states; every
+score depends on that order. Both recursions write every step into buffers
+made once per call.
 
 A model holds its parameters as arrays over all its states at once: start
 and transition probabilities, and (N, M) mixture weights and (N, M, D) means
@@ -523,34 +523,21 @@ def _exp_shifted(terms: np.ndarray, peak: np.ndarray) -> np.ndarray:
     return np.exp(terms, out=terms)
 
 
-def _pairwise_sum(rows: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """The sum of ``rows`` (K, ...) over K, into ``out``, in numpy's pairwise order.
+def _step(
+    ahead: np.ndarray, log_a: np.ndarray, terms: np.ndarray, peak: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """One recursion step: log sum_k exp(ahead_k + log_a[k]) over k, into ``out`` (N, ...).
 
-    That is the order in which numpy adds a contiguous last axis of K terms
-    (``pairwise_sum`` in its loops), reproduced with whole-row adds over a
-    leading axis. Fewer than 8 rows are added in order. Up to 128, eight
-    accumulators take every eighth row in order, combine as
-    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), and the rows left
-    over are added in order. More than 128 rows split at the half rounded
-    down to a multiple of 8, and each part is summed so. ``scratch`` is a
-    (12, ...) buffer that the rows may not share.
+    ``ahead`` (N, ...) is indexed by the state summed over and ``log_a``
+    (N, N, ...) holds it on its leading axis; ``terms`` (N, N, ...) and
+    ``peak`` (N, ...) are buffers. The table of ahead_k + log_a[k] is
+    reduced over its leading axis, whole contiguous (N, ...) blocks added in
+    order of k, the order of a lone pair's sum too.
     """
-    n = len(rows)
-    if n < 8:
-        return np.add.reduce(rows, axis=0, out=out)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        second = _pairwise_sum(rows[half:], np.empty_like(out), scratch)
-        return np.add(_pairwise_sum(rows[:half], out, scratch), second, out=out)
-    whole = n - n % 8
-    acc = rows[:8]
-    if whole > 8:
-        acc = np.add.reduce(rows[:whole].reshape(-1, 8, *rows.shape[1:]), axis=0, out=scratch[:8])
-    pairs = np.add(acc[0::2], acc[1::2], out=scratch[8:])
-    quads = np.add(pairs[0::2], pairs[1::2], out=scratch[:2])
-    np.add(quads[0], quads[1], out=out)
-    for row in rows[whole:]:
-        out += row
+    np.add(ahead[:, None], log_a, out=terms)
+    np.add.reduce(_exp_shifted(terms, peak), axis=0, out=out)
+    np.log(out, out=out)
+    out += peak
     return out
 
 
@@ -561,25 +548,18 @@ def _forward(
 
     Batch axes after the state axis run many (model, sequence) pairs in one
     step per frame; log_pi (N, ...) and log_a (N, N, ...), from-state first,
-    broadcast against them. A step fills one (N, N, ...) table of
-    alpha_i + log a_ij and reduces it over its leading axis, the source
-    state i. Numpy reduces a leading axis by adding whole contiguous
-    (N, ...) blocks, one source state after another in order, which is the
-    order of a lone pair's sum too: each pair's arithmetic is the same as
-    unbatched. Every step writes into the same three buffers, in eight
-    calls. ``out`` may be ``log_b`` itself, whose frame t is read before
-    frame t of alpha is written, for a caller that needs no emissions
-    afterwards.
+    broadcast against them. A step (``_step``) sums alpha_i + log a_ij over
+    the source state i, in order, then adds log b_j. Every step writes into
+    the same three buffers. ``out`` may be ``log_b`` itself, whose frame t
+    is read before frame t of alpha is written, for a caller that needs no
+    emissions afterwards.
     """
     log_alpha = np.empty_like(log_b) if out is None else out
     np.add(log_pi, log_b[0], out=log_alpha[0])
     terms = np.empty((log_b.shape[1], *log_b.shape[1:]))
     peak, total = np.empty(log_b.shape[1:]), np.empty(log_b.shape[1:])
     for t in range(1, len(log_b)):
-        np.add(log_alpha[t - 1][:, None], log_a, out=terms)
-        np.add.reduce(_exp_shifted(terms, peak), axis=0, out=total)
-        np.log(total, out=total)
-        total += peak
+        _step(log_alpha[t - 1], log_a, terms, peak, total)
         np.add(total, log_b[t], out=log_alpha[t])
     return log_alpha
 
@@ -602,10 +582,8 @@ def _backward(log_a: np.ndarray, log_b: np.ndarray, lengths) -> np.ndarray:
     ``lengths`` broadcasts against the batch axes (the last, the sequences,
     in a padded table) and gives each sequence's length: its beta is held at
     exactly 0 from its last frame onward, so the padding after it never
-    enters. A step fills one (N, N, ...) table of log a_ij + log b_j +
-    beta_j with the next state j leading and reduces it over j in the
-    pairwise order of a contiguous last axis (``_pairwise_sum``): EM's
-    statistics at 8 or more states depend on that order. Every step writes
+    enters. A step (``_step``) sums log b_j + beta_j + log a_ij over the next
+    state j, in order, with log_a swapped so that j leads. Every step writes
     into buffers made once, and zeroes the ended sequences' beta only on the
     steps where some sequence has ended.
     """
@@ -613,15 +591,11 @@ def _backward(log_a: np.ndarray, log_b: np.ndarray, lengths) -> np.ndarray:
     last = np.asarray(lengths) - 1
     first_end = last.min()  # from this frame on, some sequence's beta is held at 0
     to_first = np.swapaxes(log_a, 0, 1)  # (N, N, ...): next state first, from-state second
-    n, batch = log_b.shape[1], log_b.shape[1:]
-    terms, scratch = np.empty((n, *batch)), np.empty((12, *batch))
-    ahead, peak = np.empty(batch), np.empty(batch)
+    batch = log_b.shape[1:]
+    terms, ahead, peak = np.empty((batch[0], *batch)), np.empty(batch), np.empty(batch)
     for t in range(len(log_b) - 2, -1, -1):
         np.add(log_b[t + 1], log_beta[t + 1], out=ahead)
-        np.add(to_first, ahead[:, None], out=terms)
-        beta = _pairwise_sum(_exp_shifted(terms, peak), log_beta[t], scratch)
-        np.log(beta, out=beta)
-        beta += peak
+        beta = _step(ahead, to_first, terms, peak, log_beta[t])
         if t >= first_end:
             np.copyto(beta, 0.0, where=t >= last)
     return log_beta

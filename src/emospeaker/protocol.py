@@ -298,20 +298,10 @@ def run_session(
 # --- cross-validation ---------------------------------------------------------------
 
 @dataclass
-class FoldResult:
-    fold: int
-    result: SessionResult
-
-    @property
-    def accuracy(self) -> float:
-        return self.result.accuracy
-
-
-@dataclass
 class CrossValidationResult:
     plan: str
     alpha: float
-    folds: list[FoldResult]
+    folds: list[SessionResult]  # in fold order
 
     @property
     def accuracies(self) -> list[float]:
@@ -401,6 +391,5 @@ def cross_validate(
         test_records = sorted(assignment["test"], key=_trial_order)
         if not test_records:
             raise ProtocolError(f"fold {fold_idx}: no test data")
-        result = score_session(population, test_records, loader, plan, alpha)
-        folds.append(FoldResult(fold=fold_idx, result=result))
+        folds.append(score_session(population, test_records, loader, plan, alpha))
     return CrossValidationResult(plan=plan, alpha=alpha, folds=folds)

@@ -2,11 +2,14 @@
 
 Everything here trades speed for obviousness: explicit loops, probability
 domain where it cannot underflow, scipy's log-sum-exp where it can, no shared
-code with the package internals. The exceptions are ``log_emissions``, the
-package's emission kernel and mixture sum on one model's blocked frames,
-which ``log_backward`` takes its emissions from, and the
-one-sequence-at-a-time EM oracle, which builds on them and on
-``log_forward``; the other oracles check all of these. Models are built from
+code with the package internals. The recursions' order oracles,
+``in_order_forward`` and ``in_order_backward``, add each step's states one
+explicit add at a time, in order, in plain numpy, so that the package's one
+step function is pinned bit for bit from both sides by code that does not
+call it. The exceptions are ``log_emissions``, the package's emission kernel
+and mixture sum on one model's blocked frames, which ``log_backward`` takes
+its emissions from, and the one-sequence-at-a-time EM oracle, which builds on
+them and on ``log_forward``; the other oracles check all of these. Models are built from
 their parameter arrays; the oracles read a state's mixture through
 ``HmmModel.states``.
 """
@@ -29,34 +32,59 @@ def log_emissions(model: HmmModel, obs) -> np.ndarray:
     return hmm._mixtures(terms.block_log_pdf(hmm._blocked(obs)))[:, : len(obs)].T
 
 
-def states_last_backward(log_a, log_b, lengths) -> np.ndarray:
-    """log beta (T, N, ...) with each step's next states summed on a contiguous last axis.
+def _in_order_step(ahead, log_a) -> np.ndarray:
+    """log sum_k exp(ahead[k] + log_a[k]) over k, one explicit add per k, in order.
 
-    The layout the package's next-state-leading backward step replaces:
-    log_a (N, N, ...) and log_b (T, N, ...) as ``hmm._backward`` takes them,
-    and each step's (N, ..., N) table of log a_ij + log b_j + beta_j copied
-    C-contiguous, so that numpy adds its next states j in its own order for
-    a contiguous axis, pairwise at 8 or more. Each sequence's beta is 0 from
-    its last frame (``lengths`` broadcast against the batch axes) onward.
+    ``ahead`` (N, ...) and ``log_a`` (N, N, ...) hold k on their leading
+    axis. The shift is the maximum over k, raised to at least the lowest
+    float, so an all -inf sum is -inf.
+    """
+    terms = [ahead[k] + log_a[k] for k in range(len(log_a))]
+    peak = terms[0]
+    for term in terms[1:]:
+        peak = np.maximum(peak, term)
+    peak = np.maximum(peak, np.finfo(np.float64).min)
+    total = np.exp(terms[0] - peak)
+    for term in terms[1:]:
+        total = total + np.exp(term - peak)
+    with np.errstate(divide="ignore"):
+        return np.log(total) + peak
+
+
+def in_order_forward(log_pi, log_a, log_b) -> np.ndarray:
+    """log alpha (T, N, ...) with each step's source states i added one at a time, in order.
+
+    log_pi (N, ...), log_a (N, N, ...) from-state first and log_b (T, N, ...)
+    as ``hmm._forward`` takes them; every frame of log_b is read as data.
+    """
+    log_alpha = np.empty_like(log_b)
+    log_alpha[0] = log_pi + log_b[0]
+    for t in range(1, len(log_b)):
+        log_alpha[t] = _in_order_step(log_alpha[t - 1], log_a) + log_b[t]
+    return log_alpha
+
+
+def in_order_backward(log_a, log_b, lengths) -> np.ndarray:
+    """log beta (T, N, ...) with each step's next states j added one at a time, in order.
+
+    log_a (N, N, ...) and log_b (T, N, ...) as ``hmm._backward`` takes them.
+    Each sequence's beta is 0 from its last frame (``lengths`` broadcast
+    against the batch axes) onward.
     """
     log_beta = np.zeros_like(log_b)
     last = np.asarray(lengths) - 1
-    states_last = (*range(1, log_b.ndim - 1), 0)  # a frame's (N, ...) as (..., N)
+    into = np.swapaxes(log_a, 0, 1)  # next state j first: into[j] holds log a_ij over i
     for t in range(len(log_b) - 2, -1, -1):
-        ahead = (log_b[t + 1] + log_beta[t + 1]).transpose(states_last)
-        terms = np.ascontiguousarray(np.moveaxis(log_a, 1, -1) + ahead)
-        peak = np.maximum(terms.max(axis=-1, keepdims=True), np.finfo(np.float64).min)
-        with np.errstate(divide="ignore"):
-            total = np.log(np.exp(terms - peak).sum(axis=-1)) + peak[..., 0]
+        total = _in_order_step(log_b[t + 1] + log_beta[t + 1], into)
         log_beta[t] = np.where(t < last, total, 0.0)
     return log_beta
 
 
 def log_backward(model: HmmModel, obs) -> np.ndarray:
-    """The states-last backward recursion on one sequence, no batch axes: log beta (T, N)."""
+    """The in-order backward recursion on one sequence, no batch axes: log beta (T, N)."""
     with np.errstate(divide="ignore"):
         log_a = np.log(model.transitions)
-    return states_last_backward(log_a, log_emissions(model, obs), len(obs))
+    return in_order_backward(log_a, log_emissions(model, obs), len(obs))
 
 
 def component_densities(state: GaussianMixture, x) -> list[float]:

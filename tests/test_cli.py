@@ -563,10 +563,18 @@ class TestErrors:
         assert code == 1
         assert "population" in capsys.readouterr().err
 
-    def test_bad_flag_value_usage_error(self):
-        with pytest.raises(SystemExit) as exc:
-            run(["evaluate", "--alpha", "fishy", "--manifest", "m", "--out", "o"])
-        assert exc.value.code == 1
+    def test_bad_flag_value_usage_error(self, capsys):
+        # the message names the flag and its type, holds no object address,
+        # and so reads the same from every parser build
+        errors = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                run(["evaluate", "--alpha", "fishy", "--manifest", "m", "--out", "o"])
+            assert exc.value.code == 1
+            errors.append(capsys.readouterr().err)
+        assert "argument --alpha: invalid float value: 'fishy'" in errors[0]
+        assert "0x" not in errors[0]
+        assert errors[0] == errors[1]
 
     def test_unknown_command_usage_error(self):
         with pytest.raises(SystemExit) as exc:

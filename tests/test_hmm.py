@@ -29,6 +29,8 @@ from helpers import (
     brute_force_em_step,
     brute_force_log_likelihood,
     direct_component_log_pdf,
+    in_order_backward,
+    in_order_forward,
     log_backward,
     log_domain_backward,
     log_domain_forward,
@@ -41,7 +43,6 @@ from helpers import (
     mixture_density,
     per_sequence_baum_welch,
     random_model,
-    states_last_backward,
     traced_peak,
 )
 
@@ -488,8 +489,8 @@ class TestForward:
         # ragged sequences padded to the longest: each one's beta is
         # log_backward's bit for bit and exactly 0 from its last frame on. The
         # transition rows sum to 1 + 4e-9, so padding read as data would show.
-        # The last two trials have 9 states, whose next-state sums numpy adds
-        # pairwise on a contiguous axis and in order on any other.
+        # The last two trials have 9 states, where numpy would add a
+        # contiguous axis's next-state sum pairwise, not in order.
         rng = np.random.default_rng(32)
         for trial in range(12):
             n, m, d = (int(k) for k in rng.integers(1, 5, size=3))
@@ -512,9 +513,10 @@ class TestForward:
                 assert np.all(log_beta[len(seq) - 1 :, :, 0, k] == 0.0)
 
     def test_backward_sums_next_states_on_a_contiguous_axis(self):
-        # at 9 states numpy adds a contiguous axis pairwise and any other in
-        # order; each backward step sums its next states as the plain (N, N)
-        # table's last axis, the order EM's statistics are computed in
+        # at 9 states numpy adds a contiguous axis pairwise and a leading one
+        # in order; each backward step sums its next states j in order, one
+        # (N,) column of the plain (N, N) table at a time: the order EM's
+        # statistics are computed in
         rng = np.random.default_rng(38)
         model = random_model(rng, 9, 2, 3)
         obs = rng.normal(0.0, 3.0, (30, 3))
@@ -522,8 +524,11 @@ class TestForward:
         want = np.zeros_like(log_b)
         for t in range(len(obs) - 2, -1, -1):
             terms = log_a + (log_b[t + 1] + want[t + 1])[None, :]
-            peak = terms.max(axis=1, keepdims=True)
-            want[t] = np.log(np.exp(terms - peak).sum(axis=1)) + peak[:, 0]
+            peak = terms.max(axis=1)
+            total = np.exp(terms[:, 0] - peak)
+            for j in range(1, 9):
+                total += np.exp(terms[:, j] - peak)
+            want[t] = np.log(total) + peak
         assert np.array_equal(hmm._backward(log_a, log_b, len(obs)), want)
         assert np.array_equal(log_backward(model, obs), want)
 
@@ -546,37 +551,57 @@ class TestForward:
             assert logsumexp(log_alpha[t] + log_beta[t]) == pytest.approx(ll, rel=1e-12)
 
 
-class TestBackwardOrder:
-    """The next-state-leading backward step adds in the states-last order, bit for bit."""
+def order_case(n: int):
+    """log_pi (N, 2), log_a (N, N, 2), ragged lengths (6,) and log_b (T, N, 2, 6) of two models.
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 15, 16, 17, 129])
+    The second model cuts one transition to exactly 0; the lengths include
+    1-frame sequences.
+    """
+    rng = np.random.default_rng(47 + n)
+    log_a = np.log(rng.dirichlet(np.ones(n), size=(n, 2)).transpose(0, 2, 1))
+    if n > 1:
+        log_a[0, n // 2, 1] = -np.inf
+    lengths = rng.choice([1, 2, 5, 9], 6)
+    log_b = rng.normal(-20.0, 15.0, (lengths.max(), n, 2, 6))
+    log_pi = np.log(rng.dirichlet(np.ones(n), size=2).T)
+    return log_pi, log_a, lengths, log_b
+
+
+ORDER_STATES = [1, 2, 3, 7, 8, 9, 15, 16, 17, 129]
+
+
+class TestForwardOrder:
+    """The forward step adds its source states in order, bit for bit."""
+
+    @pytest.mark.parametrize("n", ORDER_STATES)
+    def test_equals_the_in_order_oracle(self, n):
+        # batched (two models, ragged sequences with 1-frame ones) and
+        # unbatched tables; the second model cuts one transition to exactly 0
+        log_pi, log_a, lengths, log_b = order_case(n)
+        with np.errstate(divide="ignore"):
+            got = hmm._forward(log_pi[..., None], log_a[..., None], log_b)
+            assert np.array_equal(got, in_order_forward(log_pi[..., None], log_a[..., None], log_b))
+            for v, u in [(0, 0), (1, int(np.argmax(lengths)))]:
+                alone = log_b[: lengths[u], :, v, u]
+                got = hmm._forward(log_pi[:, v], log_a[..., v], alone)
+                assert np.array_equal(got, in_order_forward(log_pi[:, v], log_a[..., v], alone))
+
+
+class TestBackwardOrder:
+    """The backward step adds its next states in order, bit for bit."""
+
+    @pytest.mark.parametrize("n", ORDER_STATES)
     def test_equals_the_states_last_oracle(self, n):
         # batched (two models, ragged sequences with 1-frame ones) and
         # unbatched tables; the second model cuts one transition to exactly 0
-        rng = np.random.default_rng(47 + n)
-        log_a = np.log(rng.dirichlet(np.ones(n), size=(n, 2)).transpose(0, 2, 1))
-        if n > 1:
-            log_a[0, n // 2, 1] = -np.inf
-        lengths = rng.choice([1, 2, 5, 9], 6)
-        log_b = rng.normal(-20.0, 15.0, (lengths.max(), n, 2, 6))
+        _, log_a, lengths, log_b = order_case(n)
         with np.errstate(divide="ignore"):
             got = hmm._backward(log_a[..., None], log_b, lengths)
-            assert np.array_equal(got, states_last_backward(log_a[..., None], log_b, lengths))
+            assert np.array_equal(got, in_order_backward(log_a[..., None], log_b, lengths))
             for v, u in [(0, 0), (1, int(np.argmax(lengths)))]:
                 alone = log_b[: lengths[u], :, v, u]
                 got = hmm._backward(log_a[..., v], alone, lengths[u])
-                assert np.array_equal(got, states_last_backward(log_a[..., v], alone, lengths[u]))
-
-    def test_pairwise_sum_is_numpys_contiguous_sum(self):
-        # a canary: _pairwise_sum repeats numpy's own order for a contiguous
-        # last axis. If a numpy upgrade changes that order, this fails; do
-        # not loosen it, but reproduce the new order, or EM's models move.
-        rng = np.random.default_rng(48)
-        for n in range(1, 301):
-            rows = np.exp(rng.normal(0.0, 3.0, (n, 4, 3)))
-            want = np.ascontiguousarray(np.moveaxis(rows, 0, -1)).sum(axis=-1)
-            got = hmm._pairwise_sum(rows, np.empty((4, 3)), np.empty((12, 4, 3)))
-            assert np.array_equal(got, want), n
+                assert np.array_equal(got, in_order_backward(log_a[..., v], alone, lengths[u]))
 
 
 def assert_matches_log_domain_oracle(model, obs) -> float:

@@ -648,7 +648,7 @@ class TestFolds:
         )
         assert len(result.folds) == 3
         # each fold tests one third of 450 records
-        assert all(len(f.result.trials) == 150 for f in result.folds)
+        assert all(len(f.trials) == 150 for f in result.folds)
         assert result.mean_accuracy >= 0.9
         assert result.sd_accuracy >= 0.0
         assert result.mean_accuracy == pytest.approx(np.mean(result.accuracies))

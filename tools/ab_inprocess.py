@@ -23,9 +23,11 @@ says whether the two sides identified every utterance alike in the sweep.
 ``scores_identical`` says whether their ``fused_log_scores`` tables of the
 loaded test observations are equal at every fusion weight, and
 ``models_identical`` whether ``speaker_model_to_text`` gives the same text
-for every enrolled speaker. Exits 1 when the predictions differ or a tree
-holds no package; the two equalities are reported only, so that a change
-that moves trailing digits on purpose can still be timed.
+for every enrolled speaker. ``model_drift`` is the largest drift of each kind
+of parameter line over every speaker's two texts, as ``tools/model_drift.py``
+measures it (``file_drift``). Exits 1 when the predictions differ or a tree
+holds no package; the equalities and drifts are reported only, so that a
+change that moves trailing digits on purpose can still be timed.
 """
 
 import argparse
@@ -123,6 +125,15 @@ def scores_identical(old: Side, new: Side) -> bool:
     return all(np.array_equal(a, b) for a, b in zip(old.score_tables(), new.score_tables()))
 
 
+def model_drift(old: Side, new: Side, drift) -> dict[str, float]:
+    """The largest drift of each kind of parameter line over every speaker's two model texts.
+
+    ``drift`` is tools/model_drift.py as a module.
+    """
+    rows = [drift.file_drift(a, b) for a, b in zip(old.model_texts(), new.model_texts())]
+    return {kind: max(row[kind] for row in rows) for kind in drift.KINDS}
+
+
 def compare(old: Side, new: Side, rounds: int) -> dict:
     times = {phase: {"old": [], "new": []} for phase in PHASES}
     for k in range(rounds):
@@ -168,10 +179,12 @@ def main(argv=None) -> int:
         new = Side(new_pkg, bench, workload, Path(tmp) / "new")
         phases = compare(old, new, max(args.rounds, 1))
         agree = old.predictions() == new.predictions()
+    drift = model_drift(old, new, load_module("_ab_model_drift", ROOT / "tools" / "model_drift.py"))
     print(json.dumps({"workload": args.workload, "phases": phases,
                       "predictions_agree": agree,
                       "scores_identical": scores_identical(old, new),
-                      "models_identical": old.model_texts() == new.model_texts()}))
+                      "models_identical": old.model_texts() == new.model_texts(),
+                      "model_drift": drift}))
     return 0 if agree else 1
 
 
