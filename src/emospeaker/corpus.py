@@ -258,28 +258,35 @@ def load_manifest(path: str | Path) -> CorpusManifest:
 
 
 def write_manifest(manifest: CorpusManifest, path: str | Path) -> None:
-    """Write a manifest; ``load_manifest`` of the result reproduces the input."""
-    path = Path(path)
+    """Write a manifest; ``load_manifest`` of the result reproduces the input.
+
+    The UTF-8 bytes are built once and compared with the file's current
+    bytes in one read. The file is written, in one binary write, only when
+    they differ, so an unchanged manifest keeps its modification time.
+    """
     lines = [f"# sample_rate={manifest.sample_rate}"]
     for key in sorted(manifest.metadata):
         lines.append(f"# {key}={manifest.metadata[key]}")
     lines.append(",".join(MANIFEST_COLUMNS))
     for r in manifest.records:
-        row = [
-            r.speaker_id,
-            r.gender,
-            r.emotion,
-            str(r.sentence_id),
-            r.bias_tag,
-            r.session,
-            str(r.repetition),
-            r.source,
-        ]
-        for value in row:
-            if "," in value or '"' in value or "\n" in value:
-                raise ManifestError(f"field {value!r} needs quoting; not supported")
-        lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        line = (
+            f"{r.speaker_id},{r.gender},{r.emotion},{r.sentence_id},{r.bias_tag},"
+            f"{r.session},{r.repetition},{r.source}"
+        )
+        # one comma per column break and no quote or newline: no field needs quoting
+        if line.count(",") != len(MANIFEST_COLUMNS) - 1 or '"' in line or "\n" in line:
+            for value in (str(getattr(r, column)) for column in MANIFEST_COLUMNS):
+                if "," in value or '"' in value or "\n" in value:
+                    raise ManifestError(f"field {value!r} needs quoting; not supported")
+        lines.append(line)
+    data = ("\n".join(lines) + "\n").encode("utf-8")
+    try:
+        unchanged = read_bytes(path) == data
+    except OSError:  # missing or unreadable: the write decides
+        unchanged = False
+    if not unchanged:
+        with open(path, "wb") as fh:
+            fh.write(data)
 
 
 # --- protocol count validation -------------------------------------------------

@@ -15,6 +15,7 @@ from .corpus import (
     MISSING_ERRNOS,
     CorpusError,
     CorpusManifest,
+    FeatureFileError,
     UtteranceRecord,
     read_audio,
     read_feature_file,
@@ -140,14 +141,19 @@ def extract_corpus(
     WAV sources are analyzed; feature sources are copied through, so the
     output directory stands alone. A record's outputs are reused when both
     are at least as new as its source, or when its source is missing and
-    both exist, unless ``force``. Writes ``features.csv`` (a manifest whose
-    sources point at the new files) and returns it.
+    both exist, unless ``force``; a missing source with a missing output
+    fails. Writes ``features.csv`` (a manifest whose sources point at the
+    new files) and returns it.
 
-    The up-to-date check works on strings and costs at most one ``stat`` per
-    output and one for the source: three per record on an up-to-date corpus.
-    A stale record's source is copied only when it is not the output itself,
-    as ``Path`` comparison decides, so extracting a feature corpus over its
-    own directory copies nothing.
+    When ``out_dir`` is the manifest's root, a record whose source is
+    ``features/<key>.lfpc.feat`` is its own output, which no copy or
+    staleness check can change. It is returned as it is, with no system call
+    of its own, and fails when either of its two files is absent from one
+    ``os.listdir`` of the features directory, made only when such a record
+    exists. Any other record costs at most one ``stat`` per output and one
+    for the source: three on an up-to-date corpus. A source that is its own
+    output by ``Path`` comparison is never copied. ``features.csv`` is
+    written only when its bytes change (:func:`write_manifest`).
 
     With ``failures`` (a list), a record whose extraction fails is skipped and
     ``(record, exception)`` appended instead of aborting the whole run.
@@ -155,16 +161,33 @@ def extract_corpus(
     out_dir = Path(out_dir)
     feat_dir = out_dir / "features"
     feat_dir.mkdir(parents=True, exist_ok=True)
+    feat_text = os.fspath(feat_dir)
+    in_place = out_dir == manifest.root
+    listed: frozenset[str] | None = None
+
+    def require_own_files(key: str) -> None:
+        """Raise for the first absent file of a record that is its own output."""
+        nonlocal listed
+        if listed is None:
+            listed = frozenset(os.listdir(feat_text))
+        for name in (key + ACOUSTIC_SUFFIX, key + PROSODIC_SUFFIX):
+            if name not in listed:
+                raise FeatureFileError(f"feature file not found: {os.path.join(feat_text, name)}")
 
     new_records = []
     for record in manifest.records:
-        src = manifest.source_path(record)
-        name = f"{record.key}{ACOUSTIC_SUFFIX}"
-        ac_out = os.path.join(feat_dir, name)
-        pr_out = prosodic_sibling(ac_out)
-        if force or _stale(src, ac_out, pr_out):
+        key = record.key
+        name = key + ACOUSTIC_SUFFIX
+        own = in_place and record.source == "features/" + name
+        if not own:
+            src = manifest.source_path(record)
+            ac_out = os.path.join(feat_text, name)
+            pr_out = prosodic_sibling(ac_out)
+        if own or force or _stale(src, ac_out, pr_out):
             try:
-                if record.source.endswith(".wav"):
+                if own:
+                    require_own_files(key)
+                elif record.source.endswith(".wav"):
                     obs = load_observation(manifest, record, front_end)
                     write_feature_file(obs.acoustic, ac_out)
                     write_feature_file(obs.prosodic, pr_out)
@@ -173,6 +196,8 @@ def extract_corpus(
                     if src_path != ac_path:
                         shutil.copyfile(src_path, ac_path)
                         shutil.copyfile(prosodic_sibling(src_path), prosodic_sibling(ac_path))
+                    else:
+                        require_own_files(key)
                 else:
                     raise CorpusError(f"unsupported source type: {record.source!r}")
             except Exception as exc:
@@ -181,7 +206,7 @@ def extract_corpus(
                 failures.append((record, exc))
                 continue
         # the fields spelled out: dataclasses.replace costs about twice as much
-        new_records.append(UtteranceRecord(
+        new_records.append(record if own else UtteranceRecord(
             speaker_id=record.speaker_id, gender=record.gender, emotion=record.emotion,
             sentence_id=record.sentence_id, bias_tag=record.bias_tag, session=record.session,
             repetition=record.repetition, source=f"features/{name}",

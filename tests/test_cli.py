@@ -319,6 +319,20 @@ class TestExtract:
         assert run(args + ["--force"]) == 0
         assert sample.stat().st_mtime_ns > first  # rewritten under --force
 
+    def test_extract_in_place_fails_on_a_missing_feature_file(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        assert run(["synth", "--seed", "3", "--out", str(corpus), *TINY_FLAGS]) == 0
+        key = "spk01_neutral_s1_r01_unbiased"
+        lost = corpus / "features" / f"{key}.pros.feat"
+        lost.unlink()
+        capsys.readouterr()
+        code = run(["extract", "--manifest", str(corpus / "manifest.csv"), "--out", str(corpus),
+                    *TINY_FLAGS])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"failed: {key}: feature file not found: {lost}\n"
+        assert captured.out.startswith("extracted 299/300 utterances")
+
     def test_identify_wav_input(self, wav_corpus, tmp_path, capsys):
         out = tmp_path / "run"
         features = tmp_path / "features"

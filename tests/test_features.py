@@ -1,4 +1,5 @@
 import os
+import re
 import shutil
 from dataclasses import replace
 
@@ -9,8 +10,10 @@ from emospeaker.corpus import (
     AudioSignal,
     CorpusError,
     CorpusManifest,
+    FeatureFileError,
     UtteranceRecord,
     generate_synthetic_corpus,
+    load_manifest,
     write_audio,
 )
 from emospeaker.features import (
@@ -189,24 +192,90 @@ def touch_ns(path, ns):
     os.utime(path, ns=(ns, ns))
 
 
+def recorded(monkeypatch, name: str) -> list[str]:
+    """The path of every later ``os.<name>`` call, until ``monkeypatch.undo()``."""
+    real, paths = getattr(os, name), []
+
+    def recording(path, *args, **kwargs):
+        paths.append(os.fspath(path))
+        return real(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, name, recording)
+    return paths
+
+
 class TestExtractUpToDate:
     """The up-to-date check: both outputs at least as new as the source."""
 
-    def test_three_stats_per_record_when_up_to_date(self, feature_corpus, monkeypatch):
-        source, _ = feature_corpus
-        real_stat = os.stat
-        stats = []
-
-        def counting_stat(path, *args, **kwargs):
-            stats.append(os.fspath(path))
-            return real_stat(path, *args, **kwargs)
-
-        monkeypatch.setattr(os, "stat", counting_stat)
-        extract_corpus(source, source.root)
+    def test_in_place_extract_stats_no_feature_file(self, feature_corpus, monkeypatch):
+        source, extracted = feature_corpus
+        stats, listings = recorded(monkeypatch, "stat"), recorded(monkeypatch, "listdir")
+        again = extract_corpus(source, source.root)
         monkeypatch.undo()
-        per_file = [p for p in stats if p.endswith((ACOUSTIC_SUFFIX, PROSODIC_SUFFIX))]
-        assert len(per_file) == 3 * len(source.records)
-        assert len(per_file) == len(set(per_file)) + len(source.records)  # the source is its output
+        assert [p for p in stats if p.endswith((ACOUSTIC_SUFFIX, PROSODIC_SUFFIX))] == []
+        assert listings == [os.fspath(source.root / "features")]
+        assert again.records == extracted.records
+        assert all(a is b for a, b in zip(again.records, source.records))
+
+    def test_three_stats_per_record_when_up_to_date_elsewhere(self, wav_manifest, tmp_path,
+                                                              monkeypatch):
+        out = tmp_path / "out"
+        extract_corpus(wav_manifest, out)
+        stats, listings = recorded(monkeypatch, "stat"), recorded(monkeypatch, "listdir")
+        extract_corpus(wav_manifest, out)
+        monkeypatch.undo()
+        assert listings == []
+        per_record = [p for p in stats if p.endswith((ACOUSTIC_SUFFIX, PROSODIC_SUFFIX, ".wav"))]
+        assert len(per_record) == 3 * len(wav_manifest.records)
+        assert len(set(per_record)) == len(per_record)
+
+    @pytest.mark.parametrize("prefix", ["", "./"])
+    @pytest.mark.parametrize(
+        "lost",
+        [(ACOUSTIC_SUFFIX,), (PROSODIC_SUFFIX,), (ACOUSTIC_SUFFIX, PROSODIC_SUFFIX)],
+        ids=["acoustic", "prosodic", "both"],
+    )
+    def test_own_output_with_a_missing_file_fails(self, feature_corpus, prefix, lost):
+        source, extracted = feature_corpus
+        manifest = replace(
+            source, records=[replace(r, source=prefix + r.source) for r in source.records]
+        )
+        record = manifest.records[1]
+        missing = [source.root / "features" / f"{record.key}{suffix}" for suffix in lost]
+        for path in missing:
+            path.unlink()
+        failures = []
+        again = extract_corpus(manifest, source.root, failures=failures)
+        assert [(r, str(e)) for r, e in failures] == [
+            (record, f"feature file not found: {missing[0]}")
+        ]
+        assert again.records == extracted.records[:1] + extracted.records[2:]
+        with pytest.raises(FeatureFileError, match=re.escape(f"not found: {missing[0]}") + "$"):
+            extract_corpus(manifest, source.root)
+
+    def test_unchanged_features_csv_is_not_rewritten(self, feature_corpus):
+        source, _ = feature_corpus
+        written = source.root / "features.csv"
+        before = written.read_bytes()
+        touch_ns(written, 10**18)
+        extract_corpus(source, source.root)
+        assert written.read_bytes() == before
+        assert written.stat().st_mtime_ns == 10**18
+
+    def test_changed_features_csv_is_rewritten(self, feature_corpus):
+        source, extracted = feature_corpus
+        written = source.root / "features.csv"
+        touch_ns(written, 10**18)
+        (source.root / source.records[0].source).unlink()
+        again = extract_corpus(source, source.root, failures=[])
+        assert written.stat().st_mtime_ns != 10**18
+        assert load_manifest(written).records == again.records == extracted.records[1:]
+
+    def test_features_csv_that_is_a_directory_raises(self, wav_manifest, tmp_path):
+        out = tmp_path / "out"
+        (out / "features.csv").mkdir(parents=True)
+        with pytest.raises(IsADirectoryError):
+            extract_corpus(wav_manifest, out)
 
     def test_missing_output_is_stale(self, wav_manifest, tmp_path):
         out = tmp_path / "out"

@@ -173,3 +173,15 @@ def test_cli_ab_reads_a_tree_against_itself_as_identical_and_a_changed_digit_as_
 
     code, _ = run_cli_ab(src, tmp_path / "nowhere", "--script", "tiny")
     assert code == 1
+
+
+def test_cli_ab_runs_each_side_on_one_blas_thread(tmp_path, monkeypatch):
+    tool = load_tool("cli_ab")
+    started = []
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.setattr(tool.subprocess, "Popen", lambda argv, env, **_: started.append(env))
+    tool.start_side(ROOT / "src", tmp_path / "work", "tiny", tmp_path / "side.json")
+    assert [{var: env[var] for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                       "MKL_NUM_THREADS")} for env in started] == [
+        {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    ]

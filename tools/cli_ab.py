@@ -6,13 +6,16 @@ Each SRC is a directory holding an ``emospeaker`` package, such as a
 checkout's ``src``. Both trees run the same script of ``emospeaker``
 commands, each in its own process with ``PYTHONPATH`` at its SRC and its own
 empty work directory as the working directory; the two processes run at
-once. The ``standard`` script is:
+once, each with one BLAS thread as ``bench/run.py`` runs, because a trained
+model's trailing digits depend on the thread count. The ``standard`` script is:
 
 * the CLI tests' feature corpus: ``synth --seed 3`` at the tests' tiny flags,
   ``train``, ``evaluate`` at alpha 0, 0.5 and 1 and with ``--compare`` a
-  baseline report, 3-fold ``xval`` and ``identify`` on one feature file;
-* their WAV corpus: ``synth --seed 5 --synth_audio true``, ``extract``,
-  ``train``, ``evaluate`` and ``identify`` on one WAV;
+  baseline report, 3-fold ``xval``, ``identify`` on one feature file and an
+  ``extract`` over the corpus's own directory;
+* their WAV corpus: ``synth --seed 5 --synth_audio true``, ``extract`` and
+  then again with every output up to date, ``train``, ``evaluate`` and
+  ``identify`` on one WAV;
 * a 3-speaker ``biased:angry`` corpus at the paper's topology (9x10
   acoustic, 3x2 prosodic): ``train`` and ``evaluate`` at alpha 0, 0.5 and 1
   under both plans, and 3-fold ``xval`` under the biased one;
@@ -74,6 +77,8 @@ BASELINE = (
 FEATURE_FILE = "feat/corpus/features/spk01_neutral_s1_r10_unbiased.lfpc.feat"
 WAV_FILE = "wav/corpus/audio/spk02_angry_s3_r12_unbiased.wav"
 MODELS = "feat/run/models/unbiased"
+ONE_BLAS_THREAD = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                        "MKL_NUM_THREADS")}
 
 
 # --- inputs that the error paths read, written by the tool on both sides -----------
@@ -153,14 +158,17 @@ def feature_corpus(alphas: tuple[str, ...], full: bool) -> list:
             [*evaluate, "--compare", "feat/run/reports/unbiased/performance.csv"],
             ["xval", "--manifest", "feat/corpus/manifest.csv", "--out", "feat/run",
              "--n_folds", "3", "--seed", "3", *TINY],
+            ["extract", "--manifest", "feat/corpus/manifest.csv", "--out", "feat/corpus", *TINY],
         ]
     return steps
 
 
 def wav_corpus() -> list:
+    extract = ["extract", "--manifest", "wav/corpus/manifest.csv", "--out", "wav/features", *TINY]
     return [
         ["synth", "--seed", "5", "--synth_audio", "true", "--out", "wav/corpus", *TINY],
-        ["extract", "--manifest", "wav/corpus/manifest.csv", "--out", "wav/features", *TINY],
+        extract,
+        extract,  # every output up to date
         ["train", "--manifest", "wav/features/features.csv", "--out", "wav/run", *TINY],
         ["evaluate", "--manifest", "wav/features/features.csv", "--out", "wav/run", *TINY],
         ["identify", "--out", "wav/run", "--input", WAV_FILE, *TINY],
@@ -306,7 +314,7 @@ def differences(old: list[dict], new: list[dict]) -> list[dict]:
 
 def start_side(src: Path, work: Path, script: str, result: Path) -> subprocess.Popen:
     work.mkdir(parents=True)
-    env = dict(os.environ, PYTHONPATH=str(src.resolve()))
+    env = dict(os.environ, PYTHONPATH=str(src.resolve()), **ONE_BLAS_THREAD)
     argv = [sys.executable, str(Path(__file__).resolve()), "--side", str(src), str(work),
             script, str(result)]
     return subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
