@@ -219,8 +219,8 @@ def cmd_identify(args) -> int:
     obs = read_observation(Path(args.input), config.front_end(), config.sample_rate)
     predicted, scores = identify(models, obs, config.alpha)
     print(f"predicted {predicted}")
-    order = np.argsort(scores)[::-1]
-    for rank, idx in enumerate(order, start=1):
+    # descending, ties in enrollment order: rank 1 is the predicted speaker
+    for rank, idx in enumerate(np.argsort(-scores, kind="stable"), start=1):
         print(f"{rank} {models[idx].speaker_id} {repr(float(scores[idx]))}")
     return 0
 

@@ -116,6 +116,12 @@ class UtteranceRecord:
         return (self.speaker_id, self.emotion, self.sentence_id, self.bias_tag, self.repetition)
 
     def validate(self) -> None:
+        # one plain file-name component: feature and model files are named by
+        # it, and population.txt lists it whitespace-separated
+        speaker = self.speaker_id
+        plain = speaker.split() == [speaker] and os.path.basename(speaker) == speaker
+        if not plain or speaker in (".", ".."):
+            raise CorpusError(f"speaker id {speaker!r} is not a plain file name")
         if self.gender not in GENDERS:
             raise CorpusError(f"unknown gender {self.gender!r}")
         if self.emotion not in EMOTIONS:
@@ -525,6 +531,28 @@ def read_utf8(path: Path, error: type[Exception]) -> str:
 
 # --- feature files ----------------------------------------------------------------
 
+# the one naming rule: features/<key>.lfpc.feat, and its .pros.feat sibling
+ACOUSTIC_SUFFIX = ".lfpc.feat"
+PROSODIC_SUFFIX = ".pros.feat"
+
+
+def feature_source(key: str) -> str:
+    """The source, relative to its corpus root, of a record's acoustic feature file."""
+    return f"features/{key}{ACOUSTIC_SUFFIX}"
+
+
+def prosodic_sibling(acoustic_path: str | Path) -> str | Path:
+    """The ``*.pros.feat`` path beside a ``*.lfpc.feat`` one: a str for a str, a Path for a Path.
+
+    The one rule that pairs the two feature streams of an utterance.
+    """
+    text = os.fspath(acoustic_path)
+    if not text.endswith(ACOUSTIC_SUFFIX):
+        raise CorpusError(f"not an acoustic feature file: {acoustic_path}")
+    sibling = text[: -len(ACOUSTIC_SUFFIX)] + PROSODIC_SUFFIX
+    return sibling if isinstance(acoustic_path, str) else Path(sibling)
+
+
 FEATURE_MAGIC = b"EMSPFEAT"
 FEATURE_VERSION = 1
 _FEATURE_HEADER = struct.Struct("<8sIII")
@@ -645,8 +673,8 @@ def generate_synthetic_corpus(
     all speakers share one source distribution. For emotions listed in
     ``bias_emotions``, additional ``biased:<emotion>`` records are emitted whose
     speaker component is amplified by ``bias_boost`` (content coupled more
-    tightly to the speaker). By default feature files are written (acoustic
-    ``{key}.lfpc.feat`` plus prosodic ``{key}.pros.feat``); with ``audio=True``
+    tightly to the speaker). By default feature files are written, named by
+    :func:`feature_source` and :func:`prosodic_sibling`; with ``audio=True``
     WAV files of summed harmonics plus noise are written instead.
 
     Deterministic: every random stream is keyed by the seed and what it
@@ -775,12 +803,12 @@ def _feature_cell_writer(seed, out_dir, speaker, emotion, base, signature, pros_
         acoustic = mean + state_offsets[path] + noise_scale * rng.standard_normal(
             (n_frames, n_coefficients)
         )
-        rel = f"features/{key}.lfpc.feat"
+        rel = feature_source(key)
         write_feature_file(acoustic, out_dir / rel)
 
         n_blocks = -(-n_frames // block_size)
         blocks = pros_mean + _PROSODIC_NOISE_SCALE * rng.standard_normal((n_blocks, 4))
-        write_feature_file(_clip_prosodic(blocks), out_dir / f"features/{key}.pros.feat")
+        write_feature_file(_clip_prosodic(blocks), out_dir / prosodic_sibling(rel))
         return rel
 
     return write

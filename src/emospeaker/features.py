@@ -1,22 +1,26 @@
 """Bridging corpus records to classifier observations.
 
 A record's ``source`` is either a WAV file (features are computed on the fly)
-or a precomputed ``*.lfpc.feat`` file with a ``*.pros.feat`` sibling.
-:func:`extract_corpus` materializes features for a whole manifest into a
-self-contained directory so later stages never touch audio.
+or a precomputed ``*.lfpc.feat`` file with a ``*.pros.feat`` sibling; both
+are read by :func:`read_observation`, the one path-to-observation loader.
+:func:`extract_corpus` writes both streams of every record through it into a
+self-contained directory, so later stages never touch audio.
 """
 
 import os
-import shutil
 from dataclasses import dataclass
 from pathlib import Path
 
 from .corpus import (
+    ACOUSTIC_SUFFIX,
     MISSING_ERRNOS,
+    PROSODIC_SUFFIX,
     CorpusError,
     CorpusManifest,
     FeatureFileError,
     UtteranceRecord,
+    feature_source,
+    prosodic_sibling,
     read_audio,
     read_feature_file,
     write_feature_file,
@@ -25,9 +29,6 @@ from .corpus import (
 from .dsp import lfpc_sequence
 from .prosody import PitchTrackerConfig, suprasegmental_sequence
 from .sphmm import DualObservation
-
-ACOUSTIC_SUFFIX = ".lfpc.feat"
-PROSODIC_SUFFIX = ".pros.feat"
 
 
 @dataclass(frozen=True)
@@ -70,18 +71,6 @@ class FrontEnd:
                 voicing_threshold=self.voicing_threshold,
             ),
         )
-
-
-def prosodic_sibling(acoustic_path: str | Path) -> str | Path:
-    """The ``*.pros.feat`` path beside a ``*.lfpc.feat`` one: a str for a str, a Path for a Path.
-
-    The one rule that pairs the two feature streams of an utterance.
-    """
-    text = os.fspath(acoustic_path)
-    if not text.endswith(ACOUSTIC_SUFFIX):
-        raise CorpusError(f"not an acoustic feature file: {acoustic_path}")
-    sibling = text[: -len(ACOUSTIC_SUFFIX)] + PROSODIC_SUFFIX
-    return sibling if isinstance(acoustic_path, str) else Path(sibling)
 
 
 def read_observation(path: str | Path, front_end: FrontEnd, sample_rate: int) -> DualObservation:
@@ -136,32 +125,36 @@ def extract_corpus(
     force: bool = False,
     failures: list | None = None,
 ) -> CorpusManifest:
-    """Materialize features for every record into ``out_dir``.
+    """Write both feature streams of every record into ``out_dir``.
 
-    WAV sources are analyzed; feature sources are copied through, so the
-    output directory stands alone. A record's outputs are reused when both
-    are at least as new as its source, or when its source is missing and
-    both exist, unless ``force``; a missing source with a missing output
-    fails. Writes ``features.csv`` (a manifest whose sources point at the
-    new files) and returns it.
+    Record ``r``'s outputs are ``out_dir/features/<r.key>.lfpc.feat`` and its
+    ``.pros.feat`` sibling (:func:`feature_source`). Three rules, in order:
 
-    When ``out_dir`` is the manifest's root, a record whose source is
-    ``features/<key>.lfpc.feat`` is its own output, which no copy or
-    staleness check can change. It is returned as it is, with no system call
-    of its own, and fails when either of its two files is absent from one
-    ``os.listdir`` of the features directory, made only when such a record
-    exists. Any other record costs at most one ``stat`` per output and one
-    for the source: three on an up-to-date corpus. A source that is its own
-    output by ``Path`` comparison is never copied. ``features.csv`` is
-    written only when its bytes change (:func:`write_manifest`).
+    1. **Own output.** When ``out_dir`` is the manifest's root and a record's
+       source is exactly :func:`feature_source` of its key, the record is its
+       own output and is returned as it is, with no system call of its own.
+       It fails when either of its two files is absent from one
+       ``os.listdir`` of the features directory, made only when such a
+       record exists.
+    2. **Up to date.** Unless ``force``, a record's outputs are reused when
+       both are at least as new as its source, or when its source is missing
+       and both exist (:func:`_stale`): at most one ``stat`` per output and
+       one for the source, three on an up-to-date corpus.
+    3. **Everything else** is loaded by :func:`load_observation`, both
+       streams whole and checked, and then written, one
+       :func:`write_feature_file` per stream. So a damaged source fails
+       before anything is written, and a source that is its own output under
+       another spelling is rewritten byte for byte.
 
-    With ``failures`` (a list), a record whose extraction fails is skipped and
-    ``(record, exception)`` appended instead of aborting the whole run.
+    Writes ``features.csv`` (a manifest whose sources point at the outputs)
+    only when its bytes change (:func:`write_manifest`), and returns it.
+    With ``failures`` (a list), a record whose extraction fails is skipped
+    and ``(record, exception)`` appended instead of aborting the whole run.
     """
     out_dir = Path(out_dir)
     feat_dir = out_dir / "features"
     feat_dir.mkdir(parents=True, exist_ok=True)
-    feat_text = os.fspath(feat_dir)
+    out_text, feat_text = os.fspath(out_dir), os.fspath(feat_dir)
     in_place = out_dir == manifest.root
     listed: frozenset[str] | None = None
 
@@ -177,29 +170,19 @@ def extract_corpus(
     new_records = []
     for record in manifest.records:
         key = record.key
-        name = key + ACOUSTIC_SUFFIX
-        own = in_place and record.source == "features/" + name
+        rel = feature_source(key)
+        own = in_place and record.source == rel
         if not own:
-            src = manifest.source_path(record)
-            ac_out = os.path.join(feat_text, name)
+            ac_out = os.path.join(out_text, rel)
             pr_out = prosodic_sibling(ac_out)
-        if own or force or _stale(src, ac_out, pr_out):
+        if own or force or _stale(manifest.source_path(record), ac_out, pr_out):
             try:
                 if own:
                     require_own_files(key)
-                elif record.source.endswith(".wav"):
+                else:
                     obs = load_observation(manifest, record, front_end)
                     write_feature_file(obs.acoustic, ac_out)
                     write_feature_file(obs.prosodic, pr_out)
-                elif record.source.endswith(ACOUSTIC_SUFFIX):
-                    src_path, ac_path = Path(src), Path(ac_out)
-                    if src_path != ac_path:
-                        shutil.copyfile(src_path, ac_path)
-                        shutil.copyfile(prosodic_sibling(src_path), prosodic_sibling(ac_path))
-                    else:
-                        require_own_files(key)
-                else:
-                    raise CorpusError(f"unsupported source type: {record.source!r}")
             except Exception as exc:
                 if failures is None:
                     raise
@@ -209,7 +192,7 @@ def extract_corpus(
         new_records.append(record if own else UtteranceRecord(
             speaker_id=record.speaker_id, gender=record.gender, emotion=record.emotion,
             sentence_id=record.sentence_id, bias_tag=record.bias_tag, session=record.session,
-            repetition=record.repetition, source=f"features/{name}",
+            repetition=record.repetition, source=rel,
         ))
 
     extracted = CorpusManifest(

@@ -1,11 +1,13 @@
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from emospeaker.cli import main, read_performance_csv
+from emospeaker.cli import main, read_performance_csv, save_population
 from emospeaker.corpus import AudioSignal, write_audio
+from emospeaker.sphmm import load_speaker_model
 
 TINY_FLAGS = [
     "--n_speakers", "2",
@@ -102,6 +104,29 @@ class TestPipeline:
         assert out_lines[0] == f"predicted {rank1[1]}"
         scores = [float(ln.split()[2]) for ln in out_lines[1:]]
         assert scores == sorted(scores, reverse=True)
+
+    @pytest.mark.parametrize("speakers", [("spk01",), ("spk01", "spk02")])
+    def test_identify_ranks_tied_speakers_in_enrollment_order(self, pipeline, tmp_path, capsys,
+                                                             speakers):
+        # each speaker enrolled twice, under a second id: every score is tied
+        trained = pipeline["out"] / "models" / "unbiased"
+        enrolled = []
+        for speaker in speakers:
+            model = load_speaker_model(trained / f"{speaker}.model")
+            enrolled += [model, replace(model, speaker_id=f"{speaker}_clone")]
+        save_population(enrolled, tmp_path / "run" / "models" / "unbiased")
+        feat = next((pipeline["corpus"] / "features").glob("spk01_*.lfpc.feat"))
+        code = run(["identify", "--out", str(tmp_path / "run"), "--input", str(feat),
+                    *TINY_FLAGS])
+        assert code == 0
+        out_lines = capsys.readouterr().out.splitlines()
+        ranked = [line.split() for line in out_lines[1:]]
+        assert [rank for rank, _, _ in ranked] == [str(i + 1) for i in range(len(enrolled))]
+        assert out_lines[0] == f"predicted {ranked[0][1]}"
+        score = {speaker: float(value) for _, speaker, value in ranked}
+        assert all(score[s] == score[f"{s}_clone"] for s in speakers)
+        order = sorted(range(len(enrolled)), key=lambda i: (-score[enrolled[i].speaker_id], i))
+        assert [speaker for _, speaker, _ in ranked] == [enrolled[i].speaker_id for i in order]
 
     def test_identify_matches_true_speaker_mostly(self, pipeline, capsys):
         hits = 0
@@ -332,6 +357,62 @@ class TestExtract:
         captured = capsys.readouterr()
         assert captured.err == f"failed: {key}: feature file not found: {lost}\n"
         assert captured.out.startswith("extracted 299/300 utterances")
+
+    def test_extract_to_another_spelling_of_the_corpus_root(self, tmp_path, monkeypatch,
+                                                           capsys):
+        corpus = tmp_path / "corpus"
+        assert run(["synth", "--seed", "3", "--out", str(corpus), *TINY_FLAGS]) == 0
+        before = {p.name: p.read_bytes() for p in (corpus / "features").iterdir()}
+        key = "spk02_angry_s4_r11_unbiased"
+        acoustic = corpus / "features" / f"{key}.lfpc.feat"
+        older = acoustic.stat().st_mtime_ns - 10**9
+        os.utime(corpus / "features" / f"{key}.pros.feat", ns=(older, older))
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        code = run(["extract", "--manifest", "corpus/manifest.csv", "--out", str(corpus),
+                    *TINY_FLAGS])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        assert captured.out.startswith("extracted 300/300 utterances")
+        assert {p.name: p.read_bytes() for p in (corpus / "features").iterdir()} == before
+
+    def test_extract_of_damaged_feature_sources_exits_1(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        assert run(["synth", "--seed", "3", "--out", str(corpus), *TINY_FLAGS]) == 0
+        lost = corpus / "features" / "spk01_neutral_s2_r03_unbiased.pros.feat"
+        lost.unlink()
+        cut = corpus / "features" / "spk02_angry_s5_r14_unbiased.lfpc.feat"
+        cut.write_bytes(cut.read_bytes()[:10])
+        capsys.readouterr()
+        code = run(["extract", "--manifest", str(corpus / "manifest.csv"),
+                    "--out", str(tmp_path / "out"), *TINY_FLAGS])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.splitlines() == [
+            f"failed: spk01_neutral_s2_r03_unbiased: feature file not found: {lost}",
+            f"failed: spk02_angry_s5_r14_unbiased: {cut}: truncated header",
+        ]
+        assert captured.out.startswith("extracted 298/300 utterances")
+        written = {p.name for p in (tmp_path / "out" / "features").iterdir()}
+        assert len(written) == 2 * 298
+        assert not any(name.startswith(("spk01_neutral_s2_r03_", "spk02_angry_s5_r14_"))
+                       for name in written)
+
+    def test_extract_rejects_a_speaker_id_outside_out(self, pipeline, tmp_path, capsys):
+        lines = pipeline["manifest"].read_text(encoding="utf-8").splitlines()
+        features = f"{pipeline['corpus'] / 'features'}/"
+        edited = [line.replace(",features/", f",{features}").replace("spk02,", "../../evil,", 1)
+                  for line in lines]
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("\n".join(edited) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        code = run(["extract", "--manifest", str(manifest), "--out", str(tmp_path / "a" / "out"),
+                    *TINY_FLAGS])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {manifest}: 150 bad row(s):\n  row ")
+        assert "speaker id '../../evil' is not a plain file name" in err
+        assert sorted(tmp_path.rglob("*")) == [manifest]
 
     def test_identify_wav_input(self, wav_corpus, tmp_path, capsys):
         out = tmp_path / "run"

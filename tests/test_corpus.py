@@ -185,6 +185,27 @@ class TestManifestIo:
         assert "row 3" in message and "bored" in message
         assert "row 4" in message and "session" in message
 
+    @pytest.mark.parametrize(
+        "speaker", ["", ".", "..", "../../evil", "a/b", "/abs", "spk 01", "spk\t01", "spk\u200901"]
+    )
+    def test_speaker_id_must_be_one_plain_file_name(self, tmp_path, speaker):
+        path = tmp_path / "m.csv"
+        path.write_text(
+            "speaker_id,gender,emotion,sentence_id,bias_tag,session,repetition,source\n"
+            "spk01,male,angry,1,unbiased,train,1,a.wav\n"
+            f"{speaker},male,angry,1,unbiased,train,2,b.wav\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ManifestError) as err:
+            load_manifest(path)
+        assert str(err.value) == (
+            f"{path}: 1 bad row(s):\n  row 3: speaker id {speaker!r} is not a plain file name"
+        )
+
+    @pytest.mark.parametrize("speaker", ["spk01", "spk-01.a", "..a", "a..", "._", "spk_\u00e9"])
+    def test_plain_file_name_speaker_ids_pass(self, speaker):
+        make_record(speaker_id=speaker).validate()
+
     def test_duplicate_rows_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
         row = "spk01,male,angry,1,unbiased,train,1,a.wav\n"

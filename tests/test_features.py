@@ -1,6 +1,5 @@
 import os
 import re
-import shutil
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +15,7 @@ from emospeaker.corpus import (
     load_manifest,
     write_audio,
 )
+from emospeaker import features
 from emospeaker.features import (
     ACOUSTIC_SUFFIX,
     PROSODIC_SUFFIX,
@@ -338,11 +338,69 @@ class TestExtractUpToDate:
             source, records=[replace(r, source=prefix + r.source) for r in source.records]
         )
         before = {p.name: p.read_bytes() for p in (source.root / "features").iterdir()}
+        real = features.write_feature_file
 
-        def no_copy(src, dst):
-            raise AssertionError(f"copied {src} to {dst}")
+        def write_only_another_spelling(array, path):
+            if not prefix:
+                raise AssertionError(f"wrote {path}")
+            real(array, path)
 
-        monkeypatch.setattr(shutil, "copyfile", no_copy)
+        monkeypatch.setattr(features, "write_feature_file", write_only_another_spelling)
         again = extract_corpus(manifest, source.root, force=True)
         assert again.records == extracted.records
         assert {p.name: p.read_bytes() for p in (source.root / "features").iterdir()} == before
+
+
+def feature_files(directory) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted((directory / "features").iterdir())}
+
+
+class TestExtractFeatureSources:
+    """A feature source is loaded, checked and written like any other source."""
+
+    def test_root_spelled_another_way_with_a_stale_record(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        generate_synthetic_corpus(
+            seed=2, n_speakers=2, emotions=("neutral",), separation=2.0, out_dir="c",
+            frames_range=(3, 4),
+        )
+        manifest = load_manifest("c/manifest.csv")
+        before = feature_files(tmp_path / "c")
+        acoustic = tmp_path / "c" / manifest.records[7].source
+        older = acoustic.stat().st_mtime_ns - 10**9
+        touch_ns(prosodic_sibling(acoustic), older)
+        failures = []
+        extracted = extract_corpus(manifest, os.path.abspath("c"), failures=failures)
+        assert failures == []
+        assert prosodic_sibling(acoustic).stat().st_mtime_ns > older  # the record was redone
+        assert len(extracted.records) == 150
+        assert [r.source for r in extracted.records] == [r.source for r in manifest.records]
+        assert feature_files(tmp_path / "c") == before
+
+    def test_damaged_sources_fail_and_write_nothing(self, feature_corpus, tmp_path):
+        source, _ = feature_corpus
+        lost_record, cut_record = source.records[3], source.records[5]
+        lost = prosodic_sibling(source.root / lost_record.source)
+        lost.unlink()
+        cut = source.root / cut_record.source
+        blob = cut.read_bytes()
+        cut.write_bytes(blob[:-8])
+        out = tmp_path / "out"
+        failures = []
+        extracted = extract_corpus(source, out, failures=failures)
+        assert [(r, type(e), str(e)) for r, e in failures] == [
+            (lost_record, FeatureFileError, f"feature file not found: {lost}"),
+            (cut_record, FeatureFileError, f"{cut}: size {len(blob) - 8} != expected {len(blob)}"),
+        ]
+        assert len(extracted.records) == len(source.records) - 2
+        written = set(feature_files(out))
+        for record in (lost_record, cut_record):
+            assert not {record.key + ACOUSTIC_SUFFIX, record.key + PROSODIC_SUFFIX} & written
+
+    def test_healthy_sources_come_out_byte_identical(self, feature_corpus, tmp_path):
+        source, _ = feature_corpus
+        out = tmp_path / "out"
+        extract_corpus(source, out)
+        assert feature_files(out) == feature_files(source.root)
+        assert (out / "features.csv").read_bytes() == (source.root / "features.csv").read_bytes()
+        assert (out / "features.csv").read_bytes() == (source.root / "manifest.csv").read_bytes()

@@ -11,8 +11,9 @@ model's trailing digits depend on the thread count. The ``standard`` script is:
 
 * the CLI tests' feature corpus: ``synth --seed 3`` at the tests' tiny flags,
   ``train``, ``evaluate`` at alpha 0, 0.5 and 1 and with ``--compare`` a
-  baseline report, 3-fold ``xval``, ``identify`` on one feature file and an
-  ``extract`` over the corpus's own directory;
+  baseline report, 3-fold ``xval``, ``identify`` on one feature file, an
+  ``extract`` over the corpus's own directory and one into a separate
+  directory;
 * their WAV corpus: ``synth --seed 5 --synth_audio true``, ``extract`` and
   then again with every output up to date, ``train``, ``evaluate`` and
   ``identify`` on one WAV;
@@ -159,6 +160,8 @@ def feature_corpus(alphas: tuple[str, ...], full: bool) -> list:
             ["xval", "--manifest", "feat/corpus/manifest.csv", "--out", "feat/run",
              "--n_folds", "3", "--seed", "3", *TINY],
             ["extract", "--manifest", "feat/corpus/manifest.csv", "--out", "feat/corpus", *TINY],
+            ["extract", "--manifest", "feat/corpus/manifest.csv", "--out", "feat/extracted",
+             *TINY],
         ]
     return steps
 
