@@ -155,7 +155,7 @@ def extract_corpus(
     feat_dir = out_dir / "features"
     feat_dir.mkdir(parents=True, exist_ok=True)
     out_text, feat_text = os.fspath(out_dir), os.fspath(feat_dir)
-    in_place = out_dir == manifest.root
+    in_place = _same_directory(out_dir, manifest.root)
     listed: frozenset[str] | None = None
 
     def require_own_files(key: str) -> None:
@@ -203,6 +203,18 @@ def extract_corpus(
     )
     write_manifest(extracted, out_dir / "features.csv")
     return extracted
+
+
+def _same_directory(out_dir: Path, root: Path | None) -> bool:
+    """Whether ``out_dir`` and ``root`` name one directory, by file identity.
+
+    Two ``stat`` calls, so any spelling of the root counts. A root that is
+    unset or does not exist is not ``out_dir``.
+    """
+    try:
+        return root is not None and os.path.samefile(out_dir, root)
+    except OSError:
+        return False
 
 
 def _stale(source: str, acoustic: str, prosodic: str) -> bool:

@@ -5,45 +5,48 @@ sequences never underflow, and a state that a zero transition cuts off stays
 exactly -inf however far apart the emissions are. Log-sum-exp is a private
 plain-numpy max-shift (`_logsumexp`); the package needs numpy only.
 
-Scoring and training share one emission kernel (`_StateTerms`). Each state s
-is shifted by c_s, the precision-weighted mean of its component means (per
-dimension, sum_m mu_m / var_m over sum_m 1 / var_m), and the quadratic form
-of each diagonal component is expanded around that shift:
+Scoring and training share one emission kernel (`_StateTerms`). Each model v
+is shifted by c_v, the precision-weighted mean of the means of all its N * M
+components (per dimension, sum_{n,m} mu / var over sum_{n,m} 1 / var), and
+the quadratic form of each diagonal component is expanded around that shift:
 
-    log w + log N(x; mu, var) = k - sum_d (x - c_s)^2 / (2 var)
-                                  + sum_d (x - c_s) (mu - c_s) / var,
+    log w + log N(x; mu, var) = k - sum_d (x - c_v)^2 / (2 var)
+                                  + sum_d (x - c_v) (mu - c_v) / var,
 
-with k = log w - (D log 2pi + sum_d [log var + (mu - c_s)^2 / var]) / 2
-precomputed once per stack of states, along with c_s, -1/(2 var) and
-(mu - c_s)/var. The rounding error of the expansion is about
-eps * sum_d ((x - c_s)^2 + (mu - c_s)^2) / var: centring keeps it small where
-the variances are tiny against the means, as on prosodic features at the
-variance floor, and the precision weights, which minimize
-sum_m (mu_m - c_s)^2 / var_m, keep a component pinned at the floor (a clipped
-or constant feature) from paying for its state's broad components far away.
-Two components at the floor far apart in one state would still cost about
-eps * (distance / 2)^2 / var each.
+with k = log w - (D log 2pi + sum_d [log var + (mu - c_v)^2 / var]) / 2
+precomputed once per stack of models, along with c_v, -1/(2 var) and
+(mu - c_v)/var. The rounding error of the expansion is about
+eps * sum_d ((x - c_v)^2 + (mu - c_v)^2) / var, taken over the model's
+components: centring keeps it small where the variances are tiny against the
+means, as on prosodic features at the variance floor, and the precision
+weights, which minimize sum_{n,m} (mu - c_v)^2 / var over the model, keep a
+component pinned at the floor (a clipped or constant feature) from paying for
+the model's broad components far away. Two components at the floor far apart
+in one model would still cost about eps * (distance / 2)^2 / var each.
 
 The kernel takes the frames in blocks of exactly B = 16, the last one padded
 with copies of the last frame, as one contiguous (blocks, D, B) array with
-the frames on the last axis. It centres them into a (states, blocks, D, B)
-array of their own, then squares that into one half of
-[(x - c_s)^2 | x - c_s], (states, blocks, 2D, B), and copies it into the
+the frames on the last axis. It centres them once per model into a
+(models, blocks, D, B) array of their own, then squares that into one half of
+[(x - c_v)^2 | x - c_v], (models, blocks, 2D, B), and copies it into the
 other: a square written into the array it reads would make numpy copy its
 input first. One batched `np.matmul` multiplies each state's (M, 2D) weights
-[-1/(2 var) | (mu - c_s)/var] into every block, so every product has the one
+[-1/(2 var) | (mu - c_v)/var] into every block of its model's stack,
+broadcast over the model's N states, so every product has the one
 shape (M, 2D) @ (2D, B). A BLAS product runs a fixed micro-kernel over
 register tiles (Goto and van de Geijn, "Anatomy of high-performance matrix
 multiplication", ACM TOMS 34(3), 2008): at a fixed shape, a frame meets the
 same tiles whatever block position it holds, however many frames share the
-call and whichever states are stacked with its own. A product over all the
+call and whichever models are stacked with its own. A product over all the
 frames at once would not do: OpenBLAS's tile edges then move with the number
 of frames, and so do a frame's last bits. This invariance is a property of
 the BLAS build, not a promise of numpy, and `tests/test_hmm.py` checks it
 with `==` at both streams' shapes. A kernel call takes whole blocks, and
-whole models when one block under all of a stack's states is too large
-(`_SLICE_ELEMENTS`); each state's products are independent, so slicing
-changes no value.
+whole models when one block under all of a stack's models is too large
+(`_SLICE_ELEMENTS`); each model's products are independent, so slicing
+changes no value. A state scored alone (`GaussianMixture`, a view of its
+model's arrays) runs as a one-state model shifted by its model's c_v, so it
+gets its in-model values bit for bit.
 
 The products are written into a transposed view of one mixture-major
 (M, states, blocks, B) array, so the mixture log-sum-exp reduces a leading
@@ -63,7 +66,7 @@ state whose components are all -inf sums floored terms too, so its -inf is
 restored by adding back the maximum as it was, -inf, where the shift raised
 it to the lowest float. EM copies the component densities out to its
 (states, M, frames) responsibilities. Every entry's arithmetic is thus
-independent of how many frames or states share a call: a state scores bit
+independent of how many frames or models share a call: a model scores bit
 for bit the same alone as in a population's stack, and a frame the same
 alone as among others.
 
@@ -144,11 +147,12 @@ WEIGHT_FLOOR = 1e-8
 _BLOCK = 16
 
 # Elements of the (states, blocks, max(2D, M), B) temporaries one kernel call
-# of _padded_emissions may make. A slice is whole blocks of frames, and whole
-# models as well when one block under all of a stack's states would exceed
-# it; every state's products are independent, so slicing changes no value.
-# Cache-sized slices were fastest, and larger ones raise peak memory without
-# gain.
+# of _padded_emissions may make: the products are (M, states, blocks, B), and
+# the centred frames (models, blocks, 2D, B) are N-fold fewer. A slice is
+# whole blocks of frames, and whole models as well when one block under all
+# of a stack's states would exceed it; every model's products are
+# independent, so slicing changes no value. Cache-sized slices were fastest,
+# and larger ones raise peak memory without gain.
 _SLICE_ELEMENTS = 1 << 15
 
 # float64 cells (2 MB) the tables of one batched pass may fill (batch_groups),
@@ -176,12 +180,15 @@ class GaussianMixture:
     ``HmmModel.states`` makes these for the benchmark's referee and for
     tests; no package code reads them. Frozen, so that rebinding a field of
     a view raises rather than being lost; an element edited through a view
-    is edited in the model.
+    is edited in the model. ``shift`` is the model's kernel shift c_v, taken
+    when the view was made, so that the state scores as it does in its
+    model; a mixture built without one is a one-state model of its own.
     """
 
     weights: np.ndarray    # (M,)
     means: np.ndarray      # (M, D)
     variances: np.ndarray  # (M, D)
+    shift: np.ndarray | None = None  # (D,): its model's c_v
 
     def component_log_pdf(self, obs: np.ndarray) -> np.ndarray:
         """log(w_m * N(x_t; mu_m, var_m)) for every frame/component: (T, M).
@@ -192,79 +199,104 @@ class GaussianMixture:
         layer traces it by name.
         """
         obs = as_frames(obs)
-        terms = _StateTerms.of(self.weights[None], self.means[None], self.variances[None])
+        terms = _StateTerms.of(
+            self.weights[None, None], self.means[None, None], self.variances[None, None],
+            None if self.shift is None else self.shift[None],
+        )
         return terms.component_log_pdf(obs)[0].T
+
+
+def _model_shift(means: np.ndarray, inverse: np.ndarray) -> np.ndarray:
+    """Each model's kernel shift c_v (V, D) from its means and 1/var (V, N, M, D).
+
+    Per dimension, sum_{n,m} mu / var over sum_{n,m} 1 / var.
+    """
+    v, d = len(means), means.shape[-1]
+    weighted = np.multiply(means, inverse).reshape(v, -1, d)
+    return np.sum(weighted, axis=1) / np.sum(inverse.reshape(v, -1, d), axis=1)
 
 
 @dataclass(frozen=True)
 class _StateTerms:
-    """The emission kernel's precomputed terms for a stack of S mixture states.
+    """The emission kernel's precomputed terms for a stack of V models of N mixture states.
 
-    Every state has M components of dimension D. ``shift`` is c_s, the mean
-    of state s's component means weighted by their precisions 1/var, per
+    Every state has M components of dimension D. ``shift`` is c_v, the mean
+    of all model v's component means weighted by their precisions 1/var, per
     dimension. ``weights`` holds each component's two linear forms side by
-    side, [-1 / (2 var) | (mu - c_s) / var], so that a frame x's component
-    log densities are ``constant + weights @ [(x - c_s)**2 | x - c_s]`` (see
+    side, [-1 / (2 var) | (mu - c_v) / var], so that a frame x's component
+    log densities are ``constant + weights @ [(x - c_v)**2 | x - c_v]`` (see
     the module docstring): one (M, 2D) @ (2D, B) product per state and block
-    of B frames.
+    of B frames, on a stack [(x - c_v)**2 | x - c_v] built once per model.
     """
 
-    shift: np.ndarray     # (S, D): c_s
-    weights: np.ndarray   # (S, M, 2D): [-1 / (2 var) | (mu - c_s) / var]
-    constant: np.ndarray  # (S, M): log w + log_norm - sum_d (mu - c_s)^2 / (2 var)
+    shift: np.ndarray     # (V, D): c_v
+    weights: np.ndarray   # (V, N, M, 2D): [-1 / (2 var) | (mu - c_v) / var]
+    constant: np.ndarray  # (V, N, M): log w + log_norm - sum_d (mu - c_v)^2 / (2 var)
 
     @classmethod
-    def of(cls, weights: np.ndarray, means: np.ndarray, variances: np.ndarray) -> "_StateTerms":
-        """Terms of S states from their weights (S, M), means and variances (S, M, D).
+    def of(
+        cls,
+        weights: np.ndarray,
+        means: np.ndarray,
+        variances: np.ndarray,
+        shift: np.ndarray | None = None,
+    ) -> "_StateTerms":
+        """Terms of V models from their weights (V, N, M), means and variances (V, N, M, D).
 
+        ``shift`` (V, D) defaults to each model's own (``_model_shift``).
         Every term is a new array; the parameters are only read.
         """
         with np.errstate(divide="ignore"):
             log_w = np.log(weights)
-        d = means.shape[2]
-        log_norm = -0.5 * (d * _LOG_2PI + np.sum(np.log(variances), axis=2))
+        d = means.shape[-1]
+        log_norm = -0.5 * (d * _LOG_2PI + np.sum(np.log(variances), axis=-1))
         inverse = np.divide(1.0, variances)
-        shift = np.sum(means * inverse, axis=1) / np.sum(inverse, axis=1)
-        offset = np.subtract(means, shift[:, None, :])
-        forms = np.empty((*offset.shape[:2], 2 * d))
+        if shift is None:
+            shift = _model_shift(means, inverse)
+        offset = np.subtract(means, shift[:, None, None, :])
+        forms = np.empty((*offset.shape[:-1], 2 * d))
         linear = np.multiply(offset, inverse, out=forms[..., d:])
         quad = np.multiply(offset, linear, out=offset)
         np.multiply(inverse, -0.5, out=forms[..., :d])
-        constant = log_w + log_norm - 0.5 * np.sum(quad, axis=2)
+        constant = log_w + log_norm - 0.5 * np.sum(quad, axis=-1)
         return cls(shift=shift, weights=forms, constant=constant)
 
     @property
     def n_states(self) -> int:
-        return self.constant.shape[0]
+        """States of the whole stack, V * N."""
+        return self.constant.shape[0] * self.constant.shape[1]
 
     @property
     def n_mixtures(self) -> int:
-        return self.constant.shape[1]
+        return self.constant.shape[2]
 
     @property
     def dim(self) -> int:
         return self.shift.shape[1]
 
-    def block_log_pdf(self, blocks: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
-        """Component log densities of frame blocks (K, D, B) under states ``rows``: (M, S, K, B).
+    def block_log_pdf(self, blocks: np.ndarray, models: slice = slice(None)) -> np.ndarray:
+        """Component log densities of frame blocks (K, D, B) under ``models``' states: (M, S, K, B).
 
-        The frames are centred into an (S, K, D, B) array of their own, which
-        is squared into one half of the stacked [(x - c_s)^2 | x - c_s] and
-        copied into the other, so no pass reads and writes the same array.
-        One batched ``np.matmul`` of every state's (M, 2D) weights with each
-        block's (2D, B) stack then writes into a transposed view of the
-        mixture-major result, and the constants are added.
+        S is the models' states, model-major. The frames are centred once per
+        model into a (V, K, D, B) array of their own, which is squared into
+        one half of the stacked [(x - c_v)^2 | x - c_v] and copied into the
+        other, so no pass reads and writes the same array. One batched
+        ``np.matmul`` of every state's (M, 2D) weights with each block's
+        (2D, B) stack of its model, broadcast over the model's states, then
+        writes into a transposed view of the mixture-major result, and the
+        constants are added.
         """
-        shift = self.shift[rows]
-        s, d = shift.shape
+        shift = self.shift[models]
+        v, d = shift.shape
+        n, m = self.constant.shape[1:]
         centred = np.subtract(blocks, shift[:, None, :, None])
-        stacked = np.empty((s, len(blocks), 2 * d, _BLOCK))
+        stacked = np.empty((v, len(blocks), 2 * d, _BLOCK))
         np.multiply(centred, centred, out=stacked[:, :, :d])
         stacked[:, :, d:] = centred
-        out = np.empty((self.n_mixtures, s, len(blocks), _BLOCK))
-        np.matmul(self.weights[rows, None], stacked, out=out.transpose(1, 2, 0, 3))
-        out += self.constant[rows].T[:, :, None, None]
-        return out
+        out = np.empty((m, v, n, len(blocks), _BLOCK))
+        np.matmul(self.weights[models, :, None], stacked[:, None], out=out.transpose(1, 2, 3, 0, 4))
+        out += self.constant[models].transpose(2, 0, 1)[..., None, None]
+        return out.reshape(m, v * n, len(blocks), _BLOCK)
 
     def component_log_pdf(self, obs: np.ndarray) -> np.ndarray:
         """Component log densities of (T, D) frames under every state: (S, M, T).
@@ -308,8 +340,16 @@ class HmmModel:
 
     @property
     def states(self) -> tuple[GaussianMixture, ...]:
-        """Each state's mixture as views of the arrays, for the benchmark's referee and tests."""
-        return tuple(map(GaussianMixture, self.weights, self.means, self.variances))
+        """Each state's mixture as views of the arrays, for the benchmark's referee and tests.
+
+        Each view carries the model's kernel shift as it is now, so that it
+        scores as the state does in the model.
+        """
+        shift = _model_shift(self.means[None], np.divide(1.0, self.variances[None]))[0]
+        return tuple(
+            GaussianMixture(w, mu, var, shift)
+            for w, mu, var in zip(self.weights, self.means, self.variances)
+        )
 
     def validate(self) -> None:
         n, shape = self.n_states, self.means.shape
@@ -342,8 +382,8 @@ class HmmStack(Sequence):
     """V models that share (states, mixtures, dim), stacked once.
 
     A sequence of the models in their given order, which also holds their
-    kernel terms as one stack of V*N states, model-major then state-major,
-    and their log start and transition probabilities as (N, V) and
+    kernel terms, one shift per model and V*N states model-major then
+    state-major, and their log start and transition probabilities as (N, V) and
     (N, N, V) arrays (from-state, to-state, model), where a zero probability
     is -inf. These are the recursions' states-major layout, so no pass
     transposes or copies them. Every pass builds its terms here: scoring a
@@ -355,7 +395,7 @@ class HmmStack(Sequence):
         self._models = tuple(models)
         self.shape = (self._models[0].n_states, len(self._models))
         self.emissions = _StateTerms.of(*(
-            np.concatenate([getattr(model, name) for model in self._models])
+            np.stack([getattr(model, name) for model in self._models])
             for name in ("weights", "means", "variances")
         ))
         with np.errstate(divide="ignore"):
@@ -471,7 +511,7 @@ def _padded_emissions(
         group = slice(first, first + models)
         rows = slice(first * n, (first + models) * n)
         for lo in range(0, len(blocks), step):
-            comp_log = terms.block_log_pdf(blocks[lo : lo + step], rows)
+            comp_log = terms.block_log_pdf(blocks[lo : lo + step], group)
             part = slice(lo * _BLOCK, (lo + step) * _BLOCK)
             if out is not None:
                 target = out[rows, :, part].reshape(*comp_log.shape[1::-1], -1, _BLOCK)

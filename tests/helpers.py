@@ -187,6 +187,40 @@ def log_domain_forward(model: HmmModel, obs):
     return float(logsumexp(log_alpha[-1])), log_alpha
 
 
+def scaled_forward(model: HmmModel, obs) -> float:
+    """log P(obs | model) by the probability-domain forward recursion with scaling.
+
+    Rabiner (1989), section V-A, in explicit loops: each frame's state
+    densities come from ``direct_component_log_pdf`` and are scaled by their
+    largest value, alpha is renormalised to sum to one after every frame, and
+    log P is the sum of the log scale factors and shifts. It shares no code
+    with the package's recursions or emission kernel; the benchmark's
+    referee computes the same quantity the same way.
+    """
+    obs = np.atleast_2d(np.asarray(obs, dtype=np.float64))
+    n = model.n_states
+    log_b = np.empty((len(obs), n))
+    for j, state in enumerate(model.states):
+        components = direct_component_log_pdf(state, obs)
+        for t in range(len(obs)):
+            peak = components[t].max()
+            log_b[t, j] = peak + math.log(math.fsum(math.exp(c - peak) for c in components[t]))
+    log_p, alpha = 0.0, None
+    for t in range(len(obs)):
+        shift = log_b[t].max()
+        b = [math.exp(log_b[t, j] - shift) for j in range(n)]
+        if alpha is None:
+            alpha = [model.pi[j] * b[j] for j in range(n)]
+        else:
+            alpha = [
+                sum(alpha[i] * model.transitions[i, j] for i in range(n)) * b[j] for j in range(n)
+            ]
+        scale = sum(alpha)
+        alpha = [a / scale for a in alpha]
+        log_p += math.log(scale) + shift
+    return log_p
+
+
 def log_domain_backward(model: HmmModel, obs):
     """Per-frame log-domain backward recursion: log beta (T, N)."""
     _, log_a, log_b = _log_model_terms(model, obs)

@@ -358,24 +358,45 @@ def feature_files(directory) -> dict[str, bytes]:
 class TestExtractFeatureSources:
     """A feature source is loaded, checked and written like any other source."""
 
-    def test_root_spelled_another_way_with_a_stale_record(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("spelling", ["c", "abspath"])
+    def test_root_spelled_another_way_is_in_place(self, tmp_path, monkeypatch, spelling):
+        # the manifest's root is "c"; an absolute spelling of it is the same
+        # directory, so every record is its own output there too, even one whose
+        # prosodic file is older than its acoustic one
         monkeypatch.chdir(tmp_path)
         generate_synthetic_corpus(
             seed=2, n_speakers=2, emotions=("neutral",), separation=2.0, out_dir="c",
             frames_range=(3, 4),
         )
         manifest = load_manifest("c/manifest.csv")
+        extract_corpus(manifest, "c")
         before = feature_files(tmp_path / "c")
+        written = (tmp_path / "c" / "features.csv").read_bytes()
         acoustic = tmp_path / "c" / manifest.records[7].source
         older = acoustic.stat().st_mtime_ns - 10**9
         touch_ns(prosodic_sibling(acoustic), older)
+        out = os.path.abspath("c") if spelling == "abspath" else "c"
+        stats, listings = recorded(monkeypatch, "stat"), recorded(monkeypatch, "listdir")
         failures = []
-        extracted = extract_corpus(manifest, os.path.abspath("c"), failures=failures)
+        extracted = extract_corpus(manifest, out, failures=failures)
+        monkeypatch.undo()
         assert failures == []
-        assert prosodic_sibling(acoustic).stat().st_mtime_ns > older  # the record was redone
+        assert [p for p in stats if p.endswith((ACOUSTIC_SUFFIX, PROSODIC_SUFFIX))] == []
+        assert listings == [os.path.join(out, "features")]
+        assert prosodic_sibling(acoustic).stat().st_mtime_ns == older  # its own output
+        assert all(a is b for a, b in zip(extracted.records, manifest.records))
         assert len(extracted.records) == 150
-        assert [r.source for r in extracted.records] == [r.source for r in manifest.records]
         assert feature_files(tmp_path / "c") == before
+        assert (tmp_path / "c" / "features.csv").read_bytes() == written
+
+    def test_extract_into_a_missing_root_is_not_in_place(self, feature_corpus, tmp_path):
+        source, _ = feature_corpus
+        manifest = replace(source, root=tmp_path / "gone")
+        out = tmp_path / "out"
+        failures = []
+        extracted = extract_corpus(manifest, out, failures=failures)
+        assert len(failures) == len(source.records) and extracted.records == []
+        assert all(isinstance(e, FeatureFileError) for _, e in failures)
 
     def test_damaged_sources_fail_and_write_nothing(self, feature_corpus, tmp_path):
         source, _ = feature_corpus

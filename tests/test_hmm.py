@@ -10,6 +10,10 @@ from scipy.special import logsumexp
 
 import emospeaker
 from emospeaker import hmm
+from emospeaker.corpus import generate_synthetic_corpus
+from emospeaker.features import make_loader
+from emospeaker.protocol import session_test_records, train_population
+from emospeaker.sphmm import Topology
 from emospeaker.hmm import (
     HmmModel,
     HmmStack,
@@ -43,6 +47,7 @@ from helpers import (
     mixture_density,
     per_sequence_baum_welch,
     random_model,
+    scaled_forward,
     traced_peak,
 )
 
@@ -327,6 +332,108 @@ class TestKernelInvariance:
             assert np.array_equal(sliced[:, :, v], alone[:, :, 0])
             for j, state in enumerate(model.states):
                 assert np.array_equal(state.component_log_pdf(frames), stacked[v, j].T)
+
+
+class TestModelShift:
+    """One kernel shift per model: c_v over all its N * M components, shared by its states."""
+
+    # (state, component) pairs at the floor, spread over four states as in a
+    # default-trained acoustic model, so that the model's shift sits between them
+    FLOORED = [(3, 3), (3, 9), (5, 5), (5, 8), (6, 1), (7, 0), (7, 1)]
+
+    @classmethod
+    def lfpc_model(cls, rng, floored: bool) -> HmmModel:
+        """9x10 over 16 LFPC-like dims (means near 31.5 dB, variances 1 to 8).
+
+        Floored, seven one-frame components hold every variance at the 1e-6
+        floor and weights near 6e-4, as on a default run's trained models.
+        """
+        weights = np.stack([rng.dirichlet(np.ones(10)) for _ in range(9)])
+        means = 31.5 + rng.normal(0.0, 4.0, (9, 10, 16))
+        variances = rng.uniform(1.0, 8.0, (9, 10, 16))
+        if floored:
+            for j, m in cls.FLOORED:
+                variances[j, m] = hmm.VARIANCE_FLOOR
+                weights[j, m] = 6e-4
+            weights /= weights.sum(axis=1, keepdims=True)
+        model = HmmModel(np.full(9, 1 / 9), np.full((9, 9), 1 / 9), weights, means, variances)
+        model.validate()
+        return model
+
+    @pytest.mark.parametrize("floored, bound", [(True, 1e-9), (False, 1e-14)])
+    def test_kernel_precision_against_the_direct_formula(self, floored, bound):
+        # the floored components' own frames, where such a component gives about
+        # +96 nats, and frames drawn around the model
+        rng = np.random.default_rng(47)
+        model = self.lfpc_model(rng, floored)
+        obs = np.concatenate([
+            model.means[tuple(zip(*self.FLOORED))], 31.5 + rng.normal(0.0, 4.0, (40, 16))
+        ])
+        got = HmmStack([model]).emissions.component_log_pdf(obs)  # (N, M, T)
+        for j, state in enumerate(model.states):
+            want = direct_component_log_pdf(state, obs)
+            assert np.all(np.abs(got[j].T - want) <= bound * np.maximum(1.0, np.abs(want)))
+
+    def test_log_forward_agrees_with_the_scaled_loop_forward(self, tmp_path):
+        # the benchmark's enroll_paper workload (seed 1): its 9x10 and 3x2 models
+        # after two EM iterations, every test utterance, against a referee of the
+        # kind the benchmark gates at 1e-9 relative
+        corpus = generate_synthetic_corpus(
+            seed=1, n_speakers=2, emotions=("neutral", "angry"), separation=4.0,
+            out_dir=tmp_path, frames_range=(8, 12), bias_emotions=("angry",),
+        )
+        loader = make_loader(corpus)
+        population = train_population(
+            corpus, loader, "biased:angry",
+            Topology(acoustic_states=9, acoustic_mixtures=10, prosodic_states=3,
+                     prosodic_mixtures=2),
+            seed=1, max_iterations=2,
+        )
+        records = session_test_records(corpus, "biased:angry")
+        assert len(records) == 120
+        for record in records[::3]:
+            obs = loader(record)
+            for speaker in population:
+                for model, x in ((speaker.acoustic, obs.acoustic), (speaker.prosodic, obs.prosodic)):
+                    want = scaled_forward(model, x)
+                    assert abs(log_forward(model, x)[0] - want) <= 1e-12 * max(1.0, abs(want))
+
+    def test_states_share_their_model_shift_alone_and_in_a_population(self):
+        rng = np.random.default_rng(48)
+        models = [random_model(rng, 3, 4, 5) for _ in range(4)]
+        models[2].variances[1, 2] = hmm.VARIANCE_FLOOR
+        terms = HmmStack(models).emissions
+        assert terms.shift.shape == (4, 5) and terms.weights.shape == (4, 3, 4, 10)
+        for v, model in enumerate(models):
+            alone = HmmStack([model]).emissions
+            for name in ("shift", "weights", "constant"):
+                assert np.array_equal(getattr(terms, name)[v], getattr(alone, name)[0])
+            precision = 1.0 / model.variances.reshape(-1, 5)
+            want = (model.means.reshape(-1, 5) * precision).sum(axis=0) / precision.sum(axis=0)
+            np.testing.assert_allclose(terms.shift[v], want, rtol=1e-14)
+            for state in model.states:
+                assert np.array_equal(state.shift, terms.shift[v])
+
+    def test_a_mixture_built_alone_is_its_own_one_state_model(self):
+        rng = np.random.default_rng(49)
+        obs = rng.normal(0.0, 2.0, (20, 4))
+        # one state: its model's shift is its own, so a view and a copy agree bit for bit
+        view = random_model(rng, 1, 3, 4).states[0]
+        built = hmm.GaussianMixture(view.weights, view.means, view.variances)
+        assert np.array_equal(built.component_log_pdf(obs), view.component_log_pdf(obs))
+        # a state of two: the view carries the model's shift, a copy takes its own
+        model = random_model(rng, 2, 3, 4)
+        state = model.states[1]
+        built = hmm.GaussianMixture(state.weights, state.means, state.variances)
+        alone = HmmModel([1.0], [[1.0]], state.weights[None], state.means[None],
+                         state.variances[None])
+        assert not np.array_equal(state.shift, HmmStack([alone]).emissions.shift[0])
+        assert np.array_equal(
+            built.component_log_pdf(obs), HmmStack([alone]).emissions.component_log_pdf(obs)[0].T
+        )
+        assert np.array_equal(
+            state.component_log_pdf(obs), HmmStack([model]).emissions.component_log_pdf(obs)[1].T
+        )
 
 
 class TestMixtures:

@@ -1,7 +1,7 @@
 """tools/digest_artifacts.py lists exactly the models, population indexes and reports of a
 run; tools/model_drift.py measures how far two runs' model parameters moved;
 tools/ab_inprocess.py times two trees' packages in one process; tools/cli_ab.py checks
-that two trees' command lines write the same outputs."""
+that two trees' command lines write the same outputs, and times their default run."""
 
 import copy
 import hashlib
@@ -136,6 +136,27 @@ def test_ab_inprocess_runs_a_tree_against_itself(tmp_path):
     assert missing.returncode == 1 and "no emospeaker package under" in missing.stderr
 
 
+def test_ab_inprocess_extracts_wav_small_fresh_each_round(tmp_path):
+    # wav_small's fresh_extract: every round runs the front end into a new directory
+    src = str(ROOT / "src")
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab_inprocess.py"), src, src,
+         "--workload", "wav_small", "--rounds", "2"],
+        capture_output=True, text=True, check=False, cwd=tmp_path,
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert report["workload"] == "wav_small"
+    assert report["predictions_agree"] and report["scores_identical"] and report["models_identical"]
+    assert report["model_drift"] == dict.fromkeys(("pi", "A", "weights", "mean", "var"), 0.0)
+    written = report["fresh_extracts"]
+    files = written["old"][0]
+    assert files > 0 and files % 2 == 0  # both streams of every record
+    assert written == {"old": [files, files], "new": [files, files]}
+    assert report["phases"]["extract"]["rounds"] == 2
+    assert list(tmp_path.iterdir()) == []
+
+
 def run_cli_ab(*argv) -> tuple[int, dict]:
     done = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "cli_ab.py"), *map(str, argv)],
@@ -185,3 +206,41 @@ def test_cli_ab_runs_each_side_on_one_blas_thread(tmp_path, monkeypatch):
                                        "MKL_NUM_THREADS")} for env in started] == [
         {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     ]
+
+
+def test_cli_ab_times_a_tree_against_itself(tmp_path):
+    src = ROOT / "src"
+    code, report = run_cli_ab(src, src, "--time", "1", "--script", "tiny")
+    assert code == 0, report
+    assert (report["mode"], report["script"], report["rounds"]) == ("time", "tiny", 1)
+    for metric in ("train_s", "evaluate_s"):
+        row = report[metric]
+        assert row["old"] == [row["old_s"]] and row["new"] == [row["new_s"]]
+        assert row["old_s"] > 0 and row["new_s"] > 0 and row["rounds"] == 1
+        assert row["ratio"] == row["new_s"] / row["old_s"]
+        assert row["new_lower"] in (0, 1)
+    code, report = run_cli_ab(src, tmp_path / "nowhere", "--time", "1")
+    assert code == 1 and report == {}
+
+
+def test_cli_ab_timing_alternates_which_tree_goes_first(tmp_path, monkeypatch):
+    tool = load_tool("cli_ab")
+    runs = []
+
+    def timed(src, work, commands, result):
+        runs.append((src, [argv[0] for argv in commands]))
+        seconds = {"old": 2.0, "new": 1.0}.get(Path(src).name, 0.0) + len(runs) / 100
+        return [{"command": " ".join(argv), "exit": 0, "seconds": seconds} for argv in commands]
+
+    monkeypatch.setattr(tool, "timed", timed)
+    report = tool.time_trees(Path("old"), Path("new"), "standard", 3)
+    assert runs == [
+        (Path("old"), ["synth"]),
+        (Path("old"), ["train", "evaluate"]), (Path("new"), ["train", "evaluate"]),
+        (Path("new"), ["train", "evaluate"]), (Path("old"), ["train", "evaluate"]),
+        (Path("old"), ["train", "evaluate"]), (Path("new"), ["train", "evaluate"]),
+    ]
+    assert report["train_s"]["old"] == [2.02, 2.05, 2.06]
+    assert report["train_s"]["new"] == [1.03, 1.04, 1.07]
+    assert (report["train_s"]["old_s"], report["train_s"]["new_s"]) == (2.05, 1.04)
+    assert report["evaluate_s"]["new_lower"] == 3

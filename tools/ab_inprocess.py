@@ -5,12 +5,15 @@
 Each SRC is a directory holding an ``emospeaker`` package, such as a
 checkout's ``src``. Both packages are imported into this process under
 different names. Each generates the workload's corpus (seed 1) in a
-temporary directory and extracts it once. The workloads and the fusion
-weights are those of ``bench/run.py``, read from it as it stands. Every round then times
-each phase once per side, and the side that goes first alternates from round
-to round:
+temporary directory and extracts it once, over the corpus's own directory.
+The workloads and the fusion weights are those of ``bench/run.py``, read
+from it as it stands. Every round then times each phase once per side, and
+the side that goes first alternates from round to round:
 
-* extract: ``extract_corpus`` over the corpus's own directory;
+* extract: ``extract_corpus`` as ``bench/run.py``'s extract phase runs it:
+  into a new directory when the workload's ``fresh_extract`` is set, so that
+  every round runs the front end, and over the corpus's own directory
+  otherwise. A fresh directory is deleted once the round has timed it;
 * enroll: ``train_population``;
 * identify: ``identify`` on every test utterance, observations loaded beforehand;
 * sweep: ``run_session`` once per fusion weight.
@@ -25,7 +28,9 @@ loaded test observations are equal at every fusion weight, and
 ``models_identical`` whether ``speaker_model_to_text`` gives the same text
 for every enrolled speaker. ``model_drift`` is the largest drift of each kind
 of parameter line over every speaker's two texts, as ``tools/model_drift.py``
-measures it (``file_drift``). Exits 1 when the predictions differ or a tree
+measures it (``file_drift``). ``fresh_extracts`` lists, per side, how many
+feature files each round's fresh extract wrote (empty when the workload
+extracts in place). Exits 1 when the predictions differ or a tree
 holds no package; the equalities and drifts are reported only, so that a
 change that moves trailing digits on purpose can still be timed.
 """
@@ -33,6 +38,7 @@ change that moves trailing digits on purpose can still be timed.
 import argparse
 import importlib.util
 import json
+import shutil
 import statistics
 import sys
 import tempfile
@@ -75,6 +81,9 @@ class Side:
     def __init__(self, pkg: dict, bench, workload, directory: Path):
         self.pkg, self.bench, self.workload = pkg, bench, workload
         corpus, features, protocol = pkg["corpus"], pkg["features"], pkg["protocol"]
+        self.directory = directory
+        self.fresh: Path | None = None  # the last fresh extract's directory, until tidied
+        self.fresh_files: list[int] = []  # feature files each fresh extract wrote
         self.source = corpus.generate_synthetic_corpus(
             seed=SEED, out_dir=directory, **workload.corpus
         )
@@ -87,7 +96,17 @@ class Side:
         self.sessions = None
 
     def extract(self):
-        self.pkg["features"].extract_corpus(self.source, self.source.root)
+        out = self.source.root
+        if self.workload.fresh_extract:
+            out = self.fresh = self.directory / f"extract-{len(self.fresh_files) + 1}"
+        self.pkg["features"].extract_corpus(self.source, out)
+
+    def tidy(self):
+        """Count a fresh extract's feature files and delete its directory; run after timing."""
+        if self.fresh is not None:
+            self.fresh_files.append(len(list((self.fresh / "features").iterdir())))
+            shutil.rmtree(self.fresh)
+            self.fresh = None
 
     def enroll(self):
         self.models = self.pkg["protocol"].train_population(
@@ -143,6 +162,7 @@ def compare(old: Side, new: Side, rounds: int) -> dict:
                 t0 = time.perf_counter()
                 getattr(side, phase)()
                 times[phase][label].append(time.perf_counter() - t0)
+                side.tidy()
     phases = {}
     for phase, sides in times.items():
         old_s, new_s = statistics.median(sides["old"]), statistics.median(sides["new"])
@@ -184,7 +204,8 @@ def main(argv=None) -> int:
                       "predictions_agree": agree,
                       "scores_identical": scores_identical(old, new),
                       "models_identical": old.model_texts() == new.model_texts(),
-                      "model_drift": drift}))
+                      "model_drift": drift,
+                      "fresh_extracts": {"old": old.fresh_files, "new": new.fresh_files}}))
     return 0 if agree else 1
 
 

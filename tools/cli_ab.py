@@ -1,6 +1,6 @@
-"""Check that two source trees' command lines write the same outputs.
+"""Check that two source trees' command lines write the same outputs, or time them.
 
-    python3 tools/cli_ab.py OLD_SRC NEW_SRC [--script standard|tiny]
+    python3 tools/cli_ab.py OLD_SRC NEW_SRC [--script standard|tiny] [--time K]
 
 Each SRC is a directory holding an ``emospeaker`` package, such as a
 checkout's ``src``. Both trees run the same script of ``emospeaker``
@@ -36,6 +36,21 @@ after the command that wrote it. The last line of output is one JSON object whos
 otherwise, with the first differences listed. The exit code is 0 for
 identical and 1 for different, or when a tree holds no package or its
 process fails.
+
+With ``--time K`` the tool times the default run instead of checking
+outputs. The old tree runs ``synth --seed 7 --n_speakers 4`` once; then, in
+each of K rounds, each tree runs ``train --seed 7`` and ``evaluate`` at
+default config on that corpus, into a models directory of its own, in a
+process of its own with one BLAS thread (``ONE_BLAS_THREAD``). The trees
+run one after the other, and the one that goes first alternates from round
+to round. A command's time is the wall time of its ``emospeaker.cli.main``
+call, so interpreter start-up and imports are not counted. With ``--script
+tiny`` every command takes the ``tiny`` script's flags instead, a check of
+the tool itself. The last line of output is one JSON object: for
+``train_s`` and ``evaluate_s``, each tree's times, their medians, the ratio
+new/old and in how many rounds the new tree was lower. The exit code is 0,
+or 1 when a tree holds no package, a process fails or a command exits
+non-zero.
 """
 
 import argparse
@@ -47,10 +62,12 @@ import math
 import os
 import re
 import shutil
+import statistics
 import struct
 import subprocess
 import sys
 import tempfile
+import time
 import wave
 from pathlib import Path
 
@@ -274,14 +291,20 @@ def run_command(main, argv: list[str], work: Path) -> dict:
             "stdout": normalised(out.getvalue()), "stderr": normalised(err.getvalue())}
 
 
-def run_side(src: Path, work: Path, script: str) -> list[dict]:
-    """The records of every command of ``script``, run by the tree at ``src`` in ``work``."""
+def tree_main(src: Path):
+    """``emospeaker.cli.main`` of the tree at ``src``, checked to be imported from it."""
     import emospeaker
     from emospeaker.cli import main
 
     package = Path(emospeaker.__file__).resolve().parent
     if package != (src / "emospeaker").resolve():
         raise RuntimeError(f"imported emospeaker from {package}, not from {src}")
+    return main
+
+
+def run_side(src: Path, work: Path, script: str) -> list[dict]:
+    """The records of every command of ``script``, run by the tree at ``src`` in ``work``."""
+    main = tree_main(src)
     work = work.resolve()
     os.chdir(work)
     snapshot, records = Snapshot(work), []
@@ -315,13 +338,17 @@ def differences(old: list[dict], new: list[dict]) -> list[dict]:
     return found
 
 
-def start_side(src: Path, work: Path, script: str, result: Path) -> subprocess.Popen:
-    work.mkdir(parents=True)
+def start_process(src: Path, args: list[str]) -> subprocess.Popen:
+    """This tool, run with ``args`` in a process of its own on the tree at ``src``."""
     env = dict(os.environ, PYTHONPATH=str(src.resolve()), **ONE_BLAS_THREAD)
-    argv = [sys.executable, str(Path(__file__).resolve()), "--side", str(src), str(work),
-            script, str(result)]
+    argv = [sys.executable, str(Path(__file__).resolve()), *args]
     return subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                             text=True)
+
+
+def start_side(src: Path, work: Path, script: str, result: Path) -> subprocess.Popen:
+    work.mkdir(parents=True)
+    return start_process(src, ["--side", str(src), str(work), script, str(result)])
 
 
 def compare(old_src: Path, new_src: Path, script: str) -> tuple[dict, int]:
@@ -351,22 +378,104 @@ def compare(old_src: Path, new_src: Path, script: str) -> tuple[dict, int]:
     return report, 1 if found else 0
 
 
+# --- timing mode -------------------------------------------------------------------
+
+# per script: the flags of every timed command, and synth's own
+TIMED_FLAGS = {"standard": ([], ["--n_speakers", "4"]), "tiny": (TINY, [])}
+TIMED = ("train", "evaluate")
+
+
+def run_timed(src: Path, work: Path, commands: list[list[str]]) -> list[dict]:
+    """Each command's record (``run_command``) and the wall seconds of its ``main`` call."""
+    main = tree_main(src)
+    work = work.resolve()
+    os.chdir(work)
+    records = []
+    for argv in commands:
+        start = time.perf_counter()
+        record = run_command(main, argv, work)
+        record["seconds"] = time.perf_counter() - start
+        records.append(record)
+    return records
+
+
+def timed(src: Path, work: Path, commands: list[list[str]], result: Path) -> list[dict]:
+    """``run_timed`` in a process of its own on the tree at ``src``; raises if anything fails."""
+    process = start_process(src, ["--timed", str(src), str(work), str(result),
+                                  json.dumps(commands)])
+    _, stderr = process.communicate()
+    if process.returncode != 0:
+        raise RuntimeError(f"{src}: " + (stderr.strip().splitlines()[-1:] or
+                                         [f"exit {process.returncode}"])[0])
+    records = json.loads(result.read_text())
+    for record in records:
+        if record["exit"] != 0:
+            raise RuntimeError(f"{src}: {record['command']} exited {record['exit']}")
+    return records
+
+
+def time_trees(old_src: Path, new_src: Path, script: str, rounds: int) -> dict:
+    flags, synth_flags = TIMED_FLAGS[script]
+    manifest = "corpus/manifest.csv"
+    times = {f"{name}_s": {"old": [], "new": []} for name in TIMED}
+    with tempfile.TemporaryDirectory(prefix="cli_ab-time-") as tmp:
+        work, result = Path(tmp), Path(tmp) / "result.json"
+        timed(old_src, work, [["synth", "--seed", "7", "--out", "corpus", *flags,
+                               *synth_flags]], result)
+        for k in range(rounds):
+            order = (("old", old_src), ("new", new_src))
+            for label, src in order if k % 2 == 0 else order[::-1]:
+                out = ["--manifest", manifest, "--out", f"run-{label}", *flags]
+                records = timed(src, work, [["train", *out, "--seed", "7"],
+                                            ["evaluate", *out]], result)
+                for name, record in zip(TIMED, records):
+                    times[f"{name}_s"][label].append(record["seconds"])
+    report = {"mode": "time", "script": script, "rounds": rounds}
+    for metric, sides in times.items():
+        old_s, new_s = statistics.median(sides["old"]), statistics.median(sides["new"])
+        report[metric] = {
+            "old_s": old_s,
+            "new_s": new_s,
+            "ratio": new_s / old_s,
+            "new_lower": sum(n < o for o, n in zip(sides["old"], sides["new"])),
+            "rounds": rounds,
+            "old": sides["old"],
+            "new": sides["new"],
+        }
+    return report
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv[:1] == ["--side"]:  # one tree's own process, as start_side runs it
         _, src, work, script, result = argv
         Path(result).write_text(json.dumps(run_side(Path(src), Path(work), script)))
         return 0
+    if argv[:1] == ["--timed"]:  # one tree's timed commands, as timed runs them
+        _, src, work, result, commands = argv
+        Path(result).write_text(json.dumps(run_timed(Path(src), Path(work),
+                                                     json.loads(commands))))
+        return 0
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old_src", type=Path)
     parser.add_argument("new_src", type=Path)
     parser.add_argument("--script", choices=sorted(SCRIPTS), default="standard")
+    parser.add_argument("--time", type=int, metavar="K",
+                        help="time K rounds of the default run instead of comparing outputs")
     args = parser.parse_args(argv)
+    if args.time is not None and args.time < 1:
+        parser.error("--time needs at least one round")
     for src in (args.old_src, args.new_src):
         if not (src / "emospeaker" / "__init__.py").is_file():
             print(f"cli_ab: no emospeaker package under {src}", file=sys.stderr)
             return 1
-    report, code = compare(args.old_src, args.new_src, args.script)
+    if args.time is not None:
+        try:
+            report, code = time_trees(args.old_src, args.new_src, args.script, args.time), 0
+        except RuntimeError as exc:
+            report, code = {"mode": "time", "verdict": "failed", "failed": str(exc)}, 1
+    else:
+        report, code = compare(args.old_src, args.new_src, args.script)
     print(json.dumps(report))
     return code
 
