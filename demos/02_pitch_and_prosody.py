@@ -9,29 +9,30 @@ pitch range, the mean log energy, and the fraction of voiced frames.
 
 import numpy as np
 
+from emospeaker.dsp import FrontEnd
 from emospeaker.prosody import (
-    PitchTrackerConfig,
     aggregate_blocks,
     estimate_f0,
+    lag_bounds,
     pitch_energy_track,
     suprasegmental_sequence,
 )
 
 SR = 16000
-config = PitchTrackerConfig()
-lo, hi = config.lag_bounds(SR, frame_length=480)
-print(f"pitch search range: {config.f_min}-{config.f_max} Hz -> lags {lo}..{hi} samples")
+front_end = FrontEnd()
+lo, hi = lag_bounds(front_end, SR, frame_length=480)
+print(f"pitch search range: {front_end.f0_min}-{front_end.f0_max} Hz -> lags {lo}..{hi} samples")
 
 # The tracker on pure tones. Autocorrelation peaks at the true period.
 for freq in (100, 160, 250, 320):
     t = np.arange(480) / SR
     frame = np.sin(2 * np.pi * freq * t)
-    f0, voiced = estimate_f0(frame, SR, config)
+    f0, voiced = estimate_f0(frame, SR, front_end)
     print(f"  {freq:3d} Hz tone -> voiced={voiced}  f0={f0:7.2f} Hz")
 
 # Noise has no period worth reporting.
 rng = np.random.default_rng(7)
-f0, voiced = estimate_f0(rng.standard_normal(480), SR, config)
+f0, voiced = estimate_f0(rng.standard_normal(480), SR, front_end)
 print(f"  white noise -> voiced={voiced}  f0={f0:.2f}")
 
 # A toy utterance: 0.3 s silence, 0.4 s of 180 Hz voice, 0.3 s of 220 Hz.

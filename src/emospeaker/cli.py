@@ -29,7 +29,7 @@ from .corpus import (
     read_utf8,
     validate_protocol_counts,
 )
-from .dsp import HOP_MS, WINDOW_MS, DspError
+from .dsp import DspError, FrontEnd
 from .features import extract_corpus, make_loader, read_observation
 from .hmm import ModelError, ModelFormatError, TrainingError
 from .protocol import (
@@ -147,9 +147,12 @@ def load_population(directory: Path) -> Population:
 def cmd_synth(args) -> int:
     config = _config_from_args(args)
     _require(config, "out")
-    if config.synth_audio and (config.window_ms, config.hop_ms) != (WINDOW_MS, HOP_MS):
+    default = FrontEnd()  # synthetic WAVs are cut for the default framing
+    framing = (config.window_ms, config.hop_ms)
+    if config.synth_audio and framing != (default.window_ms, default.hop_ms):
         raise ConfigError(
-            f"synth_audio writes WAVs framed at window_ms={WINDOW_MS:g} and hop_ms={HOP_MS:g};"
+            f"synth_audio writes WAVs framed at window_ms={default.window_ms:g}"
+            f" and hop_ms={default.hop_ms:g};"
             f" got window_ms={config.window_ms:g} and hop_ms={config.hop_ms:g}"
         )
     manifest = corpus_mod.generate_synthetic_corpus(

@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .corpus import read_utf8
-from .features import FrontEnd
+from .dsp import FrontEnd
 from .sphmm import Topology
 
 
@@ -38,17 +38,17 @@ class RunConfig:
     alpha: float = 0.5
     seed: int = 0
     # acoustic front end
-    window_ms: float = 30.0
-    hop_ms: float = 5.0
-    n_fft: int = 512
-    n_bands: int = 16
-    f_low: float = 100.0
-    f_high: float = 8000.0
+    window_ms: float = FrontEnd.window_ms
+    hop_ms: float = FrontEnd.hop_ms
+    n_fft: int = FrontEnd.n_fft
+    n_bands: int = FrontEnd.n_bands
+    f_low: float = FrontEnd.f_low
+    f_high: float = FrontEnd.f_high
     # prosodic front end
-    block_size: int = 9
-    f0_min: float = 75.0
-    f0_max: float = 400.0
-    voicing_threshold: float = 0.3
+    block_size: int = FrontEnd.block_size
+    f0_min: float = FrontEnd.f0_min
+    f0_max: float = FrontEnd.f0_max
+    voicing_threshold: float = FrontEnd.voicing_threshold
     # model topology
     acoustic_states: int = 9
     acoustic_mixtures: int = 10
@@ -111,18 +111,7 @@ class RunConfig:
             raise ConfigError(f"separation must be >= 0, got {self.separation}")
 
     def front_end(self) -> FrontEnd:
-        return FrontEnd(
-            window_ms=self.window_ms,
-            hop_ms=self.hop_ms,
-            n_fft=self.n_fft,
-            n_bands=self.n_bands,
-            f_low=self.f_low,
-            f_high=self.f_high,
-            block_size=self.block_size,
-            f0_min=self.f0_min,
-            f0_max=self.f0_max,
-            voicing_threshold=self.voicing_threshold,
-        )
+        return FrontEnd(**{f.name: getattr(self, f.name) for f in fields(FrontEnd)})
 
     def topology(self) -> Topology:
         return Topology(

@@ -122,6 +122,9 @@ class UtteranceRecord:
         plain = speaker.split() == [speaker] and os.path.basename(speaker) == speaker
         if not plain or speaker in (".", ".."):
             raise CorpusError(f"speaker id {speaker!r} is not a plain file name")
+        # manifests and reports are written with unquoted fields
+        if "," in speaker or '"' in speaker:
+            raise CorpusError(f"speaker id {speaker!r} contains a comma or a double quote")
         if self.gender not in GENDERS:
             raise CorpusError(f"unknown gender {self.gender!r}")
         if self.emotion not in EMOTIONS:
@@ -821,8 +824,8 @@ def _audio_cell_writer(seed, out_dir, voice, emotion, separation, frames_range, 
     emotion factor they fix the cell's harmonics here, once. ``write`` draws
     only from the utterance's own stream: frame count, one phase per
     harmonic, then noise. A WAV of n frames holds exactly the samples that
-    the front end's framing at ``sample_rate`` (``dsp.frame_geometry``) cuts
-    into n frames.
+    the default ``FrontEnd``'s framing at ``sample_rate``
+    (``dsp.frame_geometry``) cuts into n frames.
     """
     window_length, hop = frame_geometry(sample_rate)
     f0 = float(np.clip(130.0 + separation * voice[0], 80.0, 320.0))

@@ -1,4 +1,9 @@
-"""Short-time analysis and log-frequency power coefficients (LFPC).
+"""The front end's parameters, short-time analysis and log-frequency power
+coefficients (LFPC).
+
+:class:`FrontEnd` holds all ten parameters of the front end: those of this
+module's LFPC stream and those of the pitch/energy stream of
+:mod:`emospeaker.prosody`. Every stage takes one.
 
 The front end frames a waveform (30 ms window, 5 ms hop by default), applies a
 Hamming window, and measures band powers through a bank of 16 rectangular
@@ -23,20 +28,34 @@ class DspError(ValueError):
     pass
 
 
-# The front end's default framing: a 30 ms window every 5 ms. Synthetic WAVs
-# are always cut for it.
-WINDOW_MS = 30.0
-HOP_MS = 5.0
+@dataclass(frozen=True)
+class FrontEnd:
+    """Every front-end parameter in one place; defaults match the reference setup.
+
+    Synthetic WAVs are always cut for the default framing.
+    """
+
+    window_ms: float = 30.0
+    hop_ms: float = 5.0
+    n_fft: int = 512
+    n_bands: int = 16
+    f_low: float = 100.0
+    f_high: float = 8000.0
+    block_size: int = 9
+    f0_min: float = 75.0
+    f0_max: float = 400.0
+    voicing_threshold: float = 0.3
 
 
-def frame_geometry(
-    sample_rate: int, window_ms: float = WINDOW_MS, hop_ms: float = HOP_MS
-) -> tuple[int, int]:
-    """(frame length, hop) in samples of a ``window_ms`` window every ``hop_ms``.
+def frame_geometry(sample_rate: int, front_end: FrontEnd = FrontEnd()) -> tuple[int, int]:
+    """(frame length, hop) in samples of a ``front_end.window_ms`` window every ``hop_ms``.
 
     At 16 kHz the defaults give a 480-sample window with an 80-sample hop.
     """
-    return int(round(sample_rate * window_ms / 1000.0)), int(round(sample_rate * hop_ms / 1000.0))
+    return (
+        int(round(sample_rate * front_end.window_ms / 1000.0)),
+        int(round(sample_rate * front_end.hop_ms / 1000.0)),
+    )
 
 
 def frame_signal(samples: np.ndarray, frame_length: int, hop: int) -> np.ndarray:
@@ -165,23 +184,17 @@ def lfpc(energies: np.ndarray, bank: LogFilterbank) -> np.ndarray:
 
 
 def lfpc_sequence(
-    samples: np.ndarray,
-    sample_rate: int,
-    *,
-    window_ms: float = 30.0,
-    hop_ms: float = 5.0,
-    n_fft: int = 512,
-    n_bands: int = 16,
-    f_low: float = 100.0,
-    f_high: float = 8000.0,
+    samples: np.ndarray, sample_rate: int, front_end: FrontEnd = FrontEnd()
 ) -> np.ndarray:
     """Full front end: frames -> Hamming -> power spectrum -> banded dB power.
 
     Returns (n_frames, n_bands) float64, framed by ``frame_geometry``.
     """
-    frame_length, hop = frame_geometry(sample_rate, window_ms, hop_ms)
-    bank = build_log_filterbank(sample_rate, n_fft, n_bands, f_low, f_high)
+    frame_length, hop = frame_geometry(sample_rate, front_end)
+    bank = build_log_filterbank(
+        sample_rate, front_end.n_fft, front_end.n_bands, front_end.f_low, front_end.f_high
+    )
     frames = frame_signal(samples, frame_length, hop)
     windowed = frames * hamming_window(frame_length)[None, :]
-    power = power_spectrum(windowed, n_fft)
+    power = power_spectrum(windowed, front_end.n_fft)
     return lfpc(filterbank_energies(power, bank), bank)

@@ -8,7 +8,6 @@ self-contained directory, so later stages never touch audio.
 """
 
 import os
-from dataclasses import dataclass
 from pathlib import Path
 
 from .corpus import (
@@ -26,51 +25,9 @@ from .corpus import (
     write_feature_file,
     write_manifest,
 )
-from .dsp import lfpc_sequence
-from .prosody import PitchTrackerConfig, suprasegmental_sequence
+from .dsp import FrontEnd, lfpc_sequence
+from .prosody import suprasegmental_sequence
 from .sphmm import DualObservation
-
-
-@dataclass(frozen=True)
-class FrontEnd:
-    """Every front-end knob in one place; defaults match the reference setup."""
-
-    window_ms: float = 30.0
-    hop_ms: float = 5.0
-    n_fft: int = 512
-    n_bands: int = 16
-    f_low: float = 100.0
-    f_high: float = 8000.0
-    block_size: int = 9
-    f0_min: float = 75.0
-    f0_max: float = 400.0
-    voicing_threshold: float = 0.3
-
-    def acoustic(self, samples, sample_rate: int):
-        return lfpc_sequence(
-            samples,
-            sample_rate,
-            window_ms=self.window_ms,
-            hop_ms=self.hop_ms,
-            n_fft=self.n_fft,
-            n_bands=self.n_bands,
-            f_low=self.f_low,
-            f_high=self.f_high,
-        )
-
-    def prosodic(self, samples, sample_rate: int):
-        return suprasegmental_sequence(
-            samples,
-            sample_rate,
-            window_ms=self.window_ms,
-            hop_ms=self.hop_ms,
-            block_size=self.block_size,
-            config=PitchTrackerConfig(
-                f_min=self.f0_min,
-                f_max=self.f0_max,
-                voicing_threshold=self.voicing_threshold,
-            ),
-        )
 
 
 def read_observation(path: str | Path, front_end: FrontEnd, sample_rate: int) -> DualObservation:
@@ -89,8 +46,8 @@ def read_observation(path: str | Path, front_end: FrontEnd, sample_rate: int) ->
             )
         samples = signal.as_float()
         return DualObservation(
-            acoustic=front_end.acoustic(samples, signal.sample_rate),
-            prosodic=front_end.prosodic(samples, signal.sample_rate),
+            acoustic=lfpc_sequence(samples, signal.sample_rate, front_end),
+            prosodic=suprasegmental_sequence(samples, signal.sample_rate, front_end),
         )
     if text.endswith(ACOUSTIC_SUFFIX):
         return DualObservation(

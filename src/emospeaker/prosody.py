@@ -17,11 +17,9 @@ harmonics-to-noise ratio of a sampled sound", IFA Proc. 17 (1993); a
 waveform's frames go through the FFT a fixed-size slice at a time.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .dsp import DspError, frame_geometry, frame_signal
+from .dsp import DspError, FrontEnd, frame_geometry, frame_signal
 
 ENERGY_FLOOR = 1e-10
 
@@ -31,22 +29,16 @@ ENERGY_FLOOR = 1e-10
 _SLICE_FRAMES = 256
 
 
-@dataclass(frozen=True)
-class PitchTrackerConfig:
-    f_min: float = 75.0
-    f_max: float = 400.0
-    voicing_threshold: float = 0.3
-
-    def lag_bounds(self, sample_rate: int, frame_length: int) -> tuple[int, int]:
-        """Inclusive autocorrelation lag range searched for a pitch peak."""
-        lag_min = int(np.ceil(sample_rate / self.f_max))
-        lag_max = min(int(np.floor(sample_rate / self.f_min)), frame_length - 1)
-        if lag_min < 1 or lag_min > lag_max:
-            raise DspError(
-                f"frame of {frame_length} samples too short for pitch range"
-                f" [{self.f_min}, {self.f_max}] Hz at {sample_rate} Hz"
-            )
-        return lag_min, lag_max
+def lag_bounds(front_end: FrontEnd, sample_rate: int, frame_length: int) -> tuple[int, int]:
+    """Inclusive autocorrelation lag range searched for a pitch peak."""
+    lag_min = int(np.ceil(sample_rate / front_end.f0_max))
+    lag_max = min(int(np.floor(sample_rate / front_end.f0_min)), frame_length - 1)
+    if lag_min < 1 or lag_min > lag_max:
+        raise DspError(
+            f"frame of {frame_length} samples too short for pitch range"
+            f" [{front_end.f0_min}, {front_end.f0_max}] Hz at {sample_rate} Hz"
+        )
+    return lag_min, lag_max
 
 
 def _autocorrelation_scores(frames: np.ndarray, lags: np.ndarray) -> np.ndarray:
@@ -104,17 +96,17 @@ def _pitch_decisions(
 
 
 def _f0_rows(
-    frames: np.ndarray, sample_rate: int, config: PitchTrackerConfig
+    frames: np.ndarray, sample_rate: int, front_end: FrontEnd
 ) -> tuple[np.ndarray, np.ndarray]:
     """(f0, voiced) for every row of a (frames, n) array."""
-    lag_min, lag_max = config.lag_bounds(sample_rate, frames.shape[1])
+    lag_min, lag_max = lag_bounds(front_end, sample_rate, frames.shape[1])
     lags = np.arange(lag_min, lag_max + 1)
     score = _autocorrelation_scores(frames, lags)
-    return _pitch_decisions(score, lags, sample_rate, config.voicing_threshold)
+    return _pitch_decisions(score, lags, sample_rate, front_end.voicing_threshold)
 
 
 def estimate_f0(
-    frame: np.ndarray, sample_rate: int, config: PitchTrackerConfig = PitchTrackerConfig()
+    frame: np.ndarray, sample_rate: int, front_end: FrontEnd = FrontEnd()
 ) -> tuple[float, bool]:
     """Estimate (f0_hz, voiced) for one frame: the one-row case of the track.
 
@@ -127,7 +119,7 @@ def estimate_f0(
     the true lag. Unvoiced frames report f0 = 0.
     """
     frame = np.asarray(frame, dtype=np.float64)
-    f0, voiced = _f0_rows(frame[None, :], sample_rate, config)
+    f0, voiced = _f0_rows(frame[None, :], sample_rate, front_end)
     return float(f0[0]), bool(voiced[0])
 
 
@@ -139,25 +131,20 @@ def frame_log_energy(frames: np.ndarray) -> np.ndarray:
 
 
 def pitch_energy_track(
-    samples: np.ndarray,
-    sample_rate: int,
-    *,
-    window_ms: float = 30.0,
-    hop_ms: float = 5.0,
-    config: PitchTrackerConfig = PitchTrackerConfig(),
+    samples: np.ndarray, sample_rate: int, front_end: FrontEnd = FrontEnd()
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-frame (f0, voiced, log_energy) arrays for a waveform.
 
     Frames are analyzed ``_SLICE_FRAMES`` at a time, so the FFT temporaries
     stay the same size however long the waveform is.
     """
-    frames = frame_signal(samples, *frame_geometry(sample_rate, window_ms, hop_ms))
+    frames = frame_signal(samples, *frame_geometry(sample_rate, front_end))
     f0 = np.empty(len(frames))
     voiced = np.empty(len(frames), dtype=bool)
     log_energy = np.empty(len(frames))
     for lo in range(0, len(frames), _SLICE_FRAMES):
         part = slice(lo, lo + _SLICE_FRAMES)
-        f0[part], voiced[part] = _f0_rows(frames[part], sample_rate, config)
+        f0[part], voiced[part] = _f0_rows(frames[part], sample_rate, front_end)
         log_energy[part] = frame_log_energy(frames[part])
     return f0, voiced, log_energy
 
@@ -195,16 +182,8 @@ def aggregate_blocks(
 
 
 def suprasegmental_sequence(
-    samples: np.ndarray,
-    sample_rate: int,
-    *,
-    window_ms: float = 30.0,
-    hop_ms: float = 5.0,
-    block_size: int = 9,
-    config: PitchTrackerConfig = PitchTrackerConfig(),
+    samples: np.ndarray, sample_rate: int, front_end: FrontEnd = FrontEnd()
 ) -> np.ndarray:
     """Waveform -> (n_blocks, 4) prosodic observation sequence."""
-    f0, voiced, energy = pitch_energy_track(
-        samples, sample_rate, window_ms=window_ms, hop_ms=hop_ms, config=config
-    )
-    return aggregate_blocks(f0, voiced, energy, block_size)
+    f0, voiced, energy = pitch_energy_track(samples, sample_rate, front_end)
+    return aggregate_blocks(f0, voiced, energy, front_end.block_size)

@@ -23,6 +23,7 @@ from scipy.special import logsumexp
 
 from emospeaker import hmm
 from emospeaker.hmm import GaussianMixture, HmmModel, HmmStack, log_forward
+from emospeaker.prosody import lag_bounds
 
 
 def log_emissions(model: HmmModel, obs) -> np.ndarray:
@@ -507,7 +508,7 @@ def direct_band_power(power_row, lo: int, hi: int) -> float:
     return total
 
 
-def looped_scores(frame, sample_rate: int, config):
+def looped_scores(frame, sample_rate: int, front_end):
     """Normalized autocorrelation per lag, one np.dot per lag: (lags, scores, denominators).
 
     r(k) = sum_t x_t x_{t+k} over the mean-removed frame, divided by the
@@ -520,7 +521,7 @@ def looped_scores(frame, sample_rate: int, config):
     else:
         frame = frame - frame.mean()
     n = frame.size
-    lag_min, lag_max = config.lag_bounds(sample_rate, n)
+    lag_min, lag_max = lag_bounds(front_end, sample_rate, n)
 
     energy = frame * frame
     csum = np.concatenate([[0.0], np.cumsum(energy)])
@@ -545,8 +546,8 @@ def looped_decision(lags, score, sample_rate: int, voicing_threshold: float):
     return sample_rate / float(lags[candidates[0]]), True
 
 
-def looped_f0(frame, sample_rate: int, config):
+def looped_f0(frame, sample_rate: int, front_end):
     """(f0, voiced) for one frame by the per-lag loop."""
-    lags, score, _ = looped_scores(frame, sample_rate, config)
-    return looped_decision(lags, score, sample_rate, config.voicing_threshold)
+    lags, score, _ = looped_scores(frame, sample_rate, front_end)
+    return looped_decision(lags, score, sample_rate, front_end.voicing_threshold)
 

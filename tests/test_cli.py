@@ -7,6 +7,7 @@ import pytest
 
 from emospeaker.cli import main, read_performance_csv, save_population
 from emospeaker.corpus import AudioSignal, write_audio
+from emospeaker.hmm import TrainingError
 from emospeaker.sphmm import load_speaker_model
 
 TINY_FLAGS = [
@@ -414,6 +415,30 @@ class TestExtract:
         assert "speaker id '../../evil' is not a plain file name" in err
         assert sorted(tmp_path.rglob("*")) == [manifest]
 
+    @pytest.mark.parametrize("command", ["extract", "train"])
+    def test_speaker_id_with_a_comma_exits_1_before_writing(self, pipeline, tmp_path, capsys,
+                                                            command):
+        # reports and manifests are written unquoted: a quoted "a,b" would
+        # split into two fields there
+        lines = pipeline["manifest"].read_text(encoding="utf-8").splitlines()
+        features = f"{pipeline['corpus'] / 'features'}/"
+        edited = [line.replace(",features/", f",{features}") for line in lines]
+        edited = ['"a,b",' + line.removeprefix("spk01,") if line.startswith("spk01,") else line
+                  for line in edited]
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("\n".join(edited) + "\n", encoding="utf-8")
+        first = 1 + next(i for i, line in enumerate(edited) if line.startswith('"a,b",'))
+        capsys.readouterr()
+        code = run([command, "--manifest", str(manifest), "--out", str(tmp_path / "out"),
+                    *TINY_FLAGS])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[:2] == [
+            f"error: {manifest}: 150 bad row(s):",
+            f"  row {first}: speaker id 'a,b' contains a comma or a double quote",
+        ]
+        assert sorted(tmp_path.rglob("*")) == [manifest]
+
     def test_identify_wav_input(self, wav_corpus, tmp_path, capsys):
         out = tmp_path / "run"
         features = tmp_path / "features"
@@ -649,6 +674,68 @@ class TestErrors:
         assert code == 1
         assert "error: test speaker(s) not enrolled: spk03" in capsys.readouterr().err
         assert not (tmp_path / "run" / "reports").exists()
+
+    @pytest.mark.parametrize(
+        "exc, message",
+        [
+            (TrainingError("no frames to train on"), "error: no frames to train on"),
+            (RuntimeError("boom"), "internal error: RuntimeError: boom"),
+        ],
+        ids=["training-error", "unexpected-error"],
+    )
+    def test_runtime_failure_exits_2(self, pipeline, tmp_path, capsys, monkeypatch, exc, message):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr("emospeaker.cli.train_population", fail)
+        code = run(["train", "--manifest", str(pipeline["manifest"]), "--out", str(tmp_path),
+                    *TINY_FLAGS])
+        assert code == 2
+        assert capsys.readouterr().err == message + "\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_model_file_of_another_speaker_exits_1(self, pipeline, tmp_path, capsys):
+        trained = pipeline["out"] / "models" / "unbiased"
+        models = tmp_path / "run" / "models" / "unbiased"
+        models.mkdir(parents=True)
+        for name in ("spk01.model", "population.txt"):
+            (models / name).write_bytes((trained / name).read_bytes())
+        (models / "spk02.model").write_bytes((trained / "spk01.model").read_bytes())
+        code = run(["evaluate", "--manifest", str(pipeline["manifest"]),
+                    "--out", str(tmp_path / "run"), *TINY_FLAGS])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {models / 'spk02.model'}: contains model for 'spk01'\n"
+        )
+
+    def test_comment_after_manifest_header_exits_1(self, pipeline, tmp_path, capsys):
+        lines = pipeline["manifest"].read_text(encoding="utf-8").splitlines()
+        header = next(i for i, line in enumerate(lines) if line.startswith("speaker_id,"))
+        broken = tmp_path / "broken.csv"
+        broken.write_text("\n".join([*lines[:header + 2], "# a note", *lines[header + 2:]]) + "\n")
+        code = run(["train", "--manifest", str(broken), "--out", str(tmp_path / "o"), *TINY_FLAGS])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {broken}:{header + 3}: comment after header\n"
+
+    def test_compare_report_sharing_one_emotion_exits_1(self, pipeline, tmp_path, capsys):
+        baseline = tmp_path / "baseline_performance.csv"
+        baseline.write_text(
+            "Emotion,Males(%),Females(%),Average(%)\n"
+            "neutral,92.00,88.00,90.00\nsad,78.00,82.00,80.00\naverage,85.00,85.00,85.00\n"
+        )
+        code = run(["evaluate", "--manifest", str(pipeline["manifest"]),
+                    "--out", str(pipeline["out"]), "--compare", str(baseline), *TINY_FLAGS])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: baseline report shares 1 emotion(s) with this run; need at least 2\n"
+        )
+
+    def test_missing_compare_report_exits_1(self, pipeline, tmp_path, capsys):
+        ghost = tmp_path / "ghost.csv"
+        code = run(["evaluate", "--manifest", str(pipeline["manifest"]),
+                    "--out", str(pipeline["out"]), "--compare", str(ghost), *TINY_FLAGS])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: performance report not found: {ghost}\n"
 
     def test_identify_without_models(self, tmp_path, pipeline, capsys):
         feat = next((pipeline["corpus"] / "features").glob("*.lfpc.feat"))

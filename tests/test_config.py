@@ -1,12 +1,23 @@
+from dataclasses import fields, replace
+
 import pytest
 
 from emospeaker.config import (
     ConfigError,
     RunConfig,
     build_config,
+    config_keys,
     load_config_file,
     parse_value,
 )
+from emospeaker.dsp import FrontEnd
+
+# a valid value other than the default for every front-end parameter
+FRONT_END_VALUES = {
+    "window_ms": 25.0, "hop_ms": 10.0, "n_fft": 1024, "n_bands": 12, "f_low": 150.0,
+    "f_high": 7000.0, "block_size": 7, "f0_min": 60.0, "f0_max": 350.0,
+    "voicing_threshold": 0.4,
+}
 
 
 class TestDefaults:
@@ -36,6 +47,28 @@ class TestDefaults:
         cfg = RunConfig(emotions=" neutral, angry ,sad ", bias_emotions="")
         assert cfg.emotion_list() == ("neutral", "angry", "sad")
         assert cfg.bias_emotion_list() == ()
+
+
+class TestFrontEnd:
+    def test_defaults_are_the_front_end_defaults(self):
+        assert RunConfig().front_end() == FrontEnd()
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(FrontEnd)])
+    def test_each_parameter_reaches_the_front_end(self, name):
+        value = FRONT_END_VALUES[name]
+        assert value != getattr(FrontEnd(), name)
+        front_end = build_config(overrides={name: value}).front_end()
+        assert front_end == replace(FrontEnd(), **{name: value})
+
+    def test_config_keys_unchanged(self):
+        assert config_keys() == [
+            "manifest", "out", "plan", "alpha", "seed", "window_ms", "hop_ms", "n_fft",
+            "n_bands", "f_low", "f_high", "block_size", "f0_min", "f0_max",
+            "voicing_threshold", "acoustic_states", "acoustic_mixtures", "prosodic_states",
+            "prosodic_mixtures", "max_iterations", "tolerance", "n_folds", "t_test_n",
+            "n_speakers", "emotions", "bias_emotions", "separation", "bias_boost",
+            "noise_scale", "frames_min", "frames_max", "sample_rate", "synth_audio",
+        ]
 
 
 class TestParseValue:

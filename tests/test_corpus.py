@@ -202,6 +202,23 @@ class TestManifestIo:
             f"{path}: 1 bad row(s):\n  row 3: speaker id {speaker!r} is not a plain file name"
         )
 
+    @pytest.mark.parametrize("speaker", ["a,b", 'a"b', ",", '"'])
+    def test_speaker_id_must_hold_no_comma_or_quote(self, tmp_path, speaker):
+        quoted = '"' + speaker.replace('"', '""') + '"'
+        path = tmp_path / "m.csv"
+        path.write_text(
+            "speaker_id,gender,emotion,sentence_id,bias_tag,session,repetition,source\n"
+            "spk01,male,angry,1,unbiased,train,1,a.wav\n"
+            f"{quoted},male,angry,1,unbiased,train,2,b.wav\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ManifestError) as err:
+            load_manifest(path)
+        assert str(err.value) == (
+            f"{path}: 1 bad row(s):\n"
+            f"  row 3: speaker id {speaker!r} contains a comma or a double quote"
+        )
+
     @pytest.mark.parametrize("speaker", ["spk01", "spk-01.a", "..a", "a..", "._", "spk_\u00e9"])
     def test_plain_file_name_speaker_ids_pass(self, speaker):
         make_record(speaker_id=speaker).validate()

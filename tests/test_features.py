@@ -25,6 +25,8 @@ from emospeaker.features import (
     make_loader,
     prosodic_sibling,
 )
+from emospeaker.dsp import lfpc_sequence
+from emospeaker.prosody import suprasegmental_sequence
 from pathlib import Path
 
 
@@ -66,7 +68,7 @@ class TestFrontEnd:
         fe = FrontEnd()
         rng = np.random.default_rng(0)
         samples = rng.uniform(-0.4, 0.4, 16000)
-        feats = fe.acoustic(samples, 16000)
+        feats = lfpc_sequence(samples, 16000, fe)
         assert feats.shape == (195, 16)
         assert np.all(np.isfinite(feats))
 
@@ -74,13 +76,13 @@ class TestFrontEnd:
         fe = FrontEnd(block_size=9)
         rng = np.random.default_rng(1)
         samples = rng.uniform(-0.4, 0.4, 16000)
-        blocks = fe.prosodic(samples, 16000)
+        blocks = suprasegmental_sequence(samples, 16000, fe)
         assert blocks.shape == (np.ceil(195 / 9), 4)
 
     def test_knobs_propagate(self):
         fe = FrontEnd(n_bands=8, n_fft=256, f_high=4000.0)
         samples = np.sin(2 * np.pi * 440 * np.arange(8000) / 8000)
-        feats = fe.acoustic(samples, 8000)
+        feats = lfpc_sequence(samples, 8000, fe)
         assert feats.shape[1] == 8
 
 

@@ -5,12 +5,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from emospeaker import prosody
-from emospeaker.dsp import DspError, frame_signal
+from emospeaker.dsp import DspError, FrontEnd, frame_signal
 from emospeaker.prosody import (
-    PitchTrackerConfig,
     aggregate_blocks,
     estimate_f0,
     frame_log_energy,
+    lag_bounds,
     pitch_energy_track,
     suprasegmental_sequence,
 )
@@ -52,14 +52,13 @@ class TestPitchEstimation:
                 assert 75.0 <= f0 <= 400.0
 
     def test_lag_bounds(self):
-        config = PitchTrackerConfig()
-        lag_min, lag_max = config.lag_bounds(16000, 480)
+        lag_min, lag_max = lag_bounds(FrontEnd(), 16000, 480)
         assert lag_min == 40   # ceil(16000 / 400)
         assert lag_max == 213  # floor(16000 / 75)
 
     def test_frame_too_short_rejected(self):
         with pytest.raises(DspError):
-            PitchTrackerConfig().lag_bounds(16000, 30)
+            lag_bounds(FrontEnd(), 16000, 30)
 
     def test_silence_is_unvoiced(self):
         f0, voiced = estimate_f0(np.zeros(480), 16000)
@@ -140,8 +139,8 @@ class TestEndToEnd:
 
 SR = 16000
 FRAME = 480
-CONFIG = PitchTrackerConfig()
-LAG_MIN, LAG_MAX = CONFIG.lag_bounds(SR, FRAME)
+CONFIG = FrontEnd()
+LAG_MIN, LAG_MAX = lag_bounds(CONFIG, SR, FRAME)
 LAGS = np.arange(LAG_MIN, LAG_MAX + 1)
 SCORE_TOL = 1e-12
 
@@ -272,7 +271,7 @@ class TestBatchedTrackerMatchesLoop:
     @pytest.mark.parametrize("amplitude", [1.0, 16000.0])
     def test_tones_at_range_and_lag_bounds(self, phase, amplitude):
         freqs = [
-            CONFIG.f_min, CONFIG.f_max,          # the range
+            CONFIG.f0_min, CONFIG.f0_max,        # the range
             SR / LAG_MIN, SR / LAG_MAX,          # periods of exactly lag_min and lag_max
             SR / (LAG_MIN - 1), SR / (LAG_MAX + 1),  # one lag beyond each bound
             SR / (LAG_MIN + 0.5), SR / (LAG_MAX - 0.5),

@@ -16,7 +16,9 @@ model's trailing digits depend on the thread count. The ``standard`` script is:
   directory;
 * their WAV corpus: ``synth --seed 5 --synth_audio true``, ``extract`` and
   then again with every output up to date, ``train``, ``evaluate`` and
-  ``identify`` on one WAV;
+  ``identify`` on one WAV; then ``extract`` into a directory of its own,
+  ``train`` and ``evaluate`` with each of the ten front-end keys off its
+  default (``FRONT_END``), so that each must reach its stage;
 * a 3-speaker ``biased:angry`` corpus at the paper's topology (9x10
   acoustic, 3x2 prosodic): ``train`` and ``evaluate`` at alpha 0, 0.5 and 1
   under both plans, and 3-fold ``xval`` under the biased one;
@@ -92,6 +94,15 @@ BASELINE = (
     "Emotion,Males(%),Females(%),Average(%)\n"
     "neutral,92.00,88.00,90.00\nangry,78.00,82.00,80.00\naverage,85.00,85.00,85.00\n"
 )
+# every front-end key off its default, each changing the WAV corpus's
+# features: n_fft still covers the 15 ms window, and the pitch range and
+# voicing threshold cut across its voices (about 137-157 Hz, peak scores
+# near 1)
+FRONT_END = [
+    "--window_ms", "15", "--hop_ms", "4", "--n_fft", "256", "--n_bands", "12",
+    "--f_low", "120", "--f_high", "7000", "--block_size", "7", "--f0_min", "100",
+    "--f0_max", "145", "--voicing_threshold", "0.8",
+]
 FEATURE_FILE = "feat/corpus/features/spk01_neutral_s1_r10_unbiased.lfpc.feat"
 WAV_FILE = "wav/corpus/audio/spk02_angry_s3_r12_unbiased.wav"
 MODELS = "feat/run/models/unbiased"
@@ -185,6 +196,8 @@ def feature_corpus(alphas: tuple[str, ...], full: bool) -> list:
 
 def wav_corpus() -> list:
     extract = ["extract", "--manifest", "wav/corpus/manifest.csv", "--out", "wav/features", *TINY]
+    front_end = ["--manifest", "wav/front_end/features.csv", "--out", "wav/front_end_run", *TINY,
+                 *FRONT_END]
     return [
         ["synth", "--seed", "5", "--synth_audio", "true", "--out", "wav/corpus", *TINY],
         extract,
@@ -192,6 +205,10 @@ def wav_corpus() -> list:
         ["train", "--manifest", "wav/features/features.csv", "--out", "wav/run", *TINY],
         ["evaluate", "--manifest", "wav/features/features.csv", "--out", "wav/run", *TINY],
         ["identify", "--out", "wav/run", "--input", WAV_FILE, *TINY],
+        ["extract", "--manifest", "wav/corpus/manifest.csv", "--out", "wav/front_end", *TINY,
+         *FRONT_END],
+        ["train", *front_end],
+        ["evaluate", *front_end],
     ]
 
 
