@@ -34,8 +34,7 @@ print(f"        ({workdir})")
 # Small models keep the demo quick; the defaults (9 states, 10 mixtures)
 # are what you would use on real recordings.
 topology = Topology(
-    acoustic_states=2, acoustic_mixtures=2, acoustic_dim=16,
-    prosodic_states=2, prosodic_mixtures=1, prosodic_dim=4,
+    acoustic_states=2, acoustic_mixtures=2, prosodic_states=2, prosodic_mixtures=1,
 )
 
 loader = make_loader(manifest)

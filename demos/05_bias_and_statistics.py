@@ -43,8 +43,7 @@ manifest = generate_synthetic_corpus(
 )
 
 topology = Topology(
-    acoustic_states=2, acoustic_mixtures=2, acoustic_dim=16,
-    prosodic_states=2, prosodic_mixtures=1, prosodic_dim=4,
+    acoustic_states=2, acoustic_mixtures=2, prosodic_states=2, prosodic_mixtures=1,
 )
 loader = make_loader(manifest)
 

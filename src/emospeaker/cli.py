@@ -29,7 +29,7 @@ from .corpus import (
     read_utf8,
     validate_protocol_counts,
 )
-from .dsp import DspError, FrontEnd
+from .dsp import DspError
 from .features import extract_corpus, make_loader, read_observation
 from .hmm import ModelError, ModelFormatError, TrainingError
 from .protocol import (
@@ -147,14 +147,6 @@ def load_population(directory: Path) -> Population:
 def cmd_synth(args) -> int:
     config = _config_from_args(args)
     _require(config, "out")
-    default = FrontEnd()  # synthetic WAVs are cut for the default framing
-    framing = (config.window_ms, config.hop_ms)
-    if config.synth_audio and framing != (default.window_ms, default.hop_ms):
-        raise ConfigError(
-            f"synth_audio writes WAVs framed at window_ms={default.window_ms:g}"
-            f" and hop_ms={default.hop_ms:g};"
-            f" got window_ms={config.window_ms:g} and hop_ms={config.hop_ms:g}"
-        )
     manifest = corpus_mod.generate_synthetic_corpus(
         seed=config.seed,
         n_speakers=config.n_speakers,
@@ -163,9 +155,8 @@ def cmd_synth(args) -> int:
         out_dir=config.out,
         bias_emotions=config.bias_emotion_list(),
         bias_boost=config.bias_boost,
-        n_coefficients=config.n_bands,
+        front_end=config.front_end(),
         frames_range=(config.frames_min, config.frames_max),
-        block_size=config.block_size,
         noise_scale=config.noise_scale,
         audio=config.synth_audio,
         sample_rate=config.sample_rate,
@@ -333,11 +324,17 @@ def cmd_evaluate(args) -> int:
     manifest = load_manifest(config.manifest)
     models = load_population(_models_dir(config))
     loader = make_loader(manifest, config.front_end())
+    baseline = None
+    if args.compare:
+        # reports are written with unquoted fields, the path among them
+        if any(c in args.compare for c in ',"\n\r'):
+            message = f"--compare {args.compare!r} contains a comma, a double quote or a newline"
+            raise ConfigError(message)
+        baseline = read_performance_csv(Path(args.compare))
     result = run_session(models, manifest, loader, config.plan, alpha=config.alpha)
 
     comparison = None
-    if args.compare:
-        baseline = read_performance_csv(Path(args.compare))
+    if baseline is not None:
         shared = [e for e in result.table.emotions if e in baseline]
         if len(shared) < 2:
             raise StatsError(

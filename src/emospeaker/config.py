@@ -50,10 +50,10 @@ class RunConfig:
     f0_max: float = FrontEnd.f0_max
     voicing_threshold: float = FrontEnd.voicing_threshold
     # model topology
-    acoustic_states: int = 9
-    acoustic_mixtures: int = 10
-    prosodic_states: int = 3
-    prosodic_mixtures: int = 2
+    acoustic_states: int = Topology.acoustic_states
+    acoustic_mixtures: int = Topology.acoustic_mixtures
+    prosodic_states: int = Topology.prosodic_states
+    prosodic_mixtures: int = Topology.prosodic_mixtures
     # training
     max_iterations: int = 40
     tolerance: float = 1e-4
@@ -114,14 +114,9 @@ class RunConfig:
         return FrontEnd(**{f.name: getattr(self, f.name) for f in fields(FrontEnd)})
 
     def topology(self) -> Topology:
-        return Topology(
-            acoustic_states=self.acoustic_states,
-            acoustic_mixtures=self.acoustic_mixtures,
-            acoustic_dim=self.n_bands,
-            prosodic_states=self.prosodic_states,
-            prosodic_mixtures=self.prosodic_mixtures,
-            prosodic_dim=4,
-        )
+        """States and mixtures by field name, ``n_bands`` as the acoustic width."""
+        shape = {f.name: getattr(self, f.name) for f in fields(Topology) if hasattr(self, f.name)}
+        return Topology(**shape, acoustic_dim=self.n_bands)
 
     def emotion_list(self) -> tuple[str, ...]:
         return _split_list(self.emotions)

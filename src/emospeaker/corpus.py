@@ -29,7 +29,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dsp import frame_geometry
+from .dsp import FrontEnd, frame_geometry
+from .prosody import BLOCK_FEATURES
 
 EMOTIONS = ("neutral", "angry", "sad", "happy", "disgust", "fear")
 GENDERS = ("male", "female")
@@ -135,6 +136,9 @@ class UtteranceRecord:
             raise CorpusError(f"repetition {self.repetition} out of {TRAIN_REPS[0]}..{TEST_REPS[-1]}")
         if normalize_bias_tag(self.bias_tag) != self.bias_tag:
             raise CorpusError(f"bias tag {self.bias_tag!r} not normalized")
+        # a source ending in a separator, "." or ".." names a directory
+        if os.path.basename(self.source) in ("", ".", ".."):
+            raise CorpusError(f"source {self.source!r} names no file")
         if self.session != session_for_repetition(self.repetition):
             raise CorpusError(
                 f"session {self.session!r} inconsistent with repetition {self.repetition}"
@@ -160,24 +164,13 @@ class CorpusManifest:
 
         ``os.path.join(root, source)``, so a relative source is anchored at
         the root and an absolute one replaces it, at the cost of one string
-        join and no ``Path``. An empty source, or one ending in a separator
-        or ``.``, takes the ``Path`` form instead, whose normalization reads
-        ``""`` as ``"."`` and drops such an ending.
+        join and no ``Path``. Without a root it is the source itself.
         """
-        source = record.source
-        if not source or source.endswith(_NORMALIZED_ENDINGS):
-            return os.fspath(Path(source) if self.root is None else self.root / source)
-        if self.root is None:
-            return source
-        return os.path.join(self.root, source)
+        return os.path.join(self.root or "", record.source)
 
     def resolve(self, record: UtteranceRecord) -> Path:
         """The ``Path`` of :meth:`source_path`."""
         return Path(self.source_path(record))
-
-
-# a source with one of these endings resolves through Path, which drops it
-_NORMALIZED_ENDINGS = tuple({"/", os.sep, "."})
 
 
 def load_manifest(path: str | Path) -> CorpusManifest:
@@ -662,9 +655,8 @@ def generate_synthetic_corpus(
     *,
     bias_emotions: tuple[str, ...] = (),
     bias_boost: float = 2.0,
-    n_coefficients: int = 16,
+    front_end: FrontEnd = FrontEnd(),
     frames_range: tuple[int, int] = (40, 60),
-    block_size: int = 9,
     noise_scale: float = 2.0,
     audio: bool = False,
     sample_rate: int = 16000,
@@ -677,8 +669,11 @@ def generate_synthetic_corpus(
     ``bias_emotions``, additional ``biased:<emotion>`` records are emitted whose
     speaker component is amplified by ``bias_boost`` (content coupled more
     tightly to the speaker). By default feature files are written, named by
-    :func:`feature_source` and :func:`prosodic_sibling`; with ``audio=True``
-    WAV files of summed harmonics plus noise are written instead.
+    :func:`feature_source` and :func:`prosodic_sibling`: ``front_end.n_bands``
+    LFPC coefficients per frame and one ``BLOCK_FEATURES``-wide prosodic
+    vector per ``front_end.block_size`` frames. With ``audio=True`` WAV files
+    of summed harmonics plus noise are written instead, each cut so that the
+    front end's framing yields its drawn frame count.
 
     Deterministic: every random stream is keyed by the seed and what it
     describes, so identical arguments yield byte-identical output files.
@@ -704,10 +699,14 @@ def generate_synthetic_corpus(
         if tag != UNBIASED:  # biased:neutral is the unbiased set itself
             bias_tags.append((e, tag))
 
+    if audio and min(frame_geometry(sample_rate, front_end)) < 1:
+        raise CorpusError(f"window_ms={front_end.window_ms:g} and hop_ms={front_end.hop_ms:g}"
+                          f" frame nothing at {sample_rate} Hz")
     out_dir = Path(out_dir)
     (out_dir / ("audio" if audio else "features")).mkdir(parents=True, exist_ok=True)
 
-    base = _derived_rng(seed, "base").normal(30.0, 5.0, n_coefficients)
+    n_bands = front_end.n_bands
+    base = _derived_rng(seed, "base").normal(30.0, 5.0, n_bands)
     speakers = [f"spk{i + 1:02d}" for i in range(n_speakers)]
 
     records = []
@@ -717,8 +716,9 @@ def generate_synthetic_corpus(
             spk_rng = _derived_rng(seed, "spk", speaker, "audio")
             voice = (spk_rng.normal(0.0, 4.0), spk_rng.normal(0.0, 0.2))
         else:
-            signature = separation * _derived_rng(seed, "spk", speaker).standard_normal(n_coefficients)
-            pros_signature = separation * _derived_rng(seed, "spk", speaker, "pros").standard_normal(4)
+            signature = separation * _derived_rng(seed, "spk", speaker).standard_normal(n_bands)
+            pros_rng = _derived_rng(seed, "spk", speaker, "pros")
+            pros_signature = separation * pros_rng.standard_normal(BLOCK_FEATURES)
         for emotion in emotions:
             cells = [(emotion, UNBIASED)]
             cells.extend((e, tag) for e, tag in bias_tags if e == emotion)
@@ -727,13 +727,13 @@ def generate_synthetic_corpus(
                 if audio:
                     write = _audio_cell_writer(
                         seed, out_dir, voice, cell_emotion, separation * boost,
-                        frames_range, sample_rate,
+                        frames_range, sample_rate, front_end,
                     )
                 else:
                     write = _feature_cell_writer(
                         seed, out_dir, speaker, cell_emotion,
                         base, signature * boost, pros_signature * boost,
-                        n_coefficients, frames_range, block_size, noise_scale,
+                        n_bands, frames_range, front_end.block_size, noise_scale,
                     )
                 for sentence in SENTENCE_IDS:
                     for rep in TRAIN_REPS + TEST_REPS:
@@ -771,24 +771,24 @@ def generate_synthetic_corpus(
 
 
 def _feature_cell_writer(seed, out_dir, speaker, emotion, base, signature, pros_signature,
-                         n_coefficients, frames_range, block_size, noise_scale):
+                         n_bands, frames_range, block_size, noise_scale):
     """Writer of one (speaker, cell)'s feature files: ``write(key)`` -> source path.
 
     The cell's constants are drawn here, once; ``write`` draws only from the
     utterance's own stream: frame count, source chain, acoustic noise, then
     prosodic noise.
     """
-    emotion_offset = _derived_rng(seed, "emo", emotion).normal(0.0, 3.0, n_coefficients)
+    emotion_offset = _derived_rng(seed, "emo", emotion).normal(0.0, 3.0, n_bands)
     interaction = 0.5 * np.linalg.norm(signature) * _derived_rng(
         seed, "inter", speaker, emotion
-    ).standard_normal(n_coefficients) / max(np.sqrt(n_coefficients), 1.0)
+    ).standard_normal(n_bands) / max(np.sqrt(n_bands), 1.0)
     n_states = 3
     state_offsets = np.stack([
-        _derived_rng(seed, "emo", emotion, "state", k).normal(0.0, 2.0, n_coefficients)
+        _derived_rng(seed, "emo", emotion, "state", k).normal(0.0, 2.0, n_bands)
         for k in range(n_states)
     ])
     mean = base + signature + emotion_offset + interaction
-    pros_emotion = _derived_rng(seed, "emo", emotion, "pros").standard_normal(4)
+    pros_emotion = _derived_rng(seed, "emo", emotion, "pros").standard_normal(BLOCK_FEATURES)
     pros_mean = (
         _PROSODIC_BASE
         + pros_signature * _PROSODIC_SPEAKER_SCALE
@@ -804,30 +804,31 @@ def _feature_cell_writer(seed, out_dir, speaker, emotion, base, signature, pros_
         for t in range(1, n_frames):
             path[t] = path[t - 1] if rng.random() < 0.7 else rng.integers(n_states)
         acoustic = mean + state_offsets[path] + noise_scale * rng.standard_normal(
-            (n_frames, n_coefficients)
+            (n_frames, n_bands)
         )
         rel = feature_source(key)
         write_feature_file(acoustic, out_dir / rel)
 
         n_blocks = -(-n_frames // block_size)
-        blocks = pros_mean + _PROSODIC_NOISE_SCALE * rng.standard_normal((n_blocks, 4))
+        blocks = pros_mean + _PROSODIC_NOISE_SCALE * rng.standard_normal((n_blocks, BLOCK_FEATURES))
         write_feature_file(_clip_prosodic(blocks), out_dir / prosodic_sibling(rel))
         return rel
 
     return write
 
 
-def _audio_cell_writer(seed, out_dir, voice, emotion, separation, frames_range, sample_rate):
+def _audio_cell_writer(seed, out_dir, voice, emotion, separation, frames_range, sample_rate,
+                       front_end):
     """Writer of one (speaker, cell)'s WAV files: ``write(key)`` -> source path.
 
     ``voice`` is the speaker's two draws for f0 and harmonic decay; with the
     emotion factor they fix the cell's harmonics here, once. ``write`` draws
     only from the utterance's own stream: frame count, one phase per
     harmonic, then noise. A WAV of n frames holds exactly the samples that
-    the default ``FrontEnd``'s framing at ``sample_rate``
-    (``dsp.frame_geometry``) cuts into n frames.
+    ``front_end``'s framing at ``sample_rate`` (``dsp.frame_geometry``) cuts
+    into n frames.
     """
-    window_length, hop = frame_geometry(sample_rate)
+    window_length, hop = frame_geometry(sample_rate, front_end)
     f0 = float(np.clip(130.0 + separation * voice[0], 80.0, 320.0))
     decay = 1.5 + abs(voice[1]) * (1.0 + separation)
     emotion_factor = 1.0 + 0.04 * _derived_rng(seed, "emo", emotion, "audio").standard_normal()

@@ -30,10 +30,7 @@ class DspError(ValueError):
 
 @dataclass(frozen=True)
 class FrontEnd:
-    """Every front-end parameter in one place; defaults match the reference setup.
-
-    Synthetic WAVs are always cut for the default framing.
-    """
+    """Every front-end parameter in one place; defaults match the reference setup."""
 
     window_ms: float = 30.0
     hop_ms: float = 5.0
@@ -121,9 +118,9 @@ class LogFilterbank:
 def build_log_filterbank(
     sample_rate: int,
     n_fft: int,
-    n_bands: int = 16,
-    f_low: float = 100.0,
-    f_high: float = 8000.0,
+    n_bands: int = FrontEnd.n_bands,
+    f_low: float = FrontEnd.f_low,
+    f_high: float = FrontEnd.f_high,
 ) -> LogFilterbank:
     """Construct the geometric band edges and their DFT-bin quantization.
 

@@ -23,6 +23,10 @@ from .dsp import DspError, FrontEnd, frame_geometry, frame_signal
 
 ENERGY_FLOOR = 1e-10
 
+# columns of a prosodic block vector: mean voiced f0, f0 range, mean log
+# energy, voiced fraction
+BLOCK_FEATURES = 4
+
 # Frames per FFT slice of the pitch tracker: bounds the (frames, n_fft)
 # spectrum and correlation temporaries, so the working set does not grow
 # with the length of the utterance.
@@ -150,9 +154,10 @@ def pitch_energy_track(
 
 
 def aggregate_blocks(
-    f0: np.ndarray, voiced: np.ndarray, log_energy: np.ndarray, block_size: int = 9
+    f0: np.ndarray, voiced: np.ndarray, log_energy: np.ndarray,
+    block_size: int = FrontEnd.block_size,
 ) -> np.ndarray:
-    """Fold frame tracks into (n_blocks, 4) vectors; the last block may be short.
+    """Fold frame tracks into (n_blocks, BLOCK_FEATURES) vectors; the last block may be short.
 
     Columns: mean f0 over voiced frames (0 if none), f0 range over voiced
     frames, mean log energy, fraction of voiced frames.
@@ -168,7 +173,7 @@ def aggregate_blocks(
         raise DspError("block_size must be >= 1")
 
     n_blocks = -(-f0.size // block_size)
-    out = np.zeros((n_blocks, 4))
+    out = np.zeros((n_blocks, BLOCK_FEATURES))
     for b in range(n_blocks):
         sl = slice(b * block_size, min((b + 1) * block_size, f0.size))
         v = voiced[sl]
@@ -184,6 +189,6 @@ def aggregate_blocks(
 def suprasegmental_sequence(
     samples: np.ndarray, sample_rate: int, front_end: FrontEnd = FrontEnd()
 ) -> np.ndarray:
-    """Waveform -> (n_blocks, 4) prosodic observation sequence."""
+    """Waveform -> (n_blocks, BLOCK_FEATURES) prosodic observation sequence."""
     f0, voiced, energy = pitch_energy_track(samples, sample_rate, front_end)
     return aggregate_blocks(f0, voiced, energy, front_end.block_size)

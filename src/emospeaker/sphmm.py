@@ -24,12 +24,13 @@ speakers that disagree on a stream's (states, mixtures, dim).
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .corpus import derive_seed, read_utf8
+from .dsp import FrontEnd
 from .hmm import (
     HmmModel,
     HmmStack,
@@ -43,6 +44,7 @@ from .hmm import (
     model_from_text,
     model_to_text,
 )
+from .prosody import BLOCK_FEATURES
 
 # The two feature streams, in the order they are trained and fused.
 STREAMS = ("acoustic", "prosodic")
@@ -50,22 +52,23 @@ STREAMS = ("acoustic", "prosodic")
 
 @dataclass(frozen=True)
 class Topology:
-    """State/mixture counts for the two streams."""
+    """State/mixture counts and feature widths of the two streams.
+
+    The widths default to what the default front end writes: ``n_bands``
+    LFPC coefficients and ``BLOCK_FEATURES`` prosodic columns.
+    """
 
     acoustic_states: int = 9
     acoustic_mixtures: int = 10
-    acoustic_dim: int = 16
+    acoustic_dim: int = FrontEnd.n_bands
     prosodic_states: int = 3
     prosodic_mixtures: int = 2
-    prosodic_dim: int = 4
+    prosodic_dim: int = BLOCK_FEATURES
 
     def validate(self) -> None:
-        for name in (
-            "acoustic_states", "acoustic_mixtures", "acoustic_dim",
-            "prosodic_states", "prosodic_mixtures", "prosodic_dim",
-        ):
-            if getattr(self, name) < 1:
-                raise ModelError(f"{name} must be >= 1")
+        for f in fields(self):
+            if getattr(self, f.name) < 1:
+                raise ModelError(f"{f.name} must be >= 1")
 
 
 @dataclass

@@ -1,12 +1,14 @@
 import os
+import shutil
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from emospeaker import cli
 from emospeaker.cli import main, read_performance_csv, save_population
-from emospeaker.corpus import AudioSignal, write_audio
+from emospeaker.corpus import AudioSignal, read_feature_file, write_audio
 from emospeaker.hmm import TrainingError
 from emospeaker.sphmm import load_speaker_model
 
@@ -439,6 +441,20 @@ class TestExtract:
         ]
         assert sorted(tmp_path.rglob("*")) == [manifest]
 
+    @pytest.mark.parametrize("flags", [["--hop_ms", "10"], ["--window_ms", "25"]],
+                             ids=["hop_ms", "window_ms"])
+    def test_synth_audio_is_cut_for_the_run_framing(self, tmp_path, flags):
+        # extracted with the framing it was synthesized for, every WAV gives a
+        # frame count in [frames_min, frames_max]
+        corpus, features = tmp_path / "corpus", tmp_path / "features"
+        assert run(["synth", "--out", str(corpus), "--synth_audio", "true", *flags,
+                    *TINY_FLAGS]) == 0
+        assert run(["extract", "--manifest", str(corpus / "manifest.csv"),
+                    "--out", str(features), *flags, *TINY_FLAGS]) == 0
+        files = list((features / "features").glob("*.lfpc.feat"))
+        assert len(files) == 2 * 2 * 5 * 15
+        assert all(15 <= len(read_feature_file(path)) <= 20 for path in files)
+
     def test_identify_wav_input(self, wav_corpus, tmp_path, capsys):
         out = tmp_path / "run"
         features = tmp_path / "features"
@@ -457,6 +473,14 @@ class TestExtract:
         code = run(["identify", "--out", str(out), "--input", str(wav), *TINY_FLAGS])
         assert code == 0
         assert capsys.readouterr().out.startswith("predicted spk")
+
+
+@pytest.fixture
+def sessions(monkeypatch):
+    """The arguments of every ``run_session`` call the CLI makes, which scores nothing."""
+    calls = []
+    monkeypatch.setattr(cli, "run_session", lambda *args, **kwargs: calls.append(args))
+    return calls
 
 
 class TestErrors:
@@ -491,18 +515,6 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "status=fail" in err and "deficit" in err
 
-    def test_synth_audio_non_default_hop_exits_1(self, tmp_path, capsys):
-        # synthetic WAVs are cut for a 30 ms window every 5 ms, whatever the run asks
-        for flag, value in (("--hop_ms", "10"), ("--window_ms", "25")):
-            out = tmp_path / flag.strip("-")
-            code = run(["synth", "--out", str(out), "--synth_audio", "true", flag, value,
-                        *TINY_FLAGS])
-            assert code == 1
-            err = capsys.readouterr().err
-            assert "window_ms=30 and hop_ms=5" in err
-            assert f"{flag.strip('-')}={value}" in err
-            assert not (out / "manifest.csv").exists()
-
     def test_bad_sample_rate_exits_1(self, pipeline, tmp_path, capsys):
         lines = pipeline["manifest"].read_text().splitlines()
         body = [ln for ln in lines if not ln.startswith("# sample_rate=")]
@@ -528,7 +540,8 @@ class TestErrors:
         ],
         ids=["three-fields", "non-numeric-average"],
     )
-    def test_malformed_compare_report_exits_1(self, pipeline, tmp_path, capsys, row, message):
+    def test_malformed_compare_report_exits_1(self, pipeline, tmp_path, capsys, sessions, row,
+                                              message):
         baseline = tmp_path / "baseline_performance.csv"
         baseline.write_text(
             "Emotion,Males(%),Females(%),Average(%)\n"
@@ -545,6 +558,7 @@ class TestErrors:
         )
         assert code == 1
         assert f"error: {baseline}: {message}" in capsys.readouterr().err
+        assert sessions == []  # the report is read before any trial is scored
 
     def test_duplicate_speaker_in_population_exits_1(self, pipeline, tmp_path, capsys):
         # a speaker listed twice would be scored twice and counted as a third
@@ -730,12 +744,32 @@ class TestErrors:
             "error: baseline report shares 1 emotion(s) with this run; need at least 2\n"
         )
 
-    def test_missing_compare_report_exits_1(self, pipeline, tmp_path, capsys):
+    def test_missing_compare_report_exits_1(self, pipeline, tmp_path, capsys, sessions):
         ghost = tmp_path / "ghost.csv"
         code = run(["evaluate", "--manifest", str(pipeline["manifest"]),
                     "--out", str(pipeline["out"]), "--compare", str(ghost), *TINY_FLAGS])
         assert code == 1
         assert capsys.readouterr().err == f"error: performance report not found: {ghost}\n"
+        assert sessions == []
+
+    @pytest.mark.parametrize("name", ["a,b.csv", 'a"b.csv', "a\nb.csv"],
+                             ids=["comma", "quote", "newline"])
+    def test_compare_path_unfit_for_a_report_exits_1(self, pipeline, tmp_path, capsys,
+                                                     sessions, name):
+        # statistics.csv names the baseline report in an unquoted field
+        out = tmp_path / "run"
+        shutil.copytree(pipeline["out"] / "models", out / "models")
+        baseline = tmp_path / name
+        baseline.write_text("Emotion,Males(%),Females(%),Average(%)\n"
+                            "neutral,92.00,88.00,90.00\nangry,78.00,82.00,80.00\n")
+        code = run(["evaluate", "--manifest", str(pipeline["manifest"]),
+                    "--out", str(out), "--compare", str(baseline), *TINY_FLAGS])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: --compare {str(baseline)!r} contains a comma, a double quote or a newline\n"
+        )
+        assert sessions == []
+        assert not (out / "reports").exists()
 
     def test_identify_without_models(self, tmp_path, pipeline, capsys):
         feat = next((pipeline["corpus"] / "features").glob("*.lfpc.feat"))

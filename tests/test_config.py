@@ -1,7 +1,10 @@
+import inspect
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
+from emospeaker import prosody
 from emospeaker.config import (
     ConfigError,
     RunConfig,
@@ -10,7 +13,8 @@ from emospeaker.config import (
     load_config_file,
     parse_value,
 )
-from emospeaker.dsp import FrontEnd
+from emospeaker.dsp import FrontEnd, build_log_filterbank
+from emospeaker.sphmm import Topology
 
 # a valid value other than the default for every front-end parameter
 FRONT_END_VALUES = {
@@ -69,6 +73,32 @@ class TestFrontEnd:
             "n_speakers", "emotions", "bias_emotions", "separation", "bias_boost",
             "noise_scale", "frames_min", "frames_max", "sample_rate", "synth_audio",
         ]
+
+
+class TestOneDeclaration:
+    # each front-end and topology default is written once and read elsewhere
+    def test_topology_widths_are_what_the_front_end_writes(self):
+        assert Topology().acoustic_dim == FrontEnd().n_bands
+        assert Topology().prosodic_dim == prosody.BLOCK_FEATURES
+        track = (np.full(3, 150.0), np.ones(3, dtype=bool), np.zeros(3))
+        assert prosody.aggregate_blocks(*track).shape == (1, prosody.BLOCK_FEATURES)
+
+    def test_run_config_topology_is_the_default_topology(self):
+        assert RunConfig().topology() == Topology()
+
+    @pytest.mark.parametrize(
+        "name", ["acoustic_states", "acoustic_mixtures", "prosodic_states", "prosodic_mixtures"]
+    )
+    def test_each_shape_key_reaches_the_topology(self, name):
+        topology = build_config(overrides={name: 5}).topology()
+        assert topology == replace(Topology(), **{name: 5})
+
+    def test_stage_defaults_are_the_front_end_defaults(self):
+        bank = inspect.signature(build_log_filterbank).parameters
+        for name in ("n_bands", "f_low", "f_high"):
+            assert bank[name].default == getattr(FrontEnd(), name)
+        blocks = inspect.signature(prosody.aggregate_blocks).parameters
+        assert blocks["block_size"].default == FrontEnd().block_size
 
 
 class TestParseValue:

@@ -302,13 +302,19 @@ class TestManifestIo:
             assert isinstance(manifest.resolve(record), Path)
         assert CorpusManifest(records=[]).source_path(relative) == relative.source
 
-    @pytest.mark.parametrize("source", ["features/x.lfpc.feat/", "features/x.lfpc.feat/.", ".", ""])
-    def test_source_path_normalizes_a_trailing_separator(self, tmp_path, source):
-        # Path drops a trailing "/" or "/." and reads "" as ".", so such a source keeps its Path form
-        manifest = CorpusManifest(records=[], root=tmp_path)
-        record = make_record(source=source)
-        assert manifest.source_path(record) == str(tmp_path / source)
-        assert CorpusManifest(records=[]).source_path(record) == str(Path(source))
+    @pytest.mark.parametrize("source", ["", ".", "x.lfpc.feat/", "x.lfpc.feat/."])
+    def test_source_naming_no_file_is_rejected_at_load(self, tmp_path, source):
+        # such a source names a directory, however the path is joined
+        path = tmp_path / "m.csv"
+        path.write_text(
+            "speaker_id,gender,emotion,sentence_id,bias_tag,session,repetition,source\n"
+            "spk01,male,angry,1,unbiased,train,1,a.wav\n"
+            f"spk01,male,angry,1,unbiased,train,2,{source}\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ManifestError) as err:
+            load_manifest(path)
+        assert str(err.value) == f"{path}: 1 bad row(s):\n  row 3: source {source!r} names no file"
 
     def test_non_utf8_manifest_names_the_byte(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -755,6 +761,29 @@ class TestSyntheticCorpus:
             assert obs.acoustic.shape == (10, 12)
             assert len(obs.prosodic) == 2
 
+    @pytest.mark.parametrize("audio", [False, True])
+    def test_corpus_follows_the_front_end(self, tmp_path, audio):
+        # feature files are n_bands wide with one block per block_size frames;
+        # a WAV is cut so that the front end's own framing gives its frame count
+        front_end = FrontEnd(window_ms=25.0, hop_ms=10.0, n_bands=12, block_size=4)
+        manifest = generate_synthetic_corpus(
+            seed=6, n_speakers=2, emotions=("neutral",), separation=1.0,
+            out_dir=tmp_path, frames_range=(10, 10), audio=audio, front_end=front_end,
+        )
+        for record in manifest.records[:3]:
+            obs = load_observation(manifest, record, front_end)
+            assert obs.acoustic.shape == (10, 12)
+            assert obs.prosodic.shape == (3, 4)
+
+    def test_audio_framing_of_no_samples_rejected(self, tmp_path):
+        with pytest.raises(CorpusError) as err:
+            generate_synthetic_corpus(
+                seed=0, n_speakers=2, emotions=("neutral",), separation=1.0,
+                out_dir=tmp_path / "c", audio=True, front_end=FrontEnd(hop_ms=0.01),
+            )
+        assert str(err.value) == "window_ms=30 and hop_ms=0.01 frame nothing at 16000 Hz"
+        assert not (tmp_path / "c").exists()
+
     def test_rejects_bad_arguments(self, tmp_path):
         with pytest.raises(CorpusError):
             generate_synthetic_corpus(
@@ -793,7 +822,7 @@ GOLDEN_CORPORA = {
     ),
     "degenerate": dict(
         seed=22, n_speakers=2, emotions=EMOTIONS, separation=0.0,
-        n_coefficients=8, frames_range=(1, 3), block_size=2,
+        front_end=FrontEnd(n_bands=8, block_size=2), frames_range=(1, 3),
     ),
     "audio": dict(
         seed=23, n_speakers=2, emotions=("neutral", "sad"), separation=1.0,

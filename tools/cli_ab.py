@@ -18,7 +18,9 @@ model's trailing digits depend on the thread count. The ``standard`` script is:
   then again with every output up to date, ``train``, ``evaluate`` and
   ``identify`` on one WAV; then ``extract`` into a directory of its own,
   ``train`` and ``evaluate`` with each of the ten front-end keys off its
-  default (``FRONT_END``), so that each must reach its stage;
+  default (``FRONT_END``), so that each must reach its stage; then the same
+  WAV corpus synthesized for ``FRONT_END``'s framing, extracted, trained on
+  and evaluated with ``FRONT_END``;
 * a 3-speaker ``biased:angry`` corpus at the paper's topology (9x10
   acoustic, 3x2 prosodic): ``train`` and ``evaluate`` at alpha 0, 0.5 and 1
   under both plans, and 3-fold ``xval`` under the biased one;
@@ -198,6 +200,8 @@ def wav_corpus() -> list:
     extract = ["extract", "--manifest", "wav/corpus/manifest.csv", "--out", "wav/features", *TINY]
     front_end = ["--manifest", "wav/front_end/features.csv", "--out", "wav/front_end_run", *TINY,
                  *FRONT_END]
+    framed = ["--manifest", "wav/framed_features/features.csv", "--out", "wav/framed_run",
+              *TINY, *FRONT_END]
     return [
         ["synth", "--seed", "5", "--synth_audio", "true", "--out", "wav/corpus", *TINY],
         extract,
@@ -209,6 +213,12 @@ def wav_corpus() -> list:
          *FRONT_END],
         ["train", *front_end],
         ["evaluate", *front_end],
+        ["synth", "--seed", "5", "--synth_audio", "true", "--out", "wav/framed", *TINY,
+         *FRONT_END],
+        ["extract", "--manifest", "wav/framed/manifest.csv", "--out", "wav/framed_features",
+         *TINY, *FRONT_END],
+        ["train", *framed],
+        ["evaluate", *framed],
     ]
 
 
@@ -232,7 +242,6 @@ def error_paths() -> list:
         ["train", "--manifest", "err/incomplete.csv", "--out", "err/o", *TINY],
         ["train", "--manifest", "err/rate.csv", "--out", "err/o", *TINY],
         ["train", "--manifest", "err/repeated.csv", "--out", "err/o", *TINY],
-        ["synth", "--out", "err/hop", "--synth_audio", "true", "--hop_ms", "10", *TINY],
         ["synth", "--config", "err/run.cfg", "--out", "err/c"],
         [*evaluate, "--compare", "err/three_fields.csv", *TINY],
         ["evaluate", "--manifest", "err/not_utf8.csv", "--out", "feat/run", *TINY],
